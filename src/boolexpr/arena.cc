@@ -250,9 +250,16 @@ Arena::supportSet(NodeRef root) const
 NodeRef
 Arena::substitute(NodeRef root, std::uint32_t var, NodeRef value)
 {
+    std::unordered_map<NodeRef, NodeRef> memo;
+    return substitute(root, var, value, memo);
+}
+
+NodeRef
+Arena::substitute(NodeRef root, std::uint32_t var, NodeRef value,
+                  std::unordered_map<NodeRef, NodeRef> &memo)
+{
     // Iterative post-order rewrite: formula chains produced by long
     // circuits nest thousands deep, so recursion is not an option.
-    std::unordered_map<NodeRef, NodeRef> memo;
     std::vector<std::pair<NodeRef, bool>> stack;
     stack.emplace_back(root, false);
     while (!stack.empty()) {

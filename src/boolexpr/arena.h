@@ -111,6 +111,18 @@ class Arena
     NodeRef substitute(NodeRef root, std::uint32_t var, NodeRef value);
 
     /**
+     * substitute() with a caller-owned memo (node -> rewritten node for
+     * the same @p var and @p value).  Calls that share one memo walk
+     * each node at most once between them, so cofactoring many roots
+     * of one DAG - every wire of a circuit in formula (6.2) - costs
+     * the size of their combined cone instead of the sum of the
+     * cones.  A memo must never be reused with a different @p var or
+     * @p value.
+     */
+    NodeRef substitute(NodeRef root, std::uint32_t var, NodeRef value,
+                       std::unordered_map<NodeRef, NodeRef> &memo);
+
+    /**
      * Evaluate @p root under a total assignment.
      *
      * @param assignment assignment[v] is the value of variable v; the

@@ -23,6 +23,21 @@ EngineOptions::singleLane(const VerifierOptions &options)
 }
 
 EngineOptions
+EngineOptions::forLane(const std::string &lane)
+{
+    if (lane.empty())
+        return EngineOptions{};
+    if (lane == "A")
+        return singleLane(VerifierOptions::laneA());
+    if (lane == "B")
+        return singleLane(VerifierOptions::laneB());
+    if (lane == "portfolio")
+        return portfolioAB();
+    fatal("unknown lane '" + lane +
+          "' (expected \"A\", \"B\" or \"portfolio\")");
+}
+
+EngineOptions
 EngineOptions::portfolioAB()
 {
     EngineOptions o;
@@ -260,11 +275,11 @@ VerificationEngine::VerificationEngine(
       scheduler_(std::move(scheduler)), cancel_(std::move(cancel))
 {
     if (options_.lanes.empty())
-        options_.lanes = {VerifierOptions::laneA()};
+        options_.lanes = EngineOptions{}.lanes;
     if (!scheduler_) {
         // Auto-sizing (jobs == 0) caps the private pool at what this
-        // session can actually keep busy - racing lanes in portfolio
-        // mode, one worker otherwise - so the one-shot wrappers do not
+        // session can actually keep busy - the workers its racing
+        // lanes can occupy at once - so the one-shot wrappers do not
         // spin up (and join) a machine-wide pool per single query.  An
         // explicit jobs count is honored verbatim, and batch drivers
         // inject one full-width shared scheduler instead.
@@ -273,9 +288,14 @@ VerificationEngine::VerificationEngine(
             jobs = std::thread::hardware_concurrency();
             if (jobs == 0)
                 jobs = 1;
-            const auto need = static_cast<unsigned>(
-                options_.portfolio ? options_.lanes.size() : 1);
-            jobs = std::min(jobs, std::max(1u, need));
+            // A persistent lane is one serial queue; a scratch lane
+            // solves a qubit's two conditions side by side.
+            const std::size_t racers =
+                options_.portfolio ? options_.lanes.size() : 1;
+            unsigned need = 0;
+            for (std::size_t i = 0; i < racers; ++i)
+                need += options_.lanes[i].solver.preprocess ? 2 : 1;
+            jobs = std::min(jobs, need);
         }
         scheduler_ = std::make_shared<Scheduler>(jobs);
     }
@@ -488,15 +508,20 @@ VerificationEngine::conditionsFor(ir::QubitId q)
         conds->plus = bexp::kFalse;
         conds->plusDischargedBy = analysis::Pass::Affine;
     } else {
+        // One memo per cofactor value, shared by every wire: the wires'
+        // cones overlap almost entirely, so the sweep costs the size of
+        // their union rather than wires x cone.  The arena is
+        // hash-consed, so the NodeRefs are those of per-wire calls.
+        std::unordered_map<bexp::NodeRef, bexp::NodeRef> memo0, memo1;
         std::vector<bexp::NodeRef> disjuncts;
         for (std::uint32_t other = 0; other < n; ++other) {
             if (other == q)
                 continue;
             const bexp::NodeRef b_other = finals[other];
             const bexp::NodeRef cof0 =
-                arena.substitute(b_other, q, bexp::kFalse);
+                arena.substitute(b_other, q, bexp::kFalse, memo0);
             const bexp::NodeRef cof1 =
-                arena.substitute(b_other, q, bexp::kTrue);
+                arena.substitute(b_other, q, bexp::kTrue, memo1);
             const bexp::NodeRef diff = arena.mkXor({cof0, cof1});
             if (diff != bexp::kFalse)
                 disjuncts.push_back(diff);
@@ -947,6 +972,10 @@ VerificationEngine::deterministicModel(bexp::NodeRef condition)
     qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
     sat::SolverConfig config = opts.solver;
     config.conflictBudget = opts.conflictBudget;
+    // The binary-graph passes steer the search, and with it the model
+    // found: the replay runs without them whatever the engine switch
+    // says, so counterexamples do not depend on --binary-analysis.
+    config.binaryAnalysis = false;
     sat::Solver solver(config);
     solver.addCnf(enc.cnf);
     const sat::SolveResult res = solver.solve();

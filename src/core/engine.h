@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -64,8 +65,17 @@ struct EngineOptions
      * solver instead - bounded variable elimination is a
      * whole-database transformation that cannot survive incremental
      * clause addition, and for such lanes it outweighs clause reuse.
+     *
+     * The default is lane B alone, such a "scratch" lane: each
+     * condition gets its own preprocessed solver and runs as an
+     * unordered pool task, so a program's independent conditions fill
+     * every worker.  One persistent lane answers them one after the
+     * other on a serial queue, over a clause database that keeps the
+     * selector-guarded clauses of every condition already decided.
+     * This is the one place the default lane set is declared: the
+     * qborrow CLI without --lane and the daemon take it from here.
      */
-    std::vector<VerifierOptions> lanes{VerifierOptions::laneA()};
+    std::vector<VerifierOptions> lanes{VerifierOptions::laneB()};
 
     /**
      * Race every lane on every SAT query; the first definitive answer
@@ -147,6 +157,14 @@ struct EngineOptions
 
     /** Session with exactly one lane (the compatibility default). */
     static EngineOptions singleLane(const VerifierOptions &options);
+    /**
+     * The session a lane selector names - the vocabulary shared by
+     * qborrow's --lane/--portfolio flags and the server protocol's
+     * "lane" option: "A" or "B" is that preset alone, "portfolio"
+     * races both (portfolioAB()), and "" is the default
+     * EngineOptions{}.  Throws FatalError on any other name.
+     */
+    static EngineOptions forLane(const std::string &lane);
     /** Both benchmark lanes racing, like the paper's solver pairing. */
     static EngineOptions portfolioAB();
     /**

@@ -75,6 +75,8 @@ struct VerifierOptions
      * the two into a learnt-clause exchange group in portfolio mode.
      */
     static VerifierOptions laneC();
+
+    bool operator==(const VerifierOptions &) const = default;
 };
 
 /** Result of verifying one dirty qubit. */

@@ -209,6 +209,8 @@ struct SolverConfig
      */
     unsigned importedRetireEpochs = 5;
 
+    bool operator==(const SolverConfig &) const = default;
+
     /** Plain CDCL: the paper's "CVC5 lane". */
     static SolverConfig baseline();
     /** Preprocessing-heavy CDCL: the paper's "Bitwuzla lane". */

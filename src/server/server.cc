@@ -574,20 +574,17 @@ Server::Impl::handleLine(
 core::EngineOptions
 Server::Impl::engineOptionsFor(const RequestOptions &request)
 {
-    core::EngineOptions base = options.engine;
+    const core::EngineOptions &base = options.engine;
+    // A lane override replaces the lane set only: server-wide policies
+    // (inprocessing, adaptive lanes, binary analysis, the static
+    // dischargers) survive it.
     core::EngineOptions chosen = base;
-    if (request.lane == "A") {
-        chosen = core::EngineOptions::singleLane(
-            core::VerifierOptions::laneA());
-    } else if (request.lane == "B") {
-        chosen = core::EngineOptions::singleLane(
-            core::VerifierOptions::laneB());
-    } else if (request.lane == "portfolio") {
-        chosen = core::EngineOptions::portfolioAB();
+    if (!request.lane.empty()) {
+        const core::EngineOptions preset =
+            core::EngineOptions::forLane(request.lane);
+        chosen.lanes = preset.lanes;
+        chosen.portfolio = preset.portfolio;
     }
-    // Server-wide policies survive a lane override.
-    chosen.inprocessInterval = base.inprocessInterval;
-    chosen.adaptiveLanes = base.adaptiveLanes;
     chosen.jobs = options.jobs;
     const bool want_cex = request.counterexampleSet
         ? request.counterexample

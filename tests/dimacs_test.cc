@@ -3,14 +3,14 @@
  * DIMACS reader/writer suite over the golden corpus in
  * tests/data/dimacs/ plus precise located-error pins.
  *
- * Corpus conventions: every good/*.cnf must parse, round-trip
+ * Corpus conventions: every .cnf file in good/ must parse, round-trip
  * byte-stably through the writer, and solve under BOTH solver presets
  * to the verdict its filename encodes (*_sat.cnf / *_unsat.cnf - the
  * CI smoke job derives qbsat's expected exit code the same way);
- * every bad/*.cnf must produce a located error, never a crash or a
- * silent misparse.  Builds as its own binary (ctest -L dimacs) so the
- * sanitizer jobs can run the parser's error paths directly;
- * QB_TEST_DATA_DIR comes from CMake.
+ * every .cnf file in bad/ must produce a located error, never a
+ * crash or a silent misparse.  Builds as its own binary (ctest -L
+ * dimacs) so the sanitizer jobs can run the parser's error paths
+ * directly; QB_TEST_DATA_DIR comes from CMake.
  */
 
 #include <gtest/gtest.h>

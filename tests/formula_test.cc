@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "core/formula_builder.h"
 #include "sim/classical.h"
 #include "support/logging.h"
@@ -180,6 +183,44 @@ TEST_P(FormulaProperty, CircuitFollowedByInverseGivesIdentity)
     // input variable.
     for (std::uint32_t q = 0; q < n; ++q)
         EXPECT_EQ(arena.mkVar(q), fb.formula(q));
+}
+
+TEST_P(FormulaProperty, SharedMemoCofactorSweepMatchesPerCallPath)
+{
+    // The (6.2) sweep cofactors every wire through one memo per value;
+    // over a hash-consed arena that must yield the NodeRef the
+    // per-call substitute() path yields, and build no node that path
+    // would not.  Memo path first: the per-call path must then find
+    // every node it needs already interned.
+    Rng rng(GetParam() + 600);
+    constexpr std::uint32_t n = 7;
+    const Circuit c = randomClassicalCircuit(rng, n, 30);
+    Arena arena;
+    FormulaBuilder fb(arena, n);
+    fb.applyCircuit(c);
+    const auto plus = [&](std::uint32_t q, bool shared) {
+        std::unordered_map<NodeRef, NodeRef> memo0, memo1;
+        std::vector<NodeRef> disjuncts;
+        for (std::uint32_t other = 0; other < n; ++other) {
+            if (other == q)
+                continue;
+            const NodeRef b = fb.formula(other);
+            const NodeRef cof0 =
+                shared ? arena.substitute(b, q, bexp::kFalse, memo0)
+                       : arena.substitute(b, q, bexp::kFalse);
+            const NodeRef cof1 =
+                shared ? arena.substitute(b, q, bexp::kTrue, memo1)
+                       : arena.substitute(b, q, bexp::kTrue);
+            disjuncts.push_back(arena.mkXor({cof0, cof1}));
+        }
+        return arena.mkOr(std::move(disjuncts));
+    };
+    for (std::uint32_t q = 0; q < n; ++q) {
+        const NodeRef shared = plus(q, true);
+        const std::size_t nodes = arena.numNodes();
+        EXPECT_EQ(shared, plus(q, false)) << "qubit " << q;
+        EXPECT_EQ(nodes, arena.numNodes()) << "qubit " << q;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FormulaProperty,

@@ -16,6 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "circuits/qbr_text.h"
 #include "core/engine.h"
 #include "core/report.h"
@@ -839,6 +843,114 @@ TEST(EngineInprocessing, BinaryAnalysisOnOffIdenticalAcrossJobs)
                      results[2].solverTotals.probedFailed +
                      results[2].solverTotals.hyperBinaries +
                      results[2].solverTotals.transitiveReduced);
+}
+
+/**
+ * Fuzz-style random programs - CNOT-heavy bodies (weight 4) of up to
+ * 14 gates over up to eight inputs - most of them unsafe, so the
+ * engine's counterexamples get compared for real.
+ */
+std::vector<lang::ElaboratedProgram>
+unsafeProneRandomPrograms(std::uint64_t seed, int count)
+{
+    circuits::RandomQbrOptions shape;
+    shape.maxQubits = 8;
+    shape.maxBodyGates = 14;
+    shape.cnotWeight = 4.0;
+    Rng rng(seed);
+    std::vector<lang::ElaboratedProgram> programs;
+    for (int i = 0; i < count; ++i)
+        programs.push_back(lang::elaborateSource(
+            circuits::randomQbrSource(rng, shape)));
+    return programs;
+}
+
+TEST(EngineInprocessing, UnsafeCounterexamplesIgnoreBinaryAnalysisAndJobs)
+{
+    // Counterexamples come from a replay solve, and the binary-graph
+    // passes steer a solver's search: a replay that inherited the
+    // engine's switch found other models with it on than off.  Over
+    // unsafe random programs, for the default lane set and for lane
+    // A, binary analysis on/off x --jobs 1/4 must agree on every
+    // verdict, failed condition and counterexample.
+    const auto programs = unsafeProneRandomPrograms(0xCE3, 400);
+    for (const std::string lane : {"", "A"}) {
+        std::vector<std::vector<QubitResult>> runs;
+        for (const bool analysis : {true, false}) {
+            for (const unsigned jobs : {1u, 4u}) {
+                EngineOptions options = EngineOptions::forLane(lane);
+                options.binaryAnalysis = analysis;
+                options.jobs = jobs;
+                const auto scheduler = std::make_shared<Scheduler>(jobs);
+                std::vector<QubitResult> qubits;
+                for (const auto &program : programs) {
+                    ProgramResult r = verifyAll(program, options, {},
+                                                false, scheduler,
+                                                nullptr);
+                    for (QubitResult &q : r.qubits)
+                        qubits.push_back(std::move(q));
+                }
+                runs.push_back(std::move(qubits));
+            }
+        }
+        const std::vector<QubitResult> &reference = runs.front();
+        std::size_t counterexamples = 0;
+        for (const QubitResult &q : reference)
+            counterexamples += q.counterexample.has_value() ? 1 : 0;
+        EXPECT_GT(counterexamples, 250u) << "lane '" << lane << "'";
+        for (std::size_t k = 1; k < runs.size(); ++k) {
+            ASSERT_EQ(reference.size(), runs[k].size());
+            for (std::size_t i = 0; i < reference.size(); ++i) {
+                EXPECT_EQ(reference[i].verdict, runs[k][i].verdict)
+                    << "lane '" << lane << "' config " << k
+                    << " qubit " << i;
+                EXPECT_EQ(reference[i].failed, runs[k][i].failed)
+                    << "lane '" << lane << "' config " << k
+                    << " qubit " << i;
+                EXPECT_EQ(reference[i].counterexample,
+                          runs[k][i].counterexample)
+                    << "lane '" << lane << "' config " << k
+                    << " qubit " << i;
+            }
+        }
+    }
+}
+
+TEST(EngineDefaults, JobsOneAndFourBitIdentical)
+{
+    // The default lane set runs each condition as an unordered pool
+    // task in its own solver; --jobs 1 and --jobs 4 must still agree
+    // on every verdict, failed condition, counterexample and lane, on
+    // safe adders and unsafe random programs alike.
+    std::vector<lang::ElaboratedProgram> programs =
+        unsafeProneRandomPrograms(0xDEF, 120);
+    for (const std::uint32_t n : {6u, 10u})
+        programs.push_back(
+            lang::elaborateSource(circuits::adderQbrSource(n)));
+    std::vector<QubitResult> runs[2];
+    for (const unsigned jobs : {1u, 4u}) {
+        EngineOptions options;
+        options.jobs = jobs;
+        for (const auto &program : programs)
+            for (QubitResult &q : verifyAll(program, options).qubits)
+                runs[jobs == 4].push_back(std::move(q));
+    }
+    ASSERT_EQ(runs[0].size(), runs[1].size());
+    std::size_t safe = 0, counterexamples = 0;
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+        const QubitResult &one = runs[0][i];
+        const QubitResult &four = runs[1][i];
+        EXPECT_EQ(one.verdict, four.verdict) << "qubit " << i;
+        EXPECT_EQ(one.failed, four.failed) << "qubit " << i;
+        EXPECT_EQ(one.counterexample, four.counterexample)
+            << "qubit " << i;
+        EXPECT_EQ(one.lane, four.lane) << "qubit " << i;
+        safe += one.verdict == Verdict::Safe ? 1 : 0;
+        counterexamples += one.counterexample.has_value() ? 1 : 0;
+    }
+    // Both adders' dirty qubits (5 + 9) at least are safe.
+    EXPECT_GE(safe, 14u);
+    EXPECT_GT(counterexamples, 60u);
 }
 
 TEST(EngineInprocessing, BinaryHeavyMcxCountersReachReport)

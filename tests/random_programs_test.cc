@@ -130,8 +130,9 @@ TEST_P(RandomSemantics, SafeIffDeterministic)
     // measurement branch contributes the zero operation for every
     // instantiation, so determinism does not certify safety (see
     // DeadBranchBorrow below).  Only the contrapositive is asserted:
-    if (!det_large)
+    if (!det_large) {
         EXPECT_FALSE(safe);
+    }
 }
 
 TEST(TheoremEdgeCases, DeadBranchBorrowIsDeterministicYetUnsafe)

@@ -41,6 +41,23 @@ namespace {
 
 // ========================================================== JSON parser
 
+TEST(ServerDefaults, LibraryCliAndDaemonShareOneDefaultFingerprint)
+{
+    // The default lane set is declared once, in core::EngineOptions:
+    // qborrow with no lane flag resolves it through forLane(""), and
+    // the daemon's per-request defaults start from ServerOptions{}.
+    const auto fp = [](const core::EngineOptions &o) {
+        return serving::ServingTier::optionsFingerprint(o, false);
+    };
+    const std::string library = fp(core::EngineOptions{});
+    EXPECT_EQ(library, fp(core::EngineOptions::forLane("")));
+    EXPECT_EQ(library, fp(ServerOptions{}.engine));
+    // That default is lane B alone: per-condition scratch solvers.
+    EXPECT_EQ(library, fp(core::EngineOptions::forLane("B")));
+    EXPECT_NE(library, fp(core::EngineOptions::forLane("A")));
+    EXPECT_THROW(core::EngineOptions::forLane("Z"), FatalError);
+}
+
 TEST(JsonValue, ParsesScalarsObjectsAndArrays)
 {
     const JsonValue doc = JsonValue::parse(
@@ -1203,6 +1220,38 @@ TEST(Server, WarmSessionsServeRepeatsWhenResultCacheIsOff)
               1);
     server.shutdown();
     EXPECT_EQ(2u, server.counters().served);
+}
+
+TEST(Server, LaneOverrideKeepsServerWideAnalysisSetting)
+{
+    // A request's "lane" replaces the lane set only: on a daemon
+    // started with the static dischargers off, a program the affine
+    // pass would discharge still goes to SAT whatever lane it names.
+    ServerOptions options;
+    options.socketPath = testSocketPath("laneoverride");
+    options.concurrency = 1;
+    options.jobs = 2;
+    options.engine.analysis = analysis::AnalysisOptions::none();
+    Server server(std::move(options));
+    server.start();
+
+    TestClient client(server.socketPath());
+    const std::string source = circuits::wideLinearMirrorQbrSource(64);
+    std::int64_t id = 1;
+    for (const std::string lane :
+         {"", R"("lane": "A")", R"("lane": "B")",
+          R"("lane": "portfolio")"}) {
+        client.send(verifyRequestLine(id, source, lane));
+        const auto frames = client.collect(id++);
+        const JsonValue *report = frames.back().find("report");
+        ASSERT_NE(nullptr, report) << lane;
+        EXPECT_TRUE(report->find("all_safe")->asBool(false)) << lane;
+        EXPECT_EQ(0, report->find("analysis")
+                         ->find("analysis_discharged")
+                         ->asInt())
+            << lane;
+    }
+    server.shutdown();
 }
 
 TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)

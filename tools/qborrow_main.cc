@@ -62,7 +62,7 @@ usage(const char *argv0)
         "Verify safe uncomputation of every borrowed dirty qubit.\n"
         "\n"
         "options:\n"
-        "  --lane A|B        solver lane (default A; see docs)\n"
+        "  --lane A|B        solver lane (default B; see docs)\n"
         "  --portfolio       race both lanes per query, first wins\n"
         "  --adaptive-lanes  track per-lane-family win rates and\n"
         "                    seed each race with the likely winner\n"
@@ -87,9 +87,10 @@ usage(const char *argv0)
         "  --dump-circuit    print the elaborated gate list\n"
         "  --no-cex          skip counterexample extraction\n"
         "  --budget N        conflict budget per SAT call\n"
-        "  --inprocess N     persistent lanes vivify/subsume their\n"
-        "                    clause DB every N queries (default 16,\n"
-        "                    0 disables)\n"
+        "  --inprocess N     persistent lanes (--lane A, the\n"
+        "                    portfolio) vivify/subsume their clause\n"
+        "                    DB every N queries (default 16, 0\n"
+        "                    disables)\n"
         "  --binary-analysis / --no-binary-analysis\n"
         "                    binary implication graph passes inside\n"
         "                    inprocessing: SCC equivalence merging,\n"
@@ -152,7 +153,7 @@ readFile(const std::string &path)
 struct CliOptions
 {
     std::string path;
-    std::string lane = "A";
+    std::string lane; ///< empty = the library default lane set
     std::string servePath;
     std::string serveTcp;
     std::string connectPath;
@@ -236,11 +237,8 @@ analysisOptionsFor(const CliOptions &cli)
 qb::core::EngineOptions
 engineOptionsFor(const CliOptions &cli)
 {
-    qb::core::EngineOptions options = cli.portfolio
-        ? qb::core::EngineOptions::portfolioAB()
-        : qb::core::EngineOptions::singleLane(
-              cli.lane == "A" ? qb::core::VerifierOptions::laneA()
-                              : qb::core::VerifierOptions::laneB());
+    qb::core::EngineOptions options = qb::core::EngineOptions::forLane(
+        cli.portfolio ? "portfolio" : cli.lane);
     options.jobs = static_cast<unsigned>(cli.jobs);
     options.inprocessInterval = static_cast<unsigned>(cli.inprocess);
     options.binaryAnalysis = cli.binaryAnalysis;
@@ -253,8 +251,38 @@ engineOptionsFor(const CliOptions &cli)
     return options;
 }
 
+/**
+ * The "[lane X]" tag letter of each of @p options' lanes, by preset
+ * (reports number lanes by index; the tag names what ran).  Per-run
+ * knobs are not part of a preset's identity.
+ */
+std::string
+laneTags(const qb::core::EngineOptions &options)
+{
+    using qb::core::VerifierOptions;
+    std::string tags;
+    for (VerifierOptions lane : options.lanes) {
+        lane.conflictBudget = VerifierOptions{}.conflictBudget;
+        lane.wantCounterexample = VerifierOptions{}.wantCounterexample;
+        tags += lane == VerifierOptions::laneA()   ? 'A'
+                : lane == VerifierOptions::laneB() ? 'B'
+                : lane == VerifierOptions::laneC() ? 'C'
+                                                   : '?';
+    }
+    return tags;
+}
+
+/** Tag of lane index @p lane under @p tags; '?' when out of range. */
+char
+laneTag(const std::string &tags, long lane)
+{
+    return lane >= 0 && static_cast<std::size_t>(lane) < tags.size()
+        ? tags[static_cast<std::size_t>(lane)]
+        : '?';
+}
+
 void
-printQubitLine(const qb::core::QubitResult &r)
+printQubitLine(const qb::core::QubitResult &r, const std::string &tags)
 {
     std::printf("  %-10s %s", r.name.c_str(),
                 qb::core::verdictName(r.verdict));
@@ -266,7 +294,7 @@ printQubitLine(const qb::core::QubitResult &r)
                         : "|+>");
     }
     if (r.lane >= 0)
-        std::printf(" [lane %c]", 'A' + r.lane);
+        std::printf(" [lane %c]", laneTag(tags, r.lane));
     std::printf("\n");
     if (r.counterexample) {
         std::printf("    counterexample input:");
@@ -328,7 +356,10 @@ runLocal(const CliOptions &cli)
     // Stream per-qubit lines as the engine produces them.
     qb::core::ResultObserver observer;
     if (!cli.quiet && !cli.json)
-        observer = printQubitLine;
+        observer = [tags = laneTags(options)](
+                       const qb::core::QubitResult &r) {
+            printQubitLine(r, tags);
+        };
     const auto result =
         qb::core::verifyAll(program, options, observer, cli.clean);
     if (cli.json) {
@@ -509,7 +540,7 @@ readLine(int fd, std::string &buffer, std::string &line)
 
 /** Rebuild the local per-qubit text line from a `qubit` response. */
 void
-printQubitJson(const qb::server::JsonValue &q)
+printQubitJson(const qb::server::JsonValue &q, const std::string &tags)
 {
     using qb::server::JsonValue;
     const JsonValue *name = q.find("name");
@@ -527,8 +558,7 @@ printQubitJson(const qb::server::JsonValue &q)
     }
     if (const JsonValue *lane = q.find("lane");
         lane && lane->kind() == JsonValue::Kind::Number)
-        std::printf(" [lane %c]",
-                    static_cast<char>('A' + lane->asInt()));
+        std::printf(" [lane %c]", laneTag(tags, lane->asInt()));
     std::printf("\n");
     if (const JsonValue *cex = q.find("counterexample");
         cex && cex->kind() == JsonValue::Kind::Array) {
@@ -634,9 +664,14 @@ runClient(const CliOptions &cli)
     request += ", \"name\": \"" + qb::jsonEscape(cli.path) + "\"";
     request += ", \"source\": \"" + qb::jsonEscape(source) + "\"";
     request += ", \"options\": {";
-    request += "\"lane\": \"";
-    request += cli.portfolio ? "portfolio" : cli.lane;
-    request += "\"";
+    // Always name the lane set, so the daemon runs what a local run
+    // would and the tags below name what ran.
+    const std::string lane = cli.portfolio ? "portfolio"
+        : cli.lane.empty() ? laneTags(qb::core::EngineOptions{})
+                           : cli.lane;
+    const std::string tags =
+        laneTags(qb::core::EngineOptions::forLane(lane));
+    request += "\"lane\": \"" + lane + "\"";
     request += qb::format(", \"clean\": %s",
                           cli.clean ? "true" : "false");
     request += qb::format(", \"counterexample\": %s",
@@ -671,7 +706,7 @@ runClient(const CliOptions &cli)
         if (kind == "qubit") {
             if (!cli.quiet && !cli.json)
                 if (const JsonValue *q = doc.find("qubit"))
-                    printQubitJson(*q);
+                    printQubitJson(*q, tags);
             continue;
         }
         if (kind != "result")
