@@ -8,7 +8,9 @@
  *  - pigeonhole formulas (hard structured UNSAT),
  *  - random 3-SAT at the satisfiability threshold,
  *  - real verifier formulas (condition (6.2) of an adder instance
- *    with an input qubit in the dirty role, a satisfiable case).
+ *    with an input qubit in the dirty role, a satisfiable case),
+ *  - and the default verification path's shape: the simplify preset
+ *    deciding a safe adder's (6.2) condition, which is UNSAT.
  */
 
 #include <benchmark/benchmark.h>
@@ -66,19 +68,14 @@ random3Sat(std::uint64_t seed, int num_vars, double ratio)
     return cnf;
 }
 
-/**
- * Condition (6.2) CNF for the adder with the *input* qubit q[1] in
- * the dirty role: the carry output genuinely depends on q[1], so the
- * instance is satisfiable and the solver must find a model.
- */
+/** Condition (6.2) CNF for the adder with qubit @p dirty borrowed. */
 Cnf
-brokenAdderCnf(std::uint32_t n)
+adderPlusCnf(std::uint32_t n, std::uint32_t dirty)
 {
     auto circuit = qb::circuits::hanerCarryCircuit(n);
     qb::bexp::Arena arena;
     qb::core::FormulaBuilder builder(arena, circuit.numQubits());
     builder.applyCircuit(circuit);
-    const std::uint32_t dirty = 0; // q[1]
     std::vector<qb::bexp::NodeRef> disjuncts;
     for (std::uint32_t q = 0; q < circuit.numQubits(); ++q) {
         if (q == dirty)
@@ -90,6 +87,24 @@ brokenAdderCnf(std::uint32_t n)
     }
     const auto root = arena.mkOr(std::move(disjuncts));
     return qb::sat::encodeAssertTrue(arena, root).cnf;
+}
+
+/**
+ * The input qubit q[1] in the dirty role: the carry output genuinely
+ * depends on q[1], so the instance is satisfiable and the solver must
+ * find a model.
+ */
+Cnf
+brokenAdderCnf(std::uint32_t n)
+{
+    return adderPlusCnf(n, 0);
+}
+
+/** The dirty ancilla a[1] in its own role: safe, so UNSAT. */
+Cnf
+safeAdderCnf(std::uint32_t n)
+{
+    return adderPlusCnf(n, n);
 }
 
 SolverConfig
@@ -175,6 +190,27 @@ SatVerifierFormula(benchmark::State &state)
     state.SetLabel(kVariantNames[state.range(1)]);
 }
 
+/**
+ * What the default verification path does per condition: a fresh
+ * simplify-preset solver (binary-graph pass, bounded variable
+ * elimination, search) proving a safe dirty qubit's (6.2) UNSAT.
+ */
+void
+SatPreprocessSafeAdder(benchmark::State &state)
+{
+    const Cnf cnf =
+        safeAdderCnf(static_cast<std::uint32_t>(state.range(0)));
+    qb::sat::SolverStats stats;
+    for (auto _ : state) {
+        if (qb::sat::solveCnf(cnf, SolverConfig::simplify(), &stats) !=
+            SolveResult::Unsat)
+            state.SkipWithError("safe adder condition (6.2) must be UNSAT");
+    }
+    state.counters["eliminated_vars"] =
+        static_cast<double>(stats.eliminatedVars);
+    state.counters["conflicts"] = static_cast<double>(stats.conflicts);
+}
+
 } // namespace
 
 BENCHMARK(SatPigeonhole)
@@ -185,4 +221,8 @@ BENCHMARK(SatRandom3Sat)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(SatVerifierFormula)
     ->ArgsProduct({{40, 80}, {0, 1, 2, 3}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(SatPreprocessSafeAdder)
+    ->Arg(40)
+    ->Arg(80)
     ->Unit(benchmark::kMillisecond);

@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "sat/literal.h"
@@ -165,7 +166,7 @@ class ClauseAllocator
         sizeof(Clause) / sizeof(std::uint32_t);
 
     /** Append a clause; invalidates outstanding Clause references. */
-    ClauseRef alloc(const LitVec &lits, bool learnt, unsigned lbd,
+    ClauseRef alloc(std::span<const Lit> lits, bool learnt, unsigned lbd,
                     bool imported = false, float activity = 0.0f)
     {
         qbAssert(lits.size() >= 1, "alloc of empty clause");
@@ -202,6 +203,18 @@ class ClauseAllocator
 
     /** Account @p words literals shaved off in-place (strengthening). */
     void noteShrink(std::size_t words) { wasted_ += words; }
+
+    /**
+     * Drop every clause at once, keeping the capacity: every
+     * outstanding reference dangles.  For a caller that has already
+     * discarded all of its clauses, this replaces freeing them one by
+     * one and compacting an arena that is all garbage.
+     */
+    void clear()
+    {
+        mem.clear();
+        wasted_ = 0;
+    }
 
     std::size_t words() const { return mem.size(); }
     std::size_t wasted() const { return wasted_; }

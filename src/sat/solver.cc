@@ -1,11 +1,14 @@
 #include "sat/solver.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "support/logging.h"
+#include "support/timer.h"
 
 namespace qb::sat {
 
@@ -67,6 +70,7 @@ SolverStats::accumulate(const SolverStats &other)
     gcWordsReclaimed += other.gcWordsReclaimed;
     arenaPeakWords += other.arenaPeakWords;
     peakLearnts += other.peakLearnts;
+    preprocessSeconds += other.preprocessSeconds;
 }
 
 namespace {
@@ -1198,15 +1202,17 @@ Solver::restoreEliminated()
     // Move the stack aside first: addClause() below re-enters the
     // elimStack guard, which must already see it empty.
     const auto saved = std::move(elimStack);
+    const ClauseList clauses = std::move(elimClauses);
     elimStack.clear();
+    elimClauses.clear();
     for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-        const Var v = it->first;
-        assigns[v] = LBool::Undef;
-        order->insert(v);
+        assigns[it->var] = LBool::Undef;
+        order->insert(it->var);
     }
     for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-        for (const LitVec &clause : it->second) {
-            if (!addClause(clause))
+        for (std::uint32_t k = it->firstClause; k < it->endClause; ++k) {
+            const auto clause = clauses[k];
+            if (!addClause(LitVec(clause.begin(), clause.end())))
                 return;
         }
     }
@@ -1567,21 +1573,24 @@ Solver::solve(const LitVec &assumps)
     // racing honest: a budget-exhausted lane re-enters solve() with
     // the same problem formula, and re-probing it every slice costs
     // more than the whole search.
-    if (cfg.binaryAnalysis && assumptions.empty() &&
-        binaryAnalysisPending) {
+    // Both passes together are SolverStats::preprocessSeconds.
+    const Timer preprocess_timer;
+    const bool binary_pass = cfg.binaryAnalysis &&
+        assumptions.empty() && binaryAnalysisPending;
+    if (binary_pass) {
         binaryAnalysisPending = false;
         analyzeBinaryGraph();
-        if (!okay)
-            return SolveResult::Unsat;
     }
-    if (cfg.preprocess && assumptions.empty() && !preprocessed &&
-        learntClauses.empty()) {
+    const bool eliminate = okay && cfg.preprocess &&
+        assumptions.empty() && !preprocessed && learntClauses.empty();
+    if (eliminate) {
         preprocessed = true;
-        if (!preprocessEliminate()) {
-            okay = false;
-            return SolveResult::Unsat;
-        }
+        okay = preprocessEliminate();
     }
+    if (binary_pass || eliminate)
+        statistics.preprocessSeconds += preprocess_timer.seconds();
+    if (!okay)
+        return SolveResult::Unsat;
     if (importPending.load(std::memory_order_acquire)) {
         drainImports();
         if (!okay)
@@ -1621,12 +1630,13 @@ Solver::solve(const LitVec &assumps)
                 // Extend the model over eliminated variables.
                 for (auto it = elimStack.rbegin(); it != elimStack.rend();
                      ++it) {
-                    const Var v = it->first;
+                    const Var v = it->var;
                     model[v] = LBool::True;
-                    for (const LitVec &c : it->second) {
+                    for (std::uint32_t k = it->firstClause;
+                         k < it->endClause; ++k) {
                         bool sat = false;
                         bool v_neg = false;
-                        for (Lit l : c) {
+                        for (Lit l : elimClauses[k]) {
                             if (l.var() == v) {
                                 v_neg = l.sign();
                                 continue;
@@ -1697,6 +1707,17 @@ Solver::preprocessEliminate()
     // Bounded variable elimination (NiVER-style): resolve away variables
     // whenever doing so does not grow the clause count.  Operates on the
     // root-level problem clauses before any learning has happened.
+    //
+    // The output - which variables go, in which order, what elimStack
+    // saves, and which clauses come back attached in which order with
+    // which literal order - is fixed by the rules below: a LIFO queue
+    // seeded with every variable, every variable of a committed
+    // resolvent pushed again, at most occ_limit occurrences per
+    // polarity, a variable frozen as soon as its non-tautological
+    // resolvents outnumber its clauses, and resolvents sorted and free
+    // of duplicates.  The mechanism only has to be cheap: resolvents
+    // are counted with literal marks before any is built, so a
+    // rejected candidate allocates nothing.
     qbAssert(decisionLevel() == 0, "preprocess above root level");
     // Every assignment is a root-level fact here and none of their
     // reason clauses survive the rebuild below.  Drop the references
@@ -1705,73 +1726,97 @@ Solver::preprocessEliminate()
     // every future arena - an unbounded, unaccounted leak.
     for (const Lit l : trail)
         reasons[l.var()] = Reason();
-    std::vector<LitVec> clauses;
-    clauses.reserve(problemClauses.size());
-    for (const ClauseRef cr : problemClauses) {
-        const Clause &c = ca[cr];
-        LitVec kept;
-        bool satisfied = false;
-        for (Lit l : c) {
+
+    // The working clause set, back to back in one literal vector.  No
+    // clause names a variable twice (addClause() and the graph passes
+    // drop tautologies and duplicates), which is what makes the
+    // mark-based tautology test below exact.
+    ClauseList pool;
+    auto add_root_reduced = [&](std::span<const Lit> lits) {
+        for (const Lit l : lits) {
             if (value(l) == LBool::True) {
-                satisfied = true;
-                break;
+                pool.discard();
+                return;
             }
             if (value(l) == LBool::Undef)
-                kept.push_back(l);
+                pool.push(l);
         }
-        if (!satisfied)
-            clauses.push_back(std::move(kept));
-        detachClause(cr);
-        ca.free(cr);
+        pool.close();
+    };
+    std::size_t watchers = 0;
+    for (const auto &list : watches)
+        watchers += list.size();
+    // learntClauses is empty, so the long-clause watch lists hold the
+    // problem clauses' watchers and nothing else.
+    qbAssert(learntClauses.empty() &&
+                 watchers == 2 * problemClauses.size(),
+             "preprocess: watchers beyond the problem clauses");
+    for (const ClauseRef cr : problemClauses) {
+        const Clause &c = ca[cr];
+        add_root_reduced({c.begin(), c.end()});
     }
+    // The whole pre-elimination database is discarded: clear the
+    // watch lists and the arena wholesale.
+    for (auto &list : watches)
+        list.clear();
+    ca.clear();
     problemClauses.clear();
-    otfDeferred.clear(); // whole pre-elimination database is gone
+    otfDeferred.clear();
     // Binary clauses live only in the watch lists: fold the canonical
     // direction of every pair into the working set and clear the
     // lists (survivors are re-filed by the re-add loop below).
     for (std::size_t idx = 0; idx < binWatches.size(); ++idx) {
         const Lit a = ~litFromIndex(idx);
         for (const BinWatcher &w : binWatches[idx]) {
-            if (!(a < w.other))
-                continue;
-            LitVec kept;
-            bool satisfied = false;
-            for (const Lit l : {a, w.other}) {
-                if (value(l) == LBool::True) {
-                    satisfied = true;
-                    break;
-                }
-                if (value(l) == LBool::Undef)
-                    kept.push_back(l);
-            }
-            if (!satisfied)
-                clauses.push_back(std::move(kept));
+            if (a < w.other)
+                add_root_reduced(std::array{a, w.other});
         }
     }
     for (auto &list : binWatches)
         list.clear();
 
-    // Incremental occurrence lists over a tombstoned clause vector.
+    // Occurrence lists per literal, singly linked through one flat
+    // array, newest first.  Dead clauses are unlinked when their
+    // variable is next considered.
     constexpr std::size_t occ_limit = 10;
-    std::vector<bool> dead(clauses.size(), false);
-    std::vector<std::vector<std::size_t>> occ_pos(numVars());
-    std::vector<std::vector<std::size_t>> occ_neg(numVars());
-    auto index_clause = [&](std::size_t i) {
-        for (Lit l : clauses[i])
-            (l.sign() ? occ_neg : occ_pos)[l.var()].push_back(i);
+    constexpr std::uint32_t kNoOcc = ~0u;
+    struct Occurrence
+    {
+        std::uint32_t clause;
+        std::uint32_t next;
     };
-    for (std::size_t i = 0; i < clauses.size(); ++i)
+    const auto num_clauses = static_cast<std::uint32_t>(pool.size());
+    std::vector<char> dead(num_clauses, 0);
+    std::vector<Occurrence> occs;
+    std::vector<std::uint32_t> head(watches.size(), kNoOcc);
+    auto index_clause = [&](std::uint32_t i) {
+        for (const Lit l : pool[i]) {
+            occs.push_back({i, head[l.index()]});
+            head[l.index()] = static_cast<std::uint32_t>(occs.size() - 1);
+        }
+    };
+    for (std::uint32_t i = 0; i < num_clauses; ++i)
         index_clause(i);
-    auto live_occurrences = [&](std::vector<std::size_t> &occ) {
-        occ.erase(std::remove_if(occ.begin(), occ.end(),
-                                 [&](std::size_t i) {
-                                     return dead[i];
-                                 }),
-                  occ.end());
-        return occ.size();
+    // The live clauses containing @p l into @p out, ascending; false
+    // (and @p out incomplete) once there are more than occ_limit.
+    auto live_occurrences = [&](Lit l, std::vector<std::uint32_t> &out) {
+        out.clear();
+        for (std::uint32_t *link = &head[l.index()]; *link != kNoOcc;) {
+            Occurrence &o = occs[*link];
+            if (dead[o.clause]) {
+                *link = o.next;
+                continue;
+            }
+            if (out.size() == occ_limit)
+                return false;
+            out.push_back(o.clause);
+            link = &o.next;
+        }
+        std::reverse(out.begin(), out.end());
+        return true;
     };
 
-    std::vector<bool> frozen(numVars(), false);
+    std::vector<char> frozen(numVars(), 0);
     // An SCC representative must survive elimination: the model
     // reconstruction in solve() extends each merged variable from its
     // representative's value BEFORE replaying eliminated variables,
@@ -1780,91 +1825,107 @@ Solver::preprocessEliminate()
     // no longer occur in any clause, so the zero-occurrence skip
     // below never touches them.)
     for (const auto &entry : eqStack)
-        frozen[entry.second.var()] = true;
-    std::vector<Var> queue;
+        frozen[entry.second.var()] = 1;
+    // Marks the literals of the positive antecedent, minus the pivot:
+    // the resolvent with a negative one is a tautology exactly when
+    // that clause holds the complement of a marked literal.
+    std::vector<char> marked(watches.size(), 0);
+    auto set_marks = [&](std::uint32_t i, Var pivot, char on) {
+        for (const Lit l : pool[i])
+            if (l.var() != pivot)
+                marked[l.index()] = on;
+    };
+    auto tautology = [&](std::uint32_t i) {
+        for (const Lit l : pool[i])
+            if (marked[(~l).index()])
+                return true;
+        return false;
+    };
+    std::vector<std::uint32_t> pos, neg;
+    // Whether more than @p bound of the resolvents on @p pivot between
+    // pos and neg are non-tautological; stops counting at bound + 1.
+    auto resolvents_exceed = [&](Var pivot, std::size_t bound) {
+        std::size_t count = 0;
+        for (const std::uint32_t pi : pos) {
+            set_marks(pi, pivot, 1);
+            for (const std::uint32_t ni : neg) {
+                if (!tautology(ni) && ++count > bound)
+                    break;
+            }
+            set_marks(pi, pivot, 0);
+            if (count > bound)
+                return true;
+        }
+        return false;
+    };
+    LitVec resolvent;
+    std::vector<Var> queue(numVars());
     for (Var v = 0; v < numVars(); ++v)
-        queue.push_back(v);
+        queue[v] = v;
     while (!queue.empty()) {
         const Var v = queue.back();
         queue.pop_back();
         if (frozen[v] || assigns[v] != LBool::Undef)
             continue;
-        const std::size_t pos_count = live_occurrences(occ_pos[v]);
-        const std::size_t neg_count = live_occurrences(occ_neg[v]);
-        if (pos_count == 0 && neg_count == 0)
+        if (!live_occurrences(mkLit(v), pos) ||
+            !live_occurrences(~mkLit(v), neg))
             continue;
-        if (pos_count > occ_limit || neg_count > occ_limit)
+        if (pos.empty() && neg.empty())
             continue;
-        const auto pos = occ_pos[v];
-        const auto neg = occ_neg[v];
-        // Build all non-tautological resolvents; abort if eliminating
-        // v would grow the clause count (NiVER criterion).
-        std::vector<LitVec> resolvents;
-        bool abort_var = false;
-        for (std::size_t pi : pos) {
-            for (std::size_t ni : neg) {
-                LitVec res;
-                bool taut = false;
-                for (Lit l : clauses[pi])
-                    if (l.var() != v)
-                        res.push_back(l);
-                for (Lit l : clauses[ni])
-                    if (l.var() != v)
-                        res.push_back(l);
-                std::sort(res.begin(), res.end());
-                res.erase(std::unique(res.begin(), res.end()),
-                          res.end());
-                for (std::size_t k = 0; k + 1 < res.size(); ++k) {
-                    if (res[k].var() == res[k + 1].var()) {
-                        taut = true;
-                        break;
-                    }
-                }
-                if (!taut)
-                    resolvents.push_back(std::move(res));
-                if (resolvents.size() > pos.size() + neg.size()) {
-                    abort_var = true;
-                    break;
-                }
+        // NiVER: v goes only if that does not grow the clause count.
+        // Counting is needed only when not every pair fits the bound.
+        const std::size_t bound = pos.size() + neg.size();
+        if (pos.size() * neg.size() > bound &&
+            resolvents_exceed(v, bound)) {
+            frozen[v] = 1;
+            continue;
+        }
+        // Commit: remember v's clauses for model reconstruction, then
+        // build the resolvents in (positive, negative) order.
+        const auto first_saved =
+            static_cast<std::uint32_t>(elimClauses.size());
+        for (const auto *list : {&pos, &neg}) {
+            for (const std::uint32_t i : *list) {
+                elimClauses.add(pool[i]);
+                dead[i] = 1;
             }
-            if (abort_var)
-                break;
         }
-        if (abort_var) {
-            frozen[v] = true;
-            continue;
-        }
-        // Commit: remember v's clauses for model reconstruction and
-        // splice in the resolvents.
-        std::vector<LitVec> saved;
-        for (std::size_t i : pos) {
-            saved.push_back(clauses[i]);
-            dead[i] = true;
-        }
-        for (std::size_t i : neg) {
-            saved.push_back(clauses[i]);
-            dead[i] = true;
-        }
-        elimStack.emplace_back(v, std::move(saved));
-        for (LitVec &r : resolvents) {
-            const std::size_t idx = clauses.size();
-            clauses.push_back(std::move(r));
-            dead.push_back(false);
-            index_clause(idx);
-            // Touched variables become candidates again.
-            for (Lit l : clauses[idx])
-                queue.push_back(l.var());
+        elimStack.push_back(
+            {v, first_saved,
+             static_cast<std::uint32_t>(elimClauses.size())});
+        for (const std::uint32_t pi : pos) {
+            set_marks(pi, v, 1);
+            for (const std::uint32_t ni : neg) {
+                if (tautology(ni))
+                    continue;
+                resolvent.clear();
+                for (const Lit l : pool[pi])
+                    if (l.var() != v)
+                        resolvent.push_back(l);
+                for (const Lit l : pool[ni])
+                    if (l.var() != v && !marked[l.index()])
+                        resolvent.push_back(l);
+                std::sort(resolvent.begin(), resolvent.end());
+                pool.add(resolvent);
+                dead.push_back(0);
+                index_clause(static_cast<std::uint32_t>(pool.size() - 1));
+                // Touched variables become candidates again.
+                for (const Lit l : resolvent)
+                    queue.push_back(l.var());
+            }
+            set_marks(pi, v, 0);
         }
         assigns[v] = LBool::True; // block decisions on v
         levels[v] = 0;
         ++statistics.eliminatedVars;
     }
 
-    // Re-add the surviving clauses through the normal path.
-    for (std::size_t i = 0; i < clauses.size(); ++i) {
+    // Re-add the surviving clauses through the normal path, onto the
+    // empty arena and watch lists.
+    for (std::uint32_t i = 0; i < pool.size(); ++i) {
         if (dead[i])
             continue;
-        LitVec &c = clauses[i];
+        const auto c = pool[i];
         if (c.empty())
             return false;
         if (c.size() == 1) {
@@ -1883,10 +1944,7 @@ Solver::preprocessEliminate()
         attachClause(cl);
     }
     notePeaks();
-    const bool ok = propagate() == kRefUndef;
-    // The whole pre-elimination database is garbage in the arena now.
-    maybeGarbageCollect();
-    return ok;
+    return propagate() == kRefUndef;
 }
 
 void
@@ -2628,8 +2686,10 @@ Solver::applyEquivalences()
                 uncheckedEnqueue(kept[0], Reason());
                 continue;
             }
-            okay = false; // every literal false at the root
-            return;
+            // Every literal false at the root.  Finish the rewrite
+            // anyway: no substituted variable may survive, in an
+            // unsatisfiable solver too.
+            okay = false;
         }
     }
     // Rebuild the binary lists through the substitution.
@@ -2660,18 +2720,16 @@ Solver::applyEquivalences()
         else if (value(a) == LBool::False)
             unit = b;
         if (unit != kUndefLit) {
-            if (value(unit) == LBool::False) {
+            if (value(unit) == LBool::False)
                 okay = false;
-                return;
-            }
-            if (value(unit) == LBool::Undef)
+            else if (value(unit) == LBool::Undef)
                 uncheckedEnqueue(unit, Reason());
             continue;
         }
         attachBinary(a, b, bc.learnt);
     }
     notePeaks();
-    okay = propagate() == kRefUndef;
+    okay = okay && propagate() == kRefUndef;
 }
 
 /**

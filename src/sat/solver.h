@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "sat/clause_allocator.h"
+#include "sat/clause_list.h"
 #include "sat/cnf.h"
 #include "sat/literal.h"
 
@@ -283,6 +284,10 @@ struct SolverStats
     std::int64_t arenaPeakWords = 0;    ///< peak clause-arena size
     std::int64_t peakLearnts = 0;       ///< peak live learnt clauses
     /** @} */
+
+    /** Wall seconds solve() spent at entry on the root binary-graph
+     *  pass and bounded variable elimination, before any search. */
+    double preprocessSeconds = 0.0;
 
     /** Add every counter of @p other (lane/session aggregation; the
      *  peak fields aggregate as sums of per-solver peaks). */
@@ -659,8 +664,17 @@ class Solver
     std::atomic<bool> importPending{false};
 
     std::vector<LBool> model;
-    // Eliminated-variable reconstruction stack (var, eliminated clauses).
-    std::vector<std::pair<Var, std::vector<LitVec>>> elimStack;
+    /** One bounded variable elimination: the variable and the range
+     *  of elimClauses holding the clauses it removed. */
+    struct Elimination
+    {
+        Var var;
+        std::uint32_t firstClause;
+        std::uint32_t endClause;
+    };
+    /** Eliminated-variable reconstruction stack, oldest first. */
+    std::vector<Elimination> elimStack;
+    ClauseList elimClauses;
 };
 
 /** One-shot convenience: decide a Cnf with the given configuration. */

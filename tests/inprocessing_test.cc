@@ -542,6 +542,35 @@ TEST(BinaryGraph, GadgetsFireEveryPass)
     EXPECT_EQ(LBool::False, solver.modelValue(6)); // the failed g
 }
 
+TEST(BinaryGraph, UnsatSubstitutionStillRetiresMergedVariables)
+{
+    // The binaries make x0 -> ~x1 -> x2 -> x0 and x0 <-> ~x3 cycles,
+    // so x1, x2 and x3 all merge into x0's class.  Rewriting the long
+    // clauses through that substitution turns (~x0 | ~x2 | x3) into
+    // the unit ~x0, and the rewrite proves the formula UNSAT before
+    // it has visited every clause.  It must still finish: no merged
+    // variable may stay behind, in an unsatisfiable solver too.
+    auto pos = [](Var v) { return mkLit(v); };
+    auto neg = [](Var v) { return ~mkLit(v); };
+    Cnf cnf;
+    cnf.ensureVars(7);
+    cnf.addClause({neg(2), neg(3), neg(6)});
+    cnf.addClause({pos(2), neg(4), neg(6)});
+    cnf.addClause({neg(1), neg(3), pos(6)});
+    cnf.addClause({neg(0), neg(1)});
+    cnf.addClause({pos(1), pos(2)});
+    cnf.addClause({pos(0), neg(2)});
+    cnf.addClause({pos(0), pos(3)});
+    cnf.addClause({neg(1), pos(2), pos(4)});
+    cnf.addClause({neg(0), neg(3)});
+    cnf.addClause({neg(0), neg(2), pos(3)});
+    Solver solver(SolverConfig::simplify());
+    solver.addCnf(cnf);
+    EXPECT_EQ(SolveResult::Unsat, solver.solve());
+    EXPECT_EQ(3, solver.stats().sccMergedVars);
+    solver.checkInvariants();
+}
+
 TEST_P(InprocessingProperty, BinaryAnalysisAgreesWithBruteForce)
 {
     // Random binary-heavy formulas with the graph passes on: verdicts

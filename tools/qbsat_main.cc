@@ -24,6 +24,7 @@
 #include "sat/dimacs.h"
 #include "sat/solver.h"
 #include "support/logging.h"
+#include "support/timer.h"
 
 namespace {
 
@@ -127,7 +128,9 @@ run(int argc, char **argv)
     // binary-graph passes) on the standalone-CNF path too; solve()
     // entry then re-runs the binary-graph analysis as usual.
     solver.inprocess();
+    const qb::Timer solve_timer;
     const qb::sat::SolveResult result = solver.solve();
+    const double solve_seconds = solve_timer.seconds();
     if (stats) {
         const auto &s = solver.stats();
         std::printf("c conflicts %lld decisions %lld "
@@ -150,6 +153,11 @@ run(int argc, char **argv)
                     static_cast<long long>(s.probedFailed),
                     static_cast<long long>(s.hyperBinaries),
                     static_cast<long long>(s.transitiveReduced));
+        // solve() time split: root binary-graph pass plus bounded
+        // variable elimination at entry, and the search after it.
+        std::printf("c preprocess-seconds %.6f search-seconds %.6f\n",
+                    s.preprocessSeconds,
+                    solve_seconds - s.preprocessSeconds);
     }
     switch (result) {
       case qb::sat::SolveResult::Sat: {
