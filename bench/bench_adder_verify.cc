@@ -16,45 +16,20 @@
  *   - Engine: one VerificationEngine session shared by all dirty
  *     qubits (they are borrowed together, so their lifetimes
  *     coincide), discharging every condition through assumption-based
- *     incremental SAT on one solver per lane (lane B's preprocessing
- *     preset discharges per-condition, see EngineOptions::lanes).
- * Portfolio additionally races both lanes per query.
+ *     incremental SAT on one solver (lane B's preprocessing preset
+ *     discharges per-condition, see EngineOptions::lane).
  *
  * Reference numbers (1-core container, n = 100): OneShot A 2.55 s /
  * B 0.95 s; Engine A 3.45 s / B 0.81 s.  Lane B wins this family by
  * 2.7x either way (the paper's lane crossover), and the engine beats
  * one-shot on the winning lane; on lane A the adder's per-qubit
  * conditions share too little structure for clause reuse to offset
- * the larger shared solver, which is exactly the trade-off the
- * portfolio mode exists to cover.
+ * the larger shared solver.
  *
  * Paper reference (MacBook Air M3): CVC5 4/24/71/171/365/751/1069 s,
  * Bitwuzla 3/12/29/98/158/248/313 s for n = 50..200.  Absolute times
  * are not comparable (different solver and machine); the shape -
  * polynomial growth in n - is.
- *
- * Portfolio scheduler vs PR 1 thread racing (1-core container,
- * AdderVerifyEnginePortfolio wall-clock): PR 1 spawned one thread per
- * lane per condition; the persistent scheduler with conflict-sliced
- * racing gets n = 50: 0.426 s -> 0.265 s and n = 100: 1.75 s ->
- * 1.44 s.  Slicing matters most here: lane A loses this family, and
- * without slices a 1-worker pool would run every losing lane-A solve
- * to completion (7.1 s at n = 100) before lane B ever started.
- *
- * Arena clause allocator + inprocessing (PR 3, 1-core container,
- * AdderVerifyEnginePortfolio): n = 50: 0.265 s -> 0.255 s, n = 100:
- * 1.49 s -> 1.34 s wall with peak RSS 70.2 MB -> 54.2 MB; the
- * learnt_db_peak counter shows the shrink + vivify/subsume passes
- * holding the persistent lanes at a few hundred live learnt clauses
- * over the 99-qubit session.
- *
- * Binary watchers + OTF subsumption + adaptive lanes (PR 5, 1-core
- * container, AdderVerifyEnginePortfolio): n = 50: 0.255 s -> 0.251 s,
- * n = 100: 1.34 s -> ~1.16 s; the Adaptive variant lands at 0.263 s /
- * ~1.13 s (best of the pack at n = 100, where the win-rate table has
- * 99 qubits to learn lane B over).  The n = 100 gain is the solver
- * hot path itself: binary propagation decided without arena reads
- * plus learn-time antecedent strengthening.
  */
 
 #include <benchmark/benchmark.h>
@@ -116,7 +91,7 @@ reportCounters(benchmark::State &state,
     // Memory line: process peak RSS plus the learnt-DB footprint of
     // the engine sessions (zero in the one-shot variants, which build
     // no persistent lanes) - the numbers the clause-arena GC and the
-    // slice-boundary inprocessing are meant to hold down.
+    // query-boundary inprocessing are meant to hold down.
     state.counters["peak_rss_mb"] = peakRssMb();
     state.counters["learnt_db_peak"] = static_cast<double>(
         result.solverTotals.peakLearnts);
@@ -130,7 +105,7 @@ reportCounters(benchmark::State &state,
     state.counters["analysis_discharged_affine"] =
         static_cast<double>(result.analysisTotals.affine);
     // Binary implication graph passes (--binary-analysis): what the
-    // slice-boundary SCC/probing/reduction sweeps actually did.
+    // SCC/probing/reduction sweeps actually did.
     state.counters["scc_merged_vars"] =
         static_cast<double>(result.solverTotals.sccMergedVars);
     state.counters["probed_failed"] =
@@ -165,8 +140,7 @@ runAdderEngine(benchmark::State &state,
 {
     const auto n = static_cast<std::uint32_t>(state.range(0));
     qb::core::EngineOptions opts = options;
-    for (auto &lane : opts.lanes)
-        lane.wantCounterexample = false;
+    opts.lane.wantCounterexample = false;
     qb::core::ProgramResult result;
     for (auto _ : state) {
         const auto program = qb::lang::elaborateSource(
@@ -207,55 +181,29 @@ AdderVerifyEngineLaneB(benchmark::State &state)
 }
 
 void
-AdderVerifyEnginePortfolio(benchmark::State &state)
+AdderVerifyEngineLaneBNoAnalysis(benchmark::State &state)
 {
-    runAdderEngine(state, qb::core::EngineOptions::portfolioAB());
-}
-
-void
-AdderVerifyEnginePortfolioABC(benchmark::State &state)
-{
-    // Adds lane C: shares lane A's encoding, so A and C exchange
-    // learnt clauses while racing.
-    runAdderEngine(state, qb::core::EngineOptions::portfolioABC());
-}
-
-void
-AdderVerifyEnginePortfolioAdaptive(benchmark::State &state)
-{
-    // --adaptive-lanes: lane B wins this family, and after the first
-    // few qubits the win-rate table seeds every later race with lane
-    // B's slice first - the losing lane A no longer delays the
-    // winner on 1-2 core hosts.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    options.adaptiveLanes = true;
-    runAdderEngine(state, options);
-}
-
-void
-AdderVerifyEnginePortfolioNoAnalysis(benchmark::State &state)
-{
-    // SAT-only baseline of the portfolio variant.  The adder's
-    // conditions are genuinely non-trivial (no mirror, wide cones),
-    // so analysis_discharged is 0 either way and the pair measures
-    // the pure overhead of consulting the dischargers before SAT.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
+    // SAT-only baseline of the default lane.  The adder's conditions
+    // are genuinely non-trivial (no mirror, wide cones), so
+    // analysis_discharged is 0 either way and the pair measures the
+    // pure overhead of consulting the dischargers before SAT.
+    qb::core::EngineOptions options = qb::core::EngineOptions::
+        singleLane(qb::core::VerifierOptions::laneB());
     options.analysis = qb::analysis::AnalysisOptions::none();
     runAdderEngine(state, options);
 }
 
 void
-AdderVerifyEnginePortfolioNoBinaryAnalysis(benchmark::State &state)
+AdderVerifyEngineLaneBNoBinaryAnalysis(benchmark::State &state)
 {
     // Binary-graph passes off.  The adder's carry chain is the
     // natural habitat of the passes (nested, argument-sharing
-    // conjunctions), so the on/off pair measures what SCC merging,
-    // probing and transitive reduction buy where they genuinely fire
-    // - verdicts are identical by construction.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
+    // conjunctions), so the on/off pair with AdderVerifyEngineLaneB
+    // measures what SCC merging, probing and transitive reduction buy
+    // at each scratch solver's entry where they genuinely fire -
+    // verdicts are identical by construction.
+    qb::core::EngineOptions options = qb::core::EngineOptions::
+        singleLane(qb::core::VerifierOptions::laneB());
     options.binaryAnalysis = false;
     runAdderEngine(state, options);
 }
@@ -278,23 +226,11 @@ BENCHMARK(AdderVerifyEngineLaneB)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(AdderVerifyEnginePortfolio)
+BENCHMARK(AdderVerifyEngineLaneBNoAnalysis)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(AdderVerifyEnginePortfolioABC)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEnginePortfolioAdaptive)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEnginePortfolioNoAnalysis)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEnginePortfolioNoBinaryAnalysis)
+BENCHMARK(AdderVerifyEngineLaneBNoBinaryAnalysis)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

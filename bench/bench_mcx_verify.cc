@@ -19,27 +19,6 @@
  * solver crossover relative to the adder benchmark: the solver that
  * wins there loses here, which our two presets reproduce.
  *
- * Portfolio scheduler vs PR 1 thread racing (1-core container,
- * McxVerifyEnginePortfolio wall-clock): PR 1 spawned one thread per
- * lane per condition (churn + both lanes always run to the first
- * finish); the persistent scheduler with conflict-sliced racing gets
- * n = 499: 0.088 s -> 0.036 s (2.4x) and n = 999: 0.152 s -> 0.123 s.
- * The win is pure orchestration: no thread churn, and the losing
- * preprocessing lane yields after one slice instead of burning the
- * core until lane A's answer lands.
- *
- * Arena clause allocator + inprocessing (PR 3, 1-core container,
- * McxVerifyEnginePortfolio): n = 499: 0.036 s -> 0.035 s, n = 999:
- * 0.123 s -> 0.122 s (this family is frontend-dominated; solve_s is
- * under a millisecond either way) with peak RSS 9.6 MB -> 8.4 MB.
- *
- * Binary watchers + OTF subsumption + adaptive lanes (PR 5, 1-core
- * container): McxVerifyEnginePortfolio holds at 0.034 s / 0.130 s
- * and the Adaptive variant at 0.037 s / 0.122 s for n = 499 / 999 -
- * within noise of PR 4, as expected for a frontend-dominated family
- * (solve_s stays sub-millisecond); the win shows up on the adder
- * bench, whose solve phase dominates.
- *
  * Static condition dischargers (PR 7): every variant now reports an
  * analysis_discharged counter, a NoAnalysis twin pins the SAT-only
  * baseline, and the McxMirrorVerifyEngine family runs the
@@ -94,7 +73,7 @@ reportCounters(benchmark::State &state,
     // Memory line: process peak RSS plus the learnt-DB footprint of
     // the engine sessions (zero in the one-shot variants, which build
     // no persistent lanes) - the numbers the clause-arena GC and the
-    // slice-boundary inprocessing are meant to hold down.
+    // query-boundary inprocessing are meant to hold down.
     state.counters["peak_rss_mb"] = peakRssMb();
     state.counters["learnt_db_peak"] = static_cast<double>(
         result.solverTotals.peakLearnts);
@@ -108,7 +87,7 @@ reportCounters(benchmark::State &state,
     state.counters["analysis_discharged_affine"] =
         static_cast<double>(result.analysisTotals.affine);
     // Binary implication graph passes (--binary-analysis): what the
-    // slice-boundary SCC/probing/reduction sweeps actually did.
+    // SCC/probing/reduction sweeps actually did.
     state.counters["scc_merged_vars"] =
         static_cast<double>(result.solverTotals.sccMergedVars);
     state.counters["probed_failed"] =
@@ -132,8 +111,7 @@ runMcxVerify(benchmark::State &state,
     const auto n = static_cast<std::uint32_t>(state.range(0));
     const std::uint32_t m = (n + 1) / 2;
     qb::core::EngineOptions opts = options;
-    for (auto &lane : opts.lanes)
-        lane.wantCounterexample = false;
+    opts.lane.wantCounterexample = false;
     qb::core::ProgramResult result;
     for (auto _ : state) {
         const auto program = qb::lang::elaborateSource(
@@ -154,7 +132,7 @@ runMcxVerify(benchmark::State &state,
                 result.qubits.push_back(qb::core::verifyQubit(
                     program.circuit.slice(info.scopeBegin,
                                           info.scopeEnd),
-                    q, opts.lanes[0]));
+                    q, opts.lane));
             }
         } else {
             result = qb::core::verifyAll(program, opts);
@@ -202,52 +180,26 @@ McxVerifyEngineLaneB(benchmark::State &state)
 }
 
 void
-McxVerifyEnginePortfolio(benchmark::State &state)
+McxVerifyEngineLaneBNoAnalysis(benchmark::State &state)
 {
-    runMcxVerify(state, qb::core::EngineOptions::portfolioAB(), false);
-}
-
-void
-McxVerifyEnginePortfolioABC(benchmark::State &state)
-{
-    // Adds lane C: shares lane A's encoding, so A and C exchange
-    // learnt clauses while racing.
-    runMcxVerify(state, qb::core::EngineOptions::portfolioABC(),
-                 false);
-}
-
-void
-McxVerifyEnginePortfolioAdaptive(benchmark::State &state)
-{
-    // --adaptive-lanes: per-family win rates seed each race with the
-    // likely winner first, cutting sliced-racing overhead when
-    // workers are scarcer than lanes.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    options.adaptiveLanes = true;
-    runMcxVerify(state, options, false);
-}
-
-void
-McxVerifyEnginePortfolioNoAnalysis(benchmark::State &state)
-{
-    // SAT-only baseline of the portfolio variant: the on/off pair
-    // bounds what the dischargers buy (or cost) on this family.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
+    // SAT-only baseline of the default lane: the on/off pair bounds
+    // what the dischargers buy (or cost) on this family.
+    qb::core::EngineOptions options = qb::core::EngineOptions::
+        singleLane(qb::core::VerifierOptions::laneB());
     options.analysis = qb::analysis::AnalysisOptions::none();
     runMcxVerify(state, options, false);
 }
 
 void
-McxVerifyEnginePortfolioNoBinaryAnalysis(benchmark::State &state)
+McxVerifyEngineLaneANoBinaryAnalysis(benchmark::State &state)
 {
-    // Binary-graph passes off: the on/off pair bounds what SCC
+    // Binary-graph passes off on the persistent lane, whose
+    // inprocessing runs them: the on/off pair bounds what SCC
     // merging, probing and transitive reduction buy on this family,
     // and pins the arena_peak_kw comparison (verdicts are identical
     // by construction).
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
+    qb::core::EngineOptions options = qb::core::EngineOptions::
+        singleLane(qb::core::VerifierOptions::laneA());
     options.binaryAnalysis = false;
     // An inprocessing pass every query boundary, so the graph passes
     // (when on) actually run at every engine size in this family's
@@ -258,7 +210,7 @@ McxVerifyEnginePortfolioNoBinaryAnalysis(benchmark::State &state)
 }
 
 void
-McxVerifyEnginePortfolioBinaryAnalysis(benchmark::State &state)
+McxVerifyEngineLaneABinaryAnalysis(benchmark::State &state)
 {
     // The matching analysis-ON twin of the NoBinaryAnalysis variant
     // (inprocessInterval = 1 likewise): the pair bounds cost and
@@ -266,8 +218,8 @@ McxVerifyEnginePortfolioBinaryAnalysis(benchmark::State &state)
     // ladder's implication graph is a tree, so the SCC / reduction
     // counters legitimately stay 0 here - the counter smoke test
     // lives on the BinaryHeavy family below.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
+    qb::core::EngineOptions options = qb::core::EngineOptions::
+        singleLane(qb::core::VerifierOptions::laneA());
     options.inprocessInterval = 1;
     runMcxVerify(state, options, false);
 }
@@ -279,9 +231,6 @@ McxVerifyEngineBinaryHeavy(benchmark::State &state)
     // the preprocessing lane, whose per-condition scratch solver runs
     // the root binary-graph pass on every solve: CI bench-smoke
     // asserts scc_merged_vars >= 1 and transitive_reduced >= 1 here.
-    // Lane B rather than the portfolio on purpose - in a race the
-    // scratch lane is cancelled whenever lane A answers first, which
-    // would make the counters depend on worker-pool timing.
     runMcxVerify(state,
                  qb::core::EngineOptions::singleLane(
                      qb::core::VerifierOptions::laneB()),
@@ -307,7 +256,7 @@ McxMirrorVerifyEngine(benchmark::State &state)
     // Mirrored construction: the permutation discharger settles the
     // dirty qubit statically - analysis_discharged must be >= 1 here
     // (CI bench-smoke asserts it), and solve_s stays exactly zero.
-    runMcxVerify(state, qb::core::EngineOptions::portfolioAB(), false,
+    runMcxVerify(state, qb::core::EngineOptions{}, false,
                  McxProgram::Mirror);
 }
 
@@ -316,8 +265,7 @@ McxMirrorVerifyEngineNoAnalysis(benchmark::State &state)
 {
     // The same program with the analyzer off: what the SAT path pays
     // for a condition the static pass gets for free.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
+    qb::core::EngineOptions options;
     options.analysis = qb::analysis::AnalysisOptions::none();
     runMcxVerify(state, options, false, McxProgram::Mirror);
 }
@@ -329,7 +277,7 @@ WideLinearMirrorVerifyEngine(benchmark::State &state)
     // affine pass discharges, before the conditions are even built -
     // analysis_discharged_affine must be >= 1 here (CI asserts it)
     // and solve_s stays exactly zero.
-    runMcxVerify(state, qb::core::EngineOptions::portfolioAB(), false,
+    runMcxVerify(state, qb::core::EngineOptions{}, false,
                  McxProgram::WideLinear);
 }
 
@@ -339,8 +287,7 @@ WideLinearMirrorVerifyEngineNoAnalysis(benchmark::State &state)
     // The SAT-only twin: pays the full per-wire (6.2) cofactor build
     // before the arena folds both conditions to constants.  Verdicts
     // are bit-identical to the analysis-on family.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
+    qb::core::EngineOptions options;
     options.analysis = qb::analysis::AnalysisOptions::none();
     runMcxVerify(state, options, false, McxProgram::WideLinear);
 }
@@ -363,27 +310,15 @@ BENCHMARK(McxVerifyEngineLaneB)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolio)
+BENCHMARK(McxVerifyEngineLaneBNoAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioABC)
+BENCHMARK(McxVerifyEngineLaneANoBinaryAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioAdaptive)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioNoAnalysis)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioNoBinaryAnalysis)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioBinaryAnalysis)
+BENCHMARK(McxVerifyEngineLaneABinaryAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

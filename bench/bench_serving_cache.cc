@@ -7,11 +7,11 @@
  * ServingTier over one process-wide scheduler:
  *
  *   - ServeCold: both caches disabled - every request pays parse,
- *     elaboration, session construction and the full SAT race (the
+ *     elaboration, session construction and every SAT query (the
  *     pre-PR 6 daemon, minus socket I/O);
  *   - ServeWarmSessions: program cache on, result cache off - repeats
  *     skip the frontend and verify through the entry's warm sessions
- *     (incremental encodings, learnt clauses, adapted lane order);
+ *     (incremental encodings, learnt clauses);
  *   - ServeResultHit: both caches on - repeats replay the memoized
  *     verdict and never touch the pool.
  *
@@ -38,10 +38,11 @@ runServe(benchmark::State &state, std::size_t program_capacity,
     const auto n = static_cast<std::uint32_t>(state.range(0));
     const std::uint32_t m = (n + 1) / 2;
     const std::string source = qb::circuits::mcxQbrSource(m);
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    for (auto &lane : options.lanes)
-        lane.wantCounterexample = false;
+    // Lane A, the persistent lane (and the faster one on mcx): warm
+    // sessions keep its incremental encoding and learnt clauses.
+    qb::core::EngineOptions options = qb::core::EngineOptions::
+        singleLane(qb::core::VerifierOptions::laneA());
+    options.lane.wantCounterexample = false;
     const std::string key =
         qb::serving::ServingTier::optionsFingerprint(options, false);
 

@@ -5,13 +5,11 @@
  * and verify the safe uncomputation of all n-1 dirty qubits, printing
  * per-phase timings.  Mirrors the artifact's `make adder` target.
  *
- * Usage: verify_adder [n] [--portfolio]
- *                              (default n = 50, as in adder.qbr)
+ * Usage: verify_adder [n]   (default n = 50, as in adder.qbr)
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "circuits/qbr_text.h"
 #include "core/engine.h"
@@ -23,21 +21,15 @@ int
 main(int argc, char **argv)
 {
     std::uint32_t n = 50;
-    bool portfolio = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--portfolio") == 0)
-            portfolio = true;
-        else
-            n = static_cast<std::uint32_t>(std::atoi(argv[i]));
-    }
+    if (argc > 1)
+        n = static_cast<std::uint32_t>(std::atoi(argv[1]));
     if (n < 3) {
         std::fprintf(stderr, "n must be >= 3\n");
         return 2;
     }
 
     const std::string source = qb::circuits::adderQbrSource(n);
-    std::printf("== adder.qbr with n = %u%s ==\n", n,
-                portfolio ? " (portfolio)" : "");
+    std::printf("== adder.qbr with n = %u ==\n", n);
 
     qb::Timer frontend;
     const auto program = qb::lang::elaborateSource(source);
@@ -46,13 +38,9 @@ main(int argc, char **argv)
                 frontend.seconds());
 
     // One engine session covers all n-1 dirty qubits: they are
-    // borrowed together, so they share one arena and one incremental
-    // solver per lane.
-    qb::core::EngineOptions options = portfolio
-        ? qb::core::EngineOptions::portfolioAB()
-        : qb::core::EngineOptions{};
-    for (auto &lane : options.lanes)
-        lane.wantCounterexample = false;
+    // borrowed together, so they share one arena and one lane.
+    qb::core::EngineOptions options;
+    options.lane.wantCounterexample = false;
     const auto result = qb::core::verifyAll(program, options);
 
     double build = 0, encode = 0, solve = 0;

@@ -8,7 +8,6 @@
 
 #include "core/formula_builder.h"
 #include "support/logging.h"
-#include "support/strings.h"
 #include "support/timer.h"
 
 namespace qb::core {
@@ -17,8 +16,7 @@ EngineOptions
 EngineOptions::singleLane(const VerifierOptions &options)
 {
     EngineOptions o;
-    o.lanes = {options};
-    o.portfolio = false;
+    o.lane = options;
     return o;
 }
 
@@ -31,32 +29,22 @@ EngineOptions::forLane(const std::string &lane)
         return singleLane(VerifierOptions::laneA());
     if (lane == "B")
         return singleLane(VerifierOptions::laneB());
-    if (lane == "portfolio")
-        return portfolioAB();
-    fatal("unknown lane '" + lane +
-          "' (expected \"A\", \"B\" or \"portfolio\")");
-}
-
-EngineOptions
-EngineOptions::portfolioAB()
-{
-    EngineOptions o;
-    o.lanes = {VerifierOptions::laneA(), VerifierOptions::laneB()};
-    o.portfolio = true;
-    return o;
-}
-
-EngineOptions
-EngineOptions::portfolioABC()
-{
-    EngineOptions o;
-    o.lanes = {VerifierOptions::laneA(), VerifierOptions::laneB(),
-               VerifierOptions::laneC()};
-    o.portfolio = true;
-    return o;
+    fatal("unknown lane '" + lane + "' (expected \"A\" or \"B\")");
 }
 
 namespace {
+
+/** @p options with the engine-level binary-analysis switch and the
+ *  per-call conflict budget folded into its solver configuration,
+ *  which every solver of the lane is built from. */
+VerifierOptions
+laneOptions(VerifierOptions options, bool binary_analysis)
+{
+    options.solver.binaryAnalysis =
+        options.solver.binaryAnalysis && binary_analysis;
+    options.solver.conflictBudget = options.conflictBudget;
+    return options;
+}
 
 /**
  * Solver configuration for a long-lived lane.  Bounded variable
@@ -66,33 +54,11 @@ namespace {
  * branching/restart/phase identities.
  */
 sat::SolverConfig
-incrementalConfig(const VerifierOptions &options, bool binary_analysis)
+incrementalConfig(const VerifierOptions &options)
 {
     sat::SolverConfig cfg = options.solver;
     cfg.preprocess = false;
-    cfg.conflictBudget = options.conflictBudget;
-    cfg.binaryAnalysis = cfg.binaryAnalysis && binary_analysis;
     return cfg;
-}
-
-/**
- * Identity of a lane FAMILY for the adaptive win-rate table: the
- * fields that distinguish the lane presets (encoder configuration
- * plus the solving-strategy knobs).  Two lanes with equal keys play
- * the same role in any portfolio, so their wins pool - across
- * sessions of a program, and across requests in server mode, since
- * the table lives on the shared Scheduler.
- */
-std::string
-laneFamilyKey(const VerifierOptions &options)
-{
-    const sat::SolverConfig &s = options.solver;
-    return qb::format(
-        "e%d.x%u.pre%d.luby%d.rb%lld.vd%d.ph%d",
-        static_cast<int>(options.encoding), options.xorChunk,
-        s.preprocess ? 1 : 0, s.lubyRestarts ? 1 : 0,
-        static_cast<long long>(s.restartBase),
-        static_cast<int>(s.varDecay * 1000), s.initialPhaseTrue);
 }
 
 /** Satisfying input assignment (by qubit id) from a solver model. */
@@ -136,47 +102,31 @@ CancelSource::detach(VerificationEngine *engine)
     std::erase(engines, engine);
 }
 
-/** One lane: a persistent solver plus its incremental encoder. */
+/** The session's lane: its preset plus, for a persistent lane, the
+ *  long-lived solver and its incremental encoder. */
 struct VerificationEngine::Lane
 {
-    int index;
     VerifierOptions options;
     sat::Solver solver;
     sat::IncrementalTseitin encoder;
     /** Preprocessing lanes discharge per-condition in fresh solvers. */
     bool scratch;
-    /** Serial task queue keeping this lane's condition stream ordered
-     *  (persistent lanes only; scratch work is unordered). */
+    /** Serial task queue keeping a persistent lane's condition stream
+     *  ordered (scratch work is unordered). */
     std::shared_ptr<Scheduler::SerialQueue> queue;
-    /**
-     * Lane is in a learnt-clause exchange group: it must assert every
-     * condition even when the race is already decided, so that its
-     * solver-variable numbering stays the group's shared numbering
-     * (the soundness basis of verbatim clause exchange).
-     */
-    bool alwaysEncode = false;
     /** Queries since the last inprocessing pass (owned by the lane's
      *  serial task chain; see EngineOptions::inprocessInterval). */
     unsigned queriesSinceInprocess = 0;
-    /** Win-rate table key of this lane's preset family (adaptive
-     *  lane ordering; see EngineOptions::adaptiveLanes). */
-    std::string familyKey;
 
-    Lane(int idx, const VerifierOptions &opts, const bexp::Arena &arena,
+    Lane(const VerifierOptions &opts, const bexp::Arena &arena,
          Scheduler &sched, unsigned band, bool binary_analysis)
-        : index(idx), options(opts),
-          solver(incrementalConfig(opts, binary_analysis)),
-          encoder(arena, solver, opts.encoding, opts.xorChunk),
-          scratch(opts.solver.preprocess),
-          familyKey(laneFamilyKey(opts))
+        : options(laneOptions(opts, binary_analysis)),
+          solver(incrementalConfig(options)),
+          encoder(arena, solver, options.encoding, options.xorChunk),
+          scratch(options.solver.preprocess)
     {
         if (!scratch)
             queue = sched.makeQueue(band);
-        // Scratch lanes build their per-condition solvers straight
-        // from the stored preset, bypassing incrementalConfig(): the
-        // engine-level binary-analysis switch must reach them here.
-        options.solver.binaryAnalysis =
-            options.solver.binaryAnalysis && binary_analysis;
         // The arena holds exactly the circuit's qubit formulas at lane
         // construction time: that region sits in every condition's
         // cone, so its definitions stay unguarded and the conflict
@@ -200,8 +150,8 @@ struct VerificationEngine::Conditions
     /** @} */
 };
 
-/** Result of deciding one condition in one lane (or structurally). */
-struct VerificationEngine::LaneOutcome
+/** Result of deciding one condition in the lane (or structurally). */
+struct VerificationEngine::Outcome
 {
     sat::SolveResult result = sat::SolveResult::Unknown;
     std::optional<std::vector<bool>> model;
@@ -210,49 +160,25 @@ struct VerificationEngine::LaneOutcome
     std::int64_t conflicts = 0;
     std::size_t vars = 0;
     std::size_t clauses = 0;
-    int lane = -1;
-    bool structural = false;
 };
 
 /**
- * One condition raced across the configured lanes: the (qubit,
- * condition) work item of the scheduler.  Workers fill outcomes[] and
- * flip stop on the first definitive answer; the producing thread
- * blocks in collectRace() only when it actually needs the verdict.
- *
- * Racing lanes solve in conflict SLICES (sliceBudget, growing
- * geometrically) and requeue themselves while inconclusive.  With at
- * least as many workers as lanes a slice boundary is just a cheap
- * extra restart; with fewer workers - the interesting case on small
- * machines - slicing is what emulates preemptive racing: no lane can
- * hog a worker for a whole (possibly losing) solve while a faster
- * lane's answer waits in the queue.  The per-lane accumulator fields
- * are owned by that lane's task chain (each continuation is submitted
- * only after its predecessor ran, so the chain is ordered even on the
- * unordered pool).
+ * One condition submitted to the lane: the (qubit, condition) work
+ * item of the scheduler.  The worker fills outcome; the producing
+ * thread blocks in collectQuery() only when it actually needs the
+ * verdict.
  */
-struct VerificationEngine::Race
+struct VerificationEngine::Query
 {
     bexp::NodeRef condition = bexp::kFalse;
-    /** First-finisher cancellation flag; doubles as the solver stop
-     *  flag of every racing lane. */
+    /** Cancellation flag (abandoned handle or cancelled request);
+     *  doubles as the solver stop flag. */
     std::atomic<bool> stop{false};
     std::mutex mutex;
     std::condition_variable done;
-    std::vector<LaneOutcome> outcomes; ///< indexed by lane
-    std::size_t pending = 0;           ///< lanes still to report
-
-    /** @name Per-lane slice state (owned by the lane's task chain). @{ */
-    std::vector<LaneOutcome> partial;        ///< accumulates slices
-    std::vector<std::int64_t> sliceBudget;   ///< next slice, conflicts
-    std::vector<std::int64_t> budgetLeft;    ///< user budget remaining
-    /** Scratch lanes keep their per-condition solver across slices. */
-    std::vector<std::unique_ptr<sat::Solver>> scratchSolver;
-    /** @} */
+    Outcome outcome;       ///< written by the worker, then finished
+    bool finished = false; ///< guarded by mutex
 };
-
-/** First racing slice, in conflicts; slices grow 4x per round. */
-constexpr std::int64_t kInitialSlice = 128;
 
 VerificationEngine::Pending::Pending() = default;
 VerificationEngine::Pending::Pending(Pending &&) noexcept = default;
@@ -261,8 +187,9 @@ VerificationEngine::Pending::operator=(Pending &&) noexcept = default;
 
 VerificationEngine::Pending::~Pending()
 {
-    // An unredeemed handle cancels its races; the engine's destruction
-    // fence keeps the lanes alive until the cancelled tasks drain.
+    // An unredeemed handle cancels its queries; the engine's
+    // destruction fence keeps the lane alive until the cancelled
+    // tasks drain.
     VerificationEngine::abandon(zero);
     VerificationEngine::abandon(plus);
 }
@@ -274,15 +201,12 @@ VerificationEngine::VerificationEngine(
     : options_(std::move(options)), circuit_(circuit),
       scheduler_(std::move(scheduler)), cancel_(std::move(cancel))
 {
-    if (options_.lanes.empty())
-        options_.lanes = EngineOptions{}.lanes;
     if (!scheduler_) {
         // Auto-sizing (jobs == 0) caps the private pool at what this
-        // session can actually keep busy - the workers its racing
-        // lanes can occupy at once - so the one-shot wrappers do not
-        // spin up (and join) a machine-wide pool per single query.  An
-        // explicit jobs count is honored verbatim, and batch drivers
-        // inject one full-width shared scheduler instead.
+        // session can actually keep busy, so the one-shot wrappers do
+        // not spin up (and join) a machine-wide pool per single query.
+        // An explicit jobs count is honored verbatim, and batch
+        // drivers inject one full-width shared scheduler instead.
         unsigned jobs = options_.jobs;
         if (jobs == 0) {
             jobs = std::thread::hardware_concurrency();
@@ -290,12 +214,8 @@ VerificationEngine::VerificationEngine(
                 jobs = 1;
             // A persistent lane is one serial queue; a scratch lane
             // solves a qubit's two conditions side by side.
-            const std::size_t racers =
-                options_.portfolio ? options_.lanes.size() : 1;
-            unsigned need = 0;
-            for (std::size_t i = 0; i < racers; ++i)
-                need += options_.lanes[i].solver.preprocess ? 2 : 1;
-            jobs = std::min(jobs, need);
+            jobs = std::min(jobs, options_.lane.solver.preprocess ? 2u
+                                                                  : 1u);
         }
         scheduler_ = std::make_shared<Scheduler>(jobs);
     }
@@ -312,11 +232,9 @@ VerificationEngine::VerificationEngine(
             finals.push_back(builder.formula(q));
         engineStats.formulaBuildSeconds = build_timer.seconds();
     }
-    int index = 0;
-    for (const VerifierOptions &lane_options : options_.lanes)
-        lanes_.push_back(std::make_unique<Lane>(
-            index++, lane_options, arena, *scheduler_,
-            options_.fairnessBand, options_.binaryAnalysis));
+    lane_ = std::make_unique<Lane>(options_.lane, arena, *scheduler_,
+                                   options_.fairnessBand,
+                                   options_.binaryAnalysis);
     if (cancel_) {
         cancel_->attach(this);
         // The source may have fired before this session existed:
@@ -324,44 +242,6 @@ VerificationEngine::VerificationEngine(
         // iteration that may already have passed us by.
         if (cancel_->cancelRequested())
             cancelled_.store(true, std::memory_order_release);
-    }
-
-    // Wire learnt-clause exchange between racing persistent lanes with
-    // identical encoder configuration: same mode, same XOR chunking,
-    // same arena, same condition order (enforced by alwaysEncode)
-    // means identical solver-variable numbering, so clauses travel
-    // verbatim.  Lanes outside such a group (scratch lanes, odd
-    // encodings) race without sharing, as before.
-    if (options_.portfolio) {
-        std::map<std::pair<int, unsigned>, std::vector<Lane *>> groups;
-        for (const auto &lane : lanes_) {
-            if (lane->scratch)
-                continue;
-            groups[{static_cast<int>(lane->options.encoding),
-                    lane->options.xorChunk}]
-                .push_back(lane.get());
-        }
-        for (auto &[key, group] : groups) {
-            if (group.size() < 2)
-                continue;
-            for (Lane *lane : group) {
-                std::vector<sat::Solver *> peers;
-                for (Lane *other : group)
-                    if (other != lane)
-                        peers.push_back(&other->solver);
-                lane->alwaysEncode = true;
-                ++engineStats.shareLanes;
-                lane->solver.setClauseExport(
-                    [peers](const sat::LitVec &clause, unsigned lbd) {
-                        // Forward the exporter's LBD: the importer
-                        // retires imports by it after their grace
-                        // epochs, so genuine glue survives and junk
-                        // ages out (bounded learnt DB).
-                        for (sat::Solver *peer : peers)
-                            peer->postImport(clause, lbd);
-                    });
-            }
-        }
     }
 }
 
@@ -373,9 +253,9 @@ VerificationEngine::~VerificationEngine()
         cancel_->detach(this);
     {
         const std::lock_guard<std::mutex> guard(fenceMutex);
-        for (const std::weak_ptr<Race> &weak : liveRaces)
-            if (const std::shared_ptr<Race> race = weak.lock())
-                race->stop.store(true, std::memory_order_release);
+        for (const std::weak_ptr<Query> &weak : liveQueries)
+            if (const std::shared_ptr<Query> query = weak.lock())
+                query->stop.store(true, std::memory_order_release);
     }
     waitIdle();
 }
@@ -385,9 +265,9 @@ VerificationEngine::cancelNow()
 {
     cancelled_.store(true, std::memory_order_release);
     const std::lock_guard<std::mutex> guard(fenceMutex);
-    for (const std::weak_ptr<Race> &weak : liveRaces)
-        if (const std::shared_ptr<Race> race = weak.lock())
-            race->stop.store(true, std::memory_order_release);
+    for (const std::weak_ptr<Query> &weak : liveQueries)
+        if (const std::shared_ptr<Query> query = weak.lock())
+            query->stop.store(true, std::memory_order_release);
 }
 
 void
@@ -417,21 +297,10 @@ VerificationEngine::rearm(std::shared_ptr<CancelSource> cancel)
 }
 
 sat::SolverStats
-VerificationEngine::laneSolverStats(std::size_t lane)
-{
-    qbAssert(lane < lanes_.size(),
-             "laneSolverStats: lane out of range");
-    waitIdle();
-    return lanes_[lane]->solver.stats();
-}
-
-sat::SolverStats
 VerificationEngine::aggregateSolverStats()
 {
     waitIdle();
-    sat::SolverStats total;
-    for (const auto &lane : lanes_)
-        total.accumulate(lane->solver.stats());
+    sat::SolverStats total = lane_->solver.stats();
     {
         const std::lock_guard<std::mutex> guard(scratchStatsMutex);
         total.accumulate(scratchTotals_);
@@ -532,7 +401,7 @@ VerificationEngine::conditionsFor(ir::QubitId q)
         arena.dagSize(conds->zero) + arena.dagSize(conds->plus);
 
     // Static dischargers: whatever the analyzer proves UNSAT from
-    // circuit structure skips its SAT race in prepare().  Constant
+    // circuit structure skips its SAT query in prepare().  Constant
     // conditions are left to structuralOutcome() - it is both cheaper
     // and the only path that may also settle Sat.
     if (options_.analysis.anyPass() &&
@@ -574,81 +443,44 @@ VerificationEngine::noteDischarge(analysis::Pass pass)
 }
 
 void
-VerificationEngine::abandon(const std::shared_ptr<Race> &race)
+VerificationEngine::abandon(const std::shared_ptr<Query> &query)
 {
-    if (race)
-        race->stop.store(true, std::memory_order_release);
+    if (query)
+        query->stop.store(true, std::memory_order_release);
 }
 
-std::shared_ptr<VerificationEngine::Race>
-VerificationEngine::submitRace(bexp::NodeRef condition)
+std::shared_ptr<VerificationEngine::Query>
+VerificationEngine::submitQuery(bexp::NodeRef condition)
 {
-    auto race = std::make_shared<Race>();
-    race->condition = condition;
-    const std::size_t racers =
-        options_.portfolio ? lanes_.size() : 1;
-    race->outcomes.resize(lanes_.size());
-    race->partial.resize(lanes_.size());
-    race->sliceBudget.assign(lanes_.size(), kInitialSlice);
-    race->budgetLeft.resize(lanes_.size());
-    race->scratchSolver.resize(lanes_.size());
-    for (std::size_t i = 0; i < lanes_.size(); ++i)
-        race->budgetLeft[i] = lanes_[i]->options.conflictBudget;
-    race->pending = racers;
-    engineStats.satCalls += racers;
+    auto query = std::make_shared<Query>();
+    query->condition = condition;
+    ++engineStats.satCalls;
     {
         const std::lock_guard<std::mutex> guard(fenceMutex);
         // A cancel that fired while this qubit's conditions were
-        // being built has already swept liveRaces; seed the new
-        // race's stop flag here, under the same mutex, so it cannot
+        // being built has already swept liveQueries; seed the new
+        // query's stop flag here, under the same mutex, so it cannot
         // slip through the sweep and run to completion.
         if (cancelled_.load(std::memory_order_acquire))
-            race->stop.store(true, std::memory_order_release);
-        if (liveRaces.size() >= 64) {
-            std::erase_if(liveRaces,
-                          [](const std::weak_ptr<Race> &weak) {
+            query->stop.store(true, std::memory_order_release);
+        if (liveQueries.size() >= 64) {
+            std::erase_if(liveQueries,
+                          [](const std::weak_ptr<Query> &weak) {
                               return weak.expired();
                           });
         }
-        liveRaces.push_back(race);
-    }
-    // Adaptive lane ordering: submit the first slices in descending
-    // family win rate, so with fewer workers than lanes the probable
-    // winner's slice is popped first.  Ties fall back to index order;
-    // verdicts are unaffected either way (collectRace picks the
-    // winner by index, counterexamples come from the replay solve).
-    std::vector<std::size_t> order(racers);
-    for (std::size_t i = 0; i < racers; ++i)
-        order[i] = i;
-    if (options_.adaptiveLanes && racers > 1) {
-        std::vector<double> score(racers);
-        for (std::size_t i = 0; i < racers; ++i)
-            score[i] = scheduler_->laneWinRate(lanes_[i]->familyKey);
-        std::stable_sort(order.begin(), order.end(),
-                         [&score](std::size_t a, std::size_t b) {
-                             return score[a] > score[b];
-                         });
-    }
-    for (const std::size_t i : order)
-        submitLaneTask(race, i);
-    return race;
-}
-
-void
-VerificationEngine::submitLaneTask(const std::shared_ptr<Race> &race,
-                                   std::size_t lane_index,
-                                   bool continuation)
-{
-    Lane &lane = *lanes_[lane_index];
-    {
-        const std::lock_guard<std::mutex> guard(fenceMutex);
+        liveQueries.push_back(query);
         ++tasksInFlight;
     }
-    auto task = [this, &lane, race] {
-        if (lane.scratch)
-            runScratchTask(lane, race);
-        else
-            runPersistentTask(lane, race);
+    auto task = [this, query] {
+        Outcome outcome =
+            lane_->scratch ? runScratch(*query) : runPersistent(*query);
+        {
+            const std::lock_guard<std::mutex> guard(query->mutex);
+            query->outcome = std::move(outcome);
+            query->finished = true;
+        }
+        query->done.notify_all();
         // Notify UNDER the mutex: waitIdle()'s waiter may destroy the
         // engine (and this condition variable) the instant the count
         // hits zero, so the notify must complete before the lock is
@@ -657,299 +489,135 @@ VerificationEngine::submitLaneTask(const std::shared_ptr<Race> &race,
         --tasksInFlight;
         fenceIdle.notify_all();
     };
-    // Adaptive requeue priority: when the slice that just yielded
-    // belongs to the current FAVORITE family (best win rate), its
-    // continuation goes to the FRONT of the fairness band, so the
-    // probable winner keeps its head start across slice boundaries of
-    // long races instead of only at the first slice.  Verdicts are
-    // unaffected for the same reason first-slice reordering is safe:
-    // collectRace picks winners by lane index and counterexamples
-    // come from the replay solve.
-    bool front = false;
-    if (continuation && options_.adaptiveLanes && options_.portfolio &&
-        lanes_.size() > 1) {
-        const double mine = scheduler_->laneWinRate(lane.familyKey);
-        front = true;
-        for (const auto &other : lanes_) {
-            if (other.get() != &lane &&
-                scheduler_->laneWinRate(other->familyKey) > mine) {
-                front = false;
-                break;
-            }
-        }
-    }
-    if (lane.scratch)
-        scheduler_->submit(options_.fairnessBand, std::move(task),
-                           front);
+    if (lane_->scratch)
+        scheduler_->submit(options_.fairnessBand, std::move(task));
     else
-        scheduler_->submit(lane.queue, std::move(task), front);
+        scheduler_->submit(lane_->queue, std::move(task));
+    return query;
 }
 
-/**
- * Conflict budget for the next slice of @p race on lane @p i, honoring
- * the lane's remaining user budget.  Single-lane (non-racing)
- * decisions do not slice: there is no competitor to yield to.
- */
-std::int64_t
-VerificationEngine::sliceBudgetFor(const Race &race, std::size_t i,
-                                   bool racing) const
+VerificationEngine::Outcome
+VerificationEngine::runPersistent(Query &query)
 {
-    if (!racing)
-        return race.budgetLeft[i];
-    std::int64_t budget = race.sliceBudget[i];
-    if (race.budgetLeft[i] >= 0 && race.budgetLeft[i] < budget)
-        budget = race.budgetLeft[i];
-    return budget;
-}
-
-/** Post-slice bookkeeping shared by both lane kinds: returns true when
- *  the lane should yield and requeue for another slice. */
-bool
-VerificationEngine::continueSlicing(Race &race, std::size_t i,
-                                    bool racing,
-                                    sat::SolveResult result,
-                                    std::int64_t used)
-{
-    if (race.budgetLeft[i] >= 0)
-        race.budgetLeft[i] = std::max<std::int64_t>(
-            0, race.budgetLeft[i] - used);
-    if (result != sat::SolveResult::Unknown || !racing)
-        return false;
-    if (race.stop.load(std::memory_order_acquire))
-        return false; // cancelled, not inconclusive
-    if (race.budgetLeft[i] == 0)
-        return false; // user budget exhausted: Unknown is final
-    race.sliceBudget[i] *= 4;
-    return true;
-}
-
-void
-VerificationEngine::runPersistentTask(
-    Lane &lane, const std::shared_ptr<Race> &race)
-{
-    const std::size_t i = static_cast<std::size_t>(lane.index);
-    const bool racing = options_.portfolio && lanes_.size() > 1;
-    LaneOutcome &acc = race->partial[i];
-    sat::IncrementalTseitin::Selector sel;
-    if (acc.lane < 0) {
-        // First slice: encode the condition.  Share-group lanes encode
-        // even when the race is already decided - their solver
-        // variable numbering must stay the group's shared numbering.
-        acc.lane = lane.index;
-        const bool resolved =
-            race->stop.load(std::memory_order_acquire);
-        if (resolved && !lane.alwaysEncode) {
-            reportOutcome(*race, lane.index, std::move(acc));
-            return;
-        }
-        Timer encode_timer;
-        const std::size_t vars_before = lane.encoder.varsCreated();
-        const std::size_t clauses_before =
-            lane.encoder.clausesEmitted();
-        sel = lane.encoder.assertCondition(race->condition);
-        acc.encodeSeconds = encode_timer.seconds();
-        acc.vars = lane.encoder.varsCreated() - vars_before;
-        acc.clauses = lane.encoder.clausesEmitted() - clauses_before;
-        // Constant conditions resolve at prepare time, upstream.
-        qbAssert(!sel.rootIsConst,
-                 "constant conditions decide upstream");
-        // Epoch-style retention BETWEEN queries (first slice only -
-        // later slices of the same condition keep everything): carry
-        // over only the high-value (low-LBD and imported) conflict
-        // clauses.  They are what makes repeated or structurally-
-        // related queries cheap, while the bulk of the learnt
-        // database would tax every propagation.
-        lane.solver.shrinkLearnts(3);
-        // Slice-boundary inprocessing: every inprocessInterval-th
-        // query, vivify and subsume what the shrink kept, then let
-        // the arena GC compact.  Serialized with all other solver
-        // access by the lane's serial queue.
-        if (options_.inprocessInterval != 0 &&
-            ++lane.queriesSinceInprocess >=
-                options_.inprocessInterval) {
-            lane.queriesSinceInprocess = 0;
-            lane.solver.inprocess();
-        }
-    } else {
-        sel = lane.encoder.assertCondition(race->condition); // cached
+    Lane &lane = *lane_;
+    Outcome out;
+    if (query.stop.load(std::memory_order_acquire))
+        return out; // abandoned before it ran: encode nothing
+    Timer encode_timer;
+    const std::size_t vars_before = lane.encoder.varsCreated();
+    const std::size_t clauses_before = lane.encoder.clausesEmitted();
+    const sat::IncrementalTseitin::Selector sel =
+        lane.encoder.assertCondition(query.condition);
+    out.encodeSeconds = encode_timer.seconds();
+    out.vars = lane.encoder.varsCreated() - vars_before;
+    out.clauses = lane.encoder.clausesEmitted() - clauses_before;
+    // Constant conditions resolve at prepare time, upstream.
+    qbAssert(!sel.rootIsConst, "constant conditions decide upstream");
+    // Epoch-style retention BETWEEN queries: carry over only the
+    // high-value (low-LBD) conflict clauses.  They are what makes
+    // repeated or structurally-related queries cheap, while the bulk
+    // of the learnt database would tax every propagation.
+    lane.solver.shrinkLearnts(3);
+    // Query-boundary inprocessing: every inprocessInterval-th query,
+    // vivify and subsume what the shrink kept, then let the arena GC
+    // compact.  Serialized with all other solver access by the lane's
+    // serial queue.
+    if (options_.inprocessInterval != 0 &&
+        ++lane.queriesSinceInprocess >= options_.inprocessInterval) {
+        lane.queriesSinceInprocess = 0;
+        lane.solver.inprocess();
     }
-    if (race->stop.load(std::memory_order_acquire)) {
-        reportOutcome(*race, lane.index, std::move(acc));
-        return;
-    }
-    lane.solver.setConflictBudget(sliceBudgetFor(*race, i, racing));
-    lane.solver.setStopFlag(&race->stop);
-    const std::int64_t conflicts_before =
-        lane.solver.stats().conflicts;
+    if (query.stop.load(std::memory_order_acquire))
+        return out;
+    lane.solver.setStopFlag(&query.stop);
+    const std::int64_t conflicts_before = lane.solver.stats().conflicts;
     Timer solve_timer;
-    const sat::SolveResult result = lane.solver.solve({sel.lit});
-    acc.solveSeconds += solve_timer.seconds();
-    const std::int64_t used =
-        lane.solver.stats().conflicts - conflicts_before;
-    acc.conflicts += used;
+    out.result = lane.solver.solve({sel.lit});
+    out.solveSeconds = solve_timer.seconds();
+    out.conflicts = lane.solver.stats().conflicts - conflicts_before;
     lane.solver.setStopFlag(nullptr);
 #ifdef QB_DEBUG_CHECKS
-    // Slice boundary: the solver is quiesced between budgeted solve()
-    // calls - the exact point where watcher, reason and arena-waste
+    // Query boundary: the solver is quiesced between solve() calls -
+    // the exact point where watcher, reason and arena-waste
     // invariants must all hold, whatever the decision level.
     lane.solver.checkInvariants();
 #endif
-
-    if (continueSlicing(*race, i, racing, result, used)) {
-        submitLaneTask(race, i, /*continuation=*/true);
-        return;
-    }
-    acc.result = result;
-    reportOutcome(*race, lane.index, std::move(acc));
+    return out;
 }
 
-void
-VerificationEngine::runScratchTask(Lane &lane,
-                                   const std::shared_ptr<Race> &race)
+VerificationEngine::Outcome
+VerificationEngine::runScratch(Query &query)
 {
     // Lanes whose preset asks for preprocessing discharge each
     // condition in a dedicated solver: bounded variable elimination
     // is a whole-database transformation that is unsound once
     // selector-guarded conditions and learnt clauses accumulate, and
     // for these lanes it is worth far more than clause reuse (the
-    // paper's "formula simplification algorithms" trade-off).  The
-    // dedicated solver lives in the race so it survives slice
-    // boundaries.
-    const std::size_t i = static_cast<std::size_t>(lane.index);
-    const bool racing = options_.portfolio && lanes_.size() > 1;
-    LaneOutcome &acc = race->partial[i];
-    if (race->stop.load(std::memory_order_acquire)) {
-        if (acc.lane < 0)
-            acc.lane = lane.index;
-        harvestScratchStats(race->scratchSolver[i].get());
-        race->scratchSolver[i].reset();
-        reportOutcome(*race, lane.index, std::move(acc));
-        return;
-    }
-    if (acc.lane < 0) {
-        acc.lane = lane.index;
-        Timer encode_timer;
-        sat::TseitinResult enc = sat::encodeAssertTrue(
-            arena, race->condition, lane.options.encoding,
-            lane.options.xorChunk);
-        acc.encodeSeconds = encode_timer.seconds();
-        qbAssert(!enc.rootIsConst,
-                 "constant conditions decide upstream");
-        acc.vars = static_cast<std::size_t>(enc.cnf.numVars());
-        acc.clauses = enc.cnf.numClauses();
-        race->scratchSolver[i] =
-            std::make_unique<sat::Solver>(lane.options.solver);
-        race->scratchSolver[i]->addCnf(enc.cnf);
-    }
-    sat::Solver &solver = *race->scratchSolver[i];
-    solver.setConflictBudget(sliceBudgetFor(*race, i, racing));
-    solver.setStopFlag(&race->stop);
+    // paper's "formula simplification algorithms" trade-off).
+    const Lane &lane = *lane_;
+    Outcome out;
+    if (query.stop.load(std::memory_order_acquire))
+        return out;
+    Timer encode_timer;
+    sat::TseitinResult enc = sat::encodeAssertTrue(
+        arena, query.condition, lane.options.encoding,
+        lane.options.xorChunk);
+    out.encodeSeconds = encode_timer.seconds();
+    qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
+    out.vars = static_cast<std::size_t>(enc.cnf.numVars());
+    out.clauses = enc.cnf.numClauses();
+    sat::Solver solver(lane.options.solver);
+    solver.addCnf(enc.cnf);
+    solver.setStopFlag(&query.stop);
     const std::int64_t conflicts_before = solver.stats().conflicts;
     Timer solve_timer;
-    const sat::SolveResult result = solver.solve();
-    acc.solveSeconds += solve_timer.seconds();
-    const std::int64_t used =
-        solver.stats().conflicts - conflicts_before;
-    acc.conflicts += used;
-    solver.setStopFlag(nullptr);
+    out.result = solver.solve();
+    out.solveSeconds = solve_timer.seconds();
+    out.conflicts = solver.stats().conflicts - conflicts_before;
 #ifdef QB_DEBUG_CHECKS
     solver.checkInvariants();
 #endif
-
-    if (continueSlicing(*race, i, racing, result, used)) {
-        submitLaneTask(race, i, /*continuation=*/true);
-        return;
-    }
-    acc.result = result;
-    harvestScratchStats(race->scratchSolver[i].get());
-    race->scratchSolver[i].reset();
-    reportOutcome(*race, lane.index, std::move(acc));
+    harvestScratchStats(&solver);
+    return out;
 }
 
-void
-VerificationEngine::reportOutcome(Race &race, int lane,
-                                  LaneOutcome outcome)
-{
-    const bool definitive =
-        outcome.result != sat::SolveResult::Unknown;
-    bool last = false;
-    {
-        const std::lock_guard<std::mutex> guard(race.mutex);
-        race.outcomes[lane] = std::move(outcome);
-        if (definitive)
-            race.stop.store(true, std::memory_order_release);
-        last = --race.pending == 0;
-    }
-    if (last)
-        race.done.notify_all();
-}
-
-VerificationEngine::LaneOutcome
-VerificationEngine::collectRace(Race &race, QubitResult &out)
+VerificationEngine::Outcome
+VerificationEngine::collectQuery(Query &query, QubitResult &out)
 {
     {
-        std::unique_lock<std::mutex> lock(race.mutex);
-        race.done.wait(lock, [&race] { return race.pending == 0; });
+        std::unique_lock<std::mutex> lock(query.mutex);
+        query.done.wait(lock, [&query] { return query.finished; });
     }
-    // All workers have reported; outcomes are immutable from here on.
-    // Charge the work of EVERY raced lane to the result - losing and
-    // budget-exhausted lanes burnt real conflicts and real time, and
-    // reports should reflect it - but take the verdict (and the lane
-    // credit) from the first definitive lane in index order.
-    const LaneOutcome *winner = nullptr;
-    const LaneOutcome *first_run = nullptr;
-    for (const LaneOutcome &o : race.outcomes) {
-        if (o.lane < 0)
-            continue; // lane never raced (non-portfolio tail slots)
-        if (!first_run)
-            first_run = &o;
-        out.encodeSeconds += o.encodeSeconds;
-        out.solveSeconds += o.solveSeconds;
-        out.conflicts += o.conflicts;
-        if (!winner && o.result != sat::SolveResult::Unknown)
-            winner = &o;
-    }
-    // Feed the adaptive table: the deciding lane's family won, every
-    // other lane that actually raced lost.  Undecided races (all
-    // Unknown) teach nothing.
-    if (options_.adaptiveLanes && winner) {
-        for (const LaneOutcome &o : race.outcomes) {
-            if (o.lane < 0)
-                continue;
-            scheduler_->recordLaneOutcome(
-                lanes_[static_cast<std::size_t>(o.lane)]->familyKey,
-                &o == winner);
-        }
-    }
-    const LaneOutcome *primary = winner ? winner : first_run;
-    LaneOutcome result;
-    if (primary) {
-        out.cnfVars += primary->vars;
-        out.cnfClauses += primary->clauses;
-        if (primary->lane >= 0)
-            out.lane = primary->lane;
-        result.lane = primary->lane;
-    }
-    result.result = winner ? winner->result : sat::SolveResult::Unknown;
+    // The worker has reported; the outcome is immutable from here on.
+    // Its work is charged to the result even when the query was
+    // cancelled or ran out of budget.
+    const Outcome &o = query.outcome;
+    out.encodeSeconds += o.encodeSeconds;
+    out.solveSeconds += o.solveSeconds;
+    out.conflicts += o.conflicts;
+    out.cnfVars += o.vars;
+    out.cnfClauses += o.clauses;
+    out.lane = 0;
+    Outcome result;
+    result.result = o.result;
     if (result.result == sat::SolveResult::Sat &&
-        lanes_.front()->options.wantCounterexample)
-        result.model = deterministicModel(race.condition);
+        lane_->options.wantCounterexample)
+        result.model = deterministicModel(query.condition);
     return result;
 }
 
-VerificationEngine::LaneOutcome
+VerificationEngine::Outcome
 VerificationEngine::structuralOutcome(bexp::NodeRef condition)
 {
     // Construction-time simplification discharged the condition
     // outright (the paper's Figure 6.1 observation).
     ++engineStats.structural;
-    LaneOutcome outcome;
-    outcome.structural = true;
+    Outcome outcome;
     outcome.result = arena.constValue(condition)
         ? sat::SolveResult::Sat
         : sat::SolveResult::Unsat;
     if (outcome.result == sat::SolveResult::Sat &&
-        lanes_.front()->options.wantCounterexample)
+        lane_->options.wantCounterexample)
         outcome.model =
             std::vector<bool>(circuit_.numQubits(), false);
     return outcome;
@@ -958,20 +626,19 @@ VerificationEngine::structuralOutcome(bexp::NodeRef condition)
 std::optional<std::vector<bool>>
 VerificationEngine::deterministicModel(bexp::NodeRef condition)
 {
-    // Replay the satisfiable condition in a fresh lane-0-configured
+    // Replay the satisfiable condition in a fresh lane-configured
     // solver with no stop flag: the resulting model depends only on
-    // the condition, never on which racing lane won or on the
-    // scheduler's timing, so counterexamples are identical between
-    // --jobs 1 and --jobs N runs.  The replay honors the lane's
-    // per-call conflict budget (it is one more SAT call); if the
-    // budget is too tight to re-find a model, the Unsafe verdict
+    // the condition, never on a persistent solver's learnt clauses or
+    // on the scheduler's timing, so counterexamples are identical
+    // between --jobs 1 and --jobs N runs.  The replay honors the
+    // lane's per-call conflict budget (it is one more SAT call); if
+    // the budget is too tight to re-find a model, the Unsafe verdict
     // stands and the counterexample is simply omitted.
-    const VerifierOptions &opts = lanes_.front()->options;
+    const VerifierOptions &opts = lane_->options;
     sat::TseitinResult enc = sat::encodeAssertTrue(
         arena, condition, opts.encoding, opts.xorChunk);
     qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
     sat::SolverConfig config = opts.solver;
-    config.conflictBudget = opts.conflictBudget;
     // The binary-graph passes steer the search, and with it the model
     // found: the replay runs without them whatever the engine switch
     // says, so counterexamples do not depend on --binary-analysis.
@@ -988,7 +655,7 @@ VerificationEngine::deterministicModel(bexp::NodeRef condition)
 
 void
 VerificationEngine::finishUnsafe(QubitResult &out,
-                                 const LaneOutcome &outcome,
+                                 const Outcome &outcome,
                                  FailedCondition which)
 {
     out.verdict = Verdict::Unsafe;
@@ -1032,13 +699,13 @@ VerificationEngine::prepare(ir::QubitId q)
     p.conds = &conds;
 
     if (conds.zeroDischargedBy != analysis::Pass::None) {
-        // Statically proven UNSAT: no race.  finish() treats a null
+        // Statically proven UNSAT: no query.  finish() treats a null
         // zero handle as a settled Unsat, exactly as for a constant.
         // Checked BEFORE the constant test so affine placeholders
         // route here, not through structuralOutcome().
         noteDischarge(conds.zeroDischargedBy);
     } else if (arena.isConst(conds.zero)) {
-        const LaneOutcome zero = structuralOutcome(conds.zero);
+        const Outcome zero = structuralOutcome(conds.zero);
         if (zero.result == sat::SolveResult::Sat) {
             // Matches the sequential order: (6.2) is never evaluated
             // once (6.1) already proved the qubit unsafe.
@@ -1047,14 +714,14 @@ VerificationEngine::prepare(ir::QubitId q)
             return p;
         }
     } else {
-        p.zero = submitRace(conds.zero);
+        p.zero = submitQuery(conds.zero);
     }
     // Queue (6.2) speculatively: safe qubits (the common case) need it
-    // anyway, and an Unsafe (6.1) answer cancels the race.
+    // anyway, and an Unsafe (6.1) answer cancels the query.
     if (conds.plusDischargedBy != analysis::Pass::None)
         noteDischarge(conds.plusDischargedBy);
     else if (!arena.isConst(conds.plus))
-        p.plus = submitRace(conds.plus);
+        p.plus = submitQuery(conds.plus);
     return p;
 }
 
@@ -1095,14 +762,14 @@ VerificationEngine::prepareCleanAncilla(ir::QubitId q)
     p.out.solvedStructurally = arena.isConst(residue);
 
     if (arena.isConst(residue)) {
-        const LaneOutcome res = structuralOutcome(residue);
+        const Outcome res = structuralOutcome(residue);
         if (res.result == sat::SolveResult::Sat)
             finishUnsafe(p.out, res, FailedCondition::ZeroRestoration);
         else
             p.out.verdict = Verdict::Safe;
         p.immediate = true;
     } else {
-        p.zero = submitRace(residue);
+        p.zero = submitQuery(residue);
     }
     return p;
 }
@@ -1114,7 +781,7 @@ VerificationEngine::finish(Pending p)
         return std::move(p.out);
 
     if (p.clean) {
-        const LaneOutcome res = collectRace(*p.zero, p.out);
+        const Outcome res = collectQuery(*p.zero, p.out);
         p.zero.reset();
         switch (res.result) {
           case sat::SolveResult::Unsat:
@@ -1131,11 +798,11 @@ VerificationEngine::finish(Pending p)
     }
 
     if (p.zero) {
-        const LaneOutcome zero = collectRace(*p.zero, p.out);
+        const Outcome zero = collectQuery(*p.zero, p.out);
         p.zero.reset();
         if (zero.result == sat::SolveResult::Sat) {
             finishUnsafe(p.out, zero, FailedCondition::ZeroRestoration);
-            return std::move(p.out); // ~Pending cancels the (6.2) race
+            return std::move(p.out); // ~Pending cancels the (6.2) query
         }
         if (zero.result == sat::SolveResult::Unknown) {
             p.out.verdict = Verdict::Unknown;
@@ -1143,9 +810,9 @@ VerificationEngine::finish(Pending p)
         }
     }
 
-    LaneOutcome plus;
+    Outcome plus;
     if (p.plus) {
-        plus = collectRace(*p.plus, p.out);
+        plus = collectQuery(*p.plus, p.out);
         p.plus.reset();
     } else if (p.conds->plusDischargedBy != analysis::Pass::None) {
         // Statically discharged in prepare(): settled Unsat with no
@@ -1185,7 +852,7 @@ VerificationEngine::verifyAllQubits(const ResultObserver &observer)
     ProgramResult result;
     Timer timer;
     const AnalysisTotals analysisBefore = analysisTotalsOf(engineStats);
-    // Pipeline the whole circuit: queue every qubit's races before
+    // Pipeline the whole circuit: queue every qubit's queries before
     // awaiting the first verdict, so the worker pool crosses qubit
     // boundaries without draining.
     std::vector<Pending> pendings;
@@ -1255,7 +922,7 @@ verifyAll(const lang::ElaboratedProgram &program,
 
     // One session per distinct borrow...release lifetime: qubits whose
     // scopes coincide (e.g. adder.qbr's a[1..n-1], all borrowed and
-    // released together) share one arena and one solver per lane.
+    // released together) share one arena and one lane.
     // Sessions already in @p sessions are WARM - built by an earlier
     // run of the same program with the same options (the serving
     // tier's warm cache) - and only need re-arming onto this run's
@@ -1281,7 +948,7 @@ verifyAll(const lang::ElaboratedProgram &program,
         return *it->second;
     };
 
-    // Pass 1 - pipeline: build and queue every qubit's races, in
+    // Pass 1 - pipeline: build and queue every qubit's queries, in
     // emission order, without waiting on any verdict.
     struct WorkItem
     {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Session-based, incremental, portfolio verification engine.
+ * Session-based, incremental verification engine.
  *
  * The one-shot entry points of verifier.h rebuild everything per qubit:
  * a fresh arena, a fresh Tseitin encoding and a fresh CDCL solver for
@@ -11,24 +11,19 @@
  *   - ONE bexp::Arena and ONE FormulaBuilder pass over the circuit,
  *     shared by all per-qubit conditions (6.1), (6.2) and the
  *     clean-ancilla criterion;
- *   - ONE long-lived solver per configured lane, queried through
- *     assumption-based incremental SAT (sat::IncrementalTseitin emits
- *     each condition behind a selector literal), so conflict clauses
- *     learnt while verifying one qubit speed up the next;
- *   - an optional PORTFOLIO mode racing all lanes on every query with
- *     first-finisher cancellation, reproducing the paper's
- *     CVC5-vs-Bitwuzla complementarity without having to guess the
- *     winning solver per benchmark family up front.
+ *   - ONE lane deciding every condition: either a long-lived solver
+ *     queried through assumption-based incremental SAT
+ *     (sat::IncrementalTseitin emits each condition behind a selector
+ *     literal), so conflict clauses learnt while verifying one qubit
+ *     speed up the next, or - for a preprocessing lane - a fresh
+ *     solver per condition.
  *
  * All SAT work runs on a persistent core::Scheduler worker pool sized
- * to the hardware (or EngineOptions::jobs): lanes are serial queues on
- * the pool, conditions are (qubit, condition) work items, and batch
- * verification pipelines whole circuits through the pool instead of
- * spawning threads per condition and barriering per qubit.  Racing
- * lanes whose incremental encoders are configured identically
- * additionally exchange low-LBD learnt clauses through the solver's
- * import/export hooks, so the "losing" lane's conflicts still prune
- * the winner's later queries.
+ * to the hardware (or EngineOptions::jobs): a persistent lane is a
+ * serial queue on the pool, conditions are (qubit, condition) work
+ * items, and batch verification pipelines whole circuits through the
+ * pool instead of spawning threads per condition and barriering per
+ * qubit.
  *
  * The free functions of verifier.h remain as thin compatibility
  * wrappers over this class.
@@ -59,29 +54,24 @@ namespace qb::core {
 struct EngineOptions
 {
     /**
-     * Lane configurations; the engine keeps one incremental solver per
-     * lane for its whole lifetime.  Exception: a lane whose preset
-     * enables preprocessing discharges each condition in a dedicated
-     * solver instead - bounded variable elimination is a
-     * whole-database transformation that cannot survive incremental
-     * clause addition, and for such lanes it outweighs clause reuse.
+     * The lane deciding every SAT query of the session.  A lane
+     * without preprocessing keeps one incremental solver for the
+     * session's whole lifetime.  A lane whose preset enables
+     * preprocessing discharges each condition in a dedicated solver
+     * instead - bounded variable elimination is a whole-database
+     * transformation that cannot survive incremental clause addition,
+     * and for such lanes it outweighs clause reuse.
      *
-     * The default is lane B alone, such a "scratch" lane: each
-     * condition gets its own preprocessed solver and runs as an
-     * unordered pool task, so a program's independent conditions fill
-     * every worker.  One persistent lane answers them one after the
-     * other on a serial queue, over a clause database that keeps the
-     * selector-guarded clauses of every condition already decided.
-     * This is the one place the default lane set is declared: the
-     * qborrow CLI without --lane and the daemon take it from here.
+     * The default is lane B, such a "scratch" lane: each condition
+     * gets its own preprocessed solver and runs as an unordered pool
+     * task, so a program's independent conditions fill every worker.
+     * A persistent lane answers them one after the other on a serial
+     * queue, over a clause database that keeps the selector-guarded
+     * clauses of every condition already decided.  This is the one
+     * place the default lane is declared: the qborrow CLI without
+     * --lane and the daemon take it from here.
      */
-    std::vector<VerifierOptions> lanes{VerifierOptions::laneB()};
-
-    /**
-     * Race every lane on every SAT query; the first definitive answer
-     * wins and cancels the rest.  With a single lane this is a no-op.
-     */
-    bool portfolio = false;
+    VerifierOptions lane = VerifierOptions::laneB();
 
     /**
      * Worker threads in the scheduler pool backing this session;
@@ -92,13 +82,13 @@ struct EngineOptions
     unsigned jobs = 0;
 
     /**
-     * Slice-boundary inprocessing policy: each persistent lane runs
+     * Query-boundary inprocessing policy: a persistent lane runs
      * Solver::inprocess() (clause vivification, backward subsumption,
-     * then an arena GC if warranted) after every this-many queries on
-     * that lane, at the query boundary where the epoch shrink already
-     * happens - never inside a slice chain.  0 disables.  The
-     * per-pass effort bounds live in sat::SolverConfig
-     * (vivifyPropBudget, subsumeMaxSize, subsumeOccLimit).
+     * then an arena GC if warranted) after every this-many queries,
+     * at the query boundary where the epoch shrink already happens.
+     * 0 disables.  The per-pass effort bounds live in
+     * sat::SolverConfig (vivifyPropBudget, subsumeMaxSize,
+     * subsumeOccLimit).
      */
     unsigned inprocessInterval = 16;
 
@@ -116,27 +106,11 @@ struct EngineOptions
     bool binaryAnalysis = true;
 
     /**
-     * Adaptive lane ordering (portfolio mode): seed each race with
-     * the lane whose FAMILY (preset configuration) has the best win
-     * rate so far, instead of always racing in index order.  Win
-     * rates live on the shared Scheduler, so they accumulate across
-     * the whole session - and across requests in server mode - and
-     * what lane A earned on the first qubits orders the races for
-     * the rest.  On hosts with fewer workers than lanes this is the
-     * difference between the probable winner's first slice running
-     * immediately and it waiting behind a probable loser's slice.
-     * Verdicts and counterexamples are unaffected: the winner of a
-     * collected race is chosen by lane index, and counterexamples
-     * come from the deterministic replay solve.
-     */
-    bool adaptiveLanes = false;
-
-    /**
-     * Scheduler fairness band of this session's work (lane queues and
-     * scratch tasks).  Sessions sharing one pool but belonging to
-     * different request streams - distinct programs in qborrow server
-     * mode - should use distinct bands: the pool drains bands
-     * round-robin, so a program with a deep backlog of races cannot
+     * Scheduler fairness band of this session's work (the lane queue
+     * or the scratch tasks).  Sessions sharing one pool but belonging
+     * to different request streams - distinct programs in qborrow
+     * server mode - should use distinct bands: the pool drains bands
+     * round-robin, so a program with a deep backlog of queries cannot
      * starve a newly-admitted program.  0 (the default) is the shared
      * band of standalone runs.
      */
@@ -144,7 +118,7 @@ struct EngineOptions
 
     /**
      * Static condition dischargers (analysis/analyzer.h) consulted
-     * before any SAT race is queued: a condition the analyzer proves
+     * before any SAT query is queued: a condition the analyzer proves
      * UNSAT from circuit structure skips encoding and solving
      * entirely.  Discharges are UNSAT-only, so verdicts and
      * counterexamples are identical to a SAT-only run; only the
@@ -155,26 +129,15 @@ struct EngineOptions
      */
     analysis::AnalysisOptions analysis;
 
-    /** Session with exactly one lane (the compatibility default). */
+    /** Session deciding every query with @p options. */
     static EngineOptions singleLane(const VerifierOptions &options);
     /**
      * The session a lane selector names - the vocabulary shared by
-     * qborrow's --lane/--portfolio flags and the server protocol's
-     * "lane" option: "A" or "B" is that preset alone, "portfolio"
-     * races both (portfolioAB()), and "" is the default
+     * qborrow's --lane flag and the server protocol's "lane" option:
+     * "A" or "B" is that preset, and "" is the default
      * EngineOptions{}.  Throws FatalError on any other name.
      */
     static EngineOptions forLane(const std::string &lane);
-    /** Both benchmark lanes racing, like the paper's solver pairing. */
-    static EngineOptions portfolioAB();
-    /**
-     * Three-lane portfolio: the A/B pairing plus lane C, a second
-     * persistent lane that shares lane A's incremental encoding but
-     * branches differently.  A and C exchange learnt clauses (their
-     * identical encoder configuration makes solver variables
-     * interchangeable), so the portfolio keeps the loser's work.
-     */
-    static EngineOptions portfolioABC();
 };
 
 /** Streaming consumer of per-qubit results (batch verification). */
@@ -185,24 +148,24 @@ class VerificationEngine;
 /**
  * Cooperative cancellation handle for an in-flight verification
  * request (server mode: a client cancels a submitted program while its
- * races are still running).
+ * queries are still running).
  *
  * One CancelSource is shared between the submitting side (which calls
  * requestCancel() from any thread) and the engine sessions doing the
  * work: every VerificationEngine constructed with this source attaches
  * itself, and requestCancel() flips the stop flag of each attached
- * engine's live races - solvers poll that flag and bail within a
+ * engine's live queries - solvers poll that flag and bail within a
  * propagation round - then marks the engines cancelled so later
  * prepare() calls settle immediately with Verdict::Unknown.
- * Cancellation is a VERDICT downgrade, never a data race: races drain
- * through the normal collect path and report Unknown.
+ * Cancellation is a VERDICT downgrade, never a data race: queries
+ * drain through the normal collect path and report Unknown.
  *
  * Thread-safe; requestCancel() is idempotent.
  */
 class CancelSource
 {
   public:
-    /** Cancel: stop attached engines' races, mark future work moot. */
+    /** Cancel: stop attached engines' queries, mark future work moot. */
     void requestCancel();
 
     /** Has requestCancel() been called? */
@@ -231,11 +194,12 @@ class CancelSource
  * all prepare/finish/verify calls must come from one thread.
  *
  * Counterexamples are extracted by a deterministic replay solve of the
- * satisfiable condition rather than from whichever racing lane
- * happened to win, so with the default unlimited conflict budget,
- * verdicts AND counterexamples are identical across jobs counts and
- * schedules.  (A finite budget makes "decided vs Unknown" depend on
- * each lane's learnt-clause state, which is schedule-dependent.)
+ * satisfiable condition rather than from the lane's own (possibly
+ * long-lived, learnt-clause-laden) solver, so with the default
+ * unlimited conflict budget, verdicts AND counterexamples are
+ * identical across jobs counts and schedules.  (With a finite budget,
+ * whether a persistent lane decides a condition also depends on the
+ * learnt clauses its earlier queries left behind.)
  */
 class VerificationEngine
 {
@@ -247,7 +211,7 @@ class VerificationEngine
         std::size_t structural = 0;      ///< conditions folded to const
         std::size_t conditionHits = 0;   ///< condition cache hits
         std::size_t qubitsVerified = 0;
-        /** @name Conditions proven UNSAT statically (no SAT race
+        /** @name Conditions proven UNSAT statically (no SAT query
          *  queued), total and per discharging pass.  Affine
          *  discharges additionally skip BUILDING the condition: the
          *  GF(2)-affine pass is consulted before the formula
@@ -259,17 +223,15 @@ class VerificationEngine
         std::size_t analysisAffine = 0;
         std::size_t analysisPermutation = 0;
         /** @} */
-        /** Lanes wired into a learnt-clause exchange group. */
-        std::size_t shareLanes = 0;
         double formulaBuildSeconds = 0.0; ///< one-time circuit scan
     };
 
     /**
-     * In-flight verification of one qubit: conditions built and races
-     * submitted to the scheduler, result not yet collected.  Obtained
-     * from prepare()/prepareCleanAncilla(), redeemed exactly once with
-     * finish().  Move-only; destroying an unredeemed handle cancels
-     * its races.
+     * In-flight verification of one qubit: conditions built and
+     * queries submitted to the scheduler, result not yet collected.
+     * Obtained from prepare()/prepareCleanAncilla(), redeemed exactly
+     * once with finish().  Move-only; destroying an unredeemed handle
+     * cancels its queries.
      */
     class Pending;
 
@@ -295,7 +257,7 @@ class VerificationEngine
     QubitResult verifyCleanAncilla(ir::QubitId q);
 
     /**
-     * Build the conditions of @p q and submit their SAT races to the
+     * Build the conditions of @p q and submit their SAT queries to the
      * scheduler without waiting: the pipelining half of verify().
      * Preparing several qubits before finishing the first keeps every
      * worker busy across qubit boundaries.
@@ -303,7 +265,7 @@ class VerificationEngine
     Pending prepare(ir::QubitId q);
     /** prepare() for the clean-ancilla criterion. */
     Pending prepareCleanAncilla(ir::QubitId q);
-    /** Await @p pending's races and assemble its QubitResult. */
+    /** Await @p pending's queries and assemble its QubitResult. */
     QubitResult finish(Pending pending);
 
     /**
@@ -316,14 +278,13 @@ class VerificationEngine
 
     const ir::Circuit &circuit() const { return circuit_; }
     const EngineOptions &options() const { return options_; }
-    std::size_t numLanes() const { return lanes_.size(); }
     const Stats &stats() const { return engineStats; }
 
     /**
      * True once this session's CancelSource fired (or the session was
      * constructed from an already-cancelled source).  Cancelled
      * sessions settle every further prepare() immediately with
-     * Verdict::Unknown and abandon their in-flight races.
+     * Verdict::Unknown and abandon their in-flight queries.
      */
     bool cancelled() const
     {
@@ -331,20 +292,13 @@ class VerificationEngine
     }
 
     /**
-     * Counters of lane @p lane's persistent solver (exported/imported
-     * clause counts, conflicts...).  Quiesces the scheduler work of
-     * this session first, so it is safe - but blocking - mid-batch.
-     */
-    sat::SolverStats laneSolverStats(std::size_t lane);
-
-    /**
-     * Sum of every persistent lane's solver counters (peak fields sum
-     * per-lane peaks) plus the harvested totals of every retired
-     * scratch-lane solver - preprocessing lanes discharge each
-     * condition in a throwaway solver, and without the harvest their
-     * preprocessing and binary-graph work would vanish with it.
-     * Quiesces this session's scheduler work first, like
-     * laneSolverStats().  The batch drivers copy this into
+     * The persistent solver's counters plus the harvested totals of
+     * every retired scratch solver (peak fields sum per-solver peaks)
+     * - a preprocessing lane discharges each condition in a throwaway
+     * solver, and without the harvest its preprocessing and
+     * binary-graph work would vanish with it.  Quiesces this
+     * session's scheduler work first, so it is safe - but blocking -
+     * mid-batch.  The batch drivers copy this into
      * ProgramResult::solverTotals so reports and benchmarks can show
      * learnt-DB size, GC and inprocessing activity.
      */
@@ -355,7 +309,7 @@ class VerificationEngine
      * for any straggler scheduler tasks, detach from the previous
      * request's CancelSource, attach to @p cancel and reset the
      * cancelled latch accordingly.  All session state that makes
-     * reuse profitable - the arena, each persistent lane's
+     * reuse profitable - the arena, the persistent lane's
      * incremental encoding and learnt clauses, the condition cache -
      * survives.  Must be called between verifications, never while a
      * prepare()/finish() is outstanding.
@@ -367,34 +321,25 @@ class VerificationEngine
 
     struct Lane;
     struct Conditions;
-    struct LaneOutcome;
-    struct Race;
+    struct Outcome;
+    struct Query;
 
-    /** Flip the stop flag of every live race and mark the session
+    /** Flip the stop flag of every live query and mark the session
      *  cancelled (called by CancelSource::requestCancel()). */
     void cancelNow();
 
     const Conditions &conditionsFor(ir::QubitId q);
     void noteDischarge(analysis::Pass pass);
-    std::shared_ptr<Race> submitRace(bexp::NodeRef condition);
-    void submitLaneTask(const std::shared_ptr<Race> &race,
-                        std::size_t lane_index,
-                        bool continuation = false);
-    LaneOutcome collectRace(Race &race, QubitResult &out);
-    LaneOutcome structuralOutcome(bexp::NodeRef condition);
-    std::int64_t sliceBudgetFor(const Race &race, std::size_t lane,
-                                bool racing) const;
-    bool continueSlicing(Race &race, std::size_t lane, bool racing,
-                         sat::SolveResult result, std::int64_t used);
-    void runPersistentTask(Lane &lane,
-                           const std::shared_ptr<Race> &race);
-    void runScratchTask(Lane &lane, const std::shared_ptr<Race> &race);
+    std::shared_ptr<Query> submitQuery(bexp::NodeRef condition);
+    Outcome collectQuery(Query &query, QubitResult &out);
+    Outcome structuralOutcome(bexp::NodeRef condition);
+    Outcome runPersistent(Query &query);
+    Outcome runScratch(Query &query);
     std::optional<std::vector<bool>>
     deterministicModel(bexp::NodeRef condition);
-    void reportOutcome(Race &race, int lane, LaneOutcome outcome);
-    void finishUnsafe(QubitResult &out, const LaneOutcome &outcome,
+    void finishUnsafe(QubitResult &out, const Outcome &outcome,
                       FailedCondition which);
-    static void abandon(const std::shared_ptr<Race> &race);
+    static void abandon(const std::shared_ptr<Query> &query);
     void waitIdle();
 
     EngineOptions options_;
@@ -406,7 +351,7 @@ class VerificationEngine
     std::shared_ptr<Scheduler> scheduler_;
     std::shared_ptr<CancelSource> cancel_;
     std::atomic<bool> cancelled_{false};
-    std::vector<std::unique_ptr<Lane>> lanes_;
+    std::unique_ptr<Lane> lane_;
     /** Static dischargers over circuit_; created on first use. */
     std::unique_ptr<analysis::Analyzer> analyzer_;
     std::vector<std::unique_ptr<Conditions>> conditionCache;
@@ -425,7 +370,7 @@ class VerificationEngine
     std::mutex fenceMutex;
     std::condition_variable fenceIdle;
     std::size_t tasksInFlight = 0;      ///< guarded by fenceMutex
-    std::vector<std::weak_ptr<Race>> liveRaces; ///< guarded by fenceMutex
+    std::vector<std::weak_ptr<Query>> liveQueries; ///< guarded by fenceMutex
     /** @} */
 };
 
@@ -441,10 +386,10 @@ class VerificationEngine::Pending
     Pending();
 
     QubitResult out;
-    /** Conditions backing the races (owned by the engine's cache). */
+    /** Conditions backing the queries (owned by the engine's cache). */
     const Conditions *conds = nullptr;
-    std::shared_ptr<Race> zero; ///< (6.1) race, or the clean residue
-    std::shared_ptr<Race> plus; ///< (6.2) race (speculative)
+    std::shared_ptr<Query> zero; ///< (6.1) query, or the clean residue
+    std::shared_ptr<Query> plus; ///< (6.2) query (speculative)
     bool immediate = false;     ///< verdict settled at prepare time
     bool clean = false;         ///< clean-ancilla single-condition check
 };
@@ -456,11 +401,12 @@ class VerificationEngine::Pending
  * verifyProgram() but through engine sessions.
  *
  * Qubits whose lifetimes span the same gate range share one session -
- * one arena, one solver per lane - which is where the incremental
- * speedup comes from on programs like adder.qbr whose dirty qubits are
- * borrowed together.  All sessions share ONE scheduler pool sized by
- * @p options.jobs, and the whole program is pipelined through it:
- * every qubit's races are queued before the first result is awaited.
+ * one arena and one lane - which is where the incremental speedup of a
+ * persistent lane comes from on programs like adder.qbr whose dirty
+ * qubits are borrowed together.  All sessions share ONE scheduler pool
+ * sized by @p options.jobs, and the whole program is pipelined through
+ * it: every qubit's queries are queued before the first result is
+ * awaited.
  * Results stream through @p observer (when set) in qubit order as they
  * are produced.
  */
@@ -474,7 +420,7 @@ ProgramResult verifyAll(const lang::ElaboratedProgram &program,
  * cancellable: the serving entry point.  The qborrow daemon calls this
  * with the ONE process-wide pool it created at startup and a
  * per-request CancelSource, so pool startup is amortized across
- * requests, concurrent requests' races interleave fairly (give each
+ * requests, concurrent requests' queries interleave fairly (give each
  * request a distinct EngineOptions::fairnessBand), and a cancelled
  * request's remaining qubits settle as Verdict::Unknown without
  * blocking the pool.  @p scheduler must be non-null; @p cancel may be

@@ -30,8 +30,7 @@ std::string toJson(const QubitResult &result);
  *   "total_seconds": <double>,
  *   "counts": {"safe": n, "unsafe": n, "undecided": n},
  *   "solver": { aggregated ProgramResult::solverTotals counters:
- *               conflicts, learnt/removed clauses, clause-exchange
- *               imported/exported/dropped, inprocessing (vivified,
+ *               conflicts, learnt/removed clauses, inprocessing (vivified,
  *               subsumed, strengthened), arena GC runs and peaks,
  *               binary-graph passes (scc_merged_vars, probed_failed,
  *               hyper_binaries, transitive_reduced) },

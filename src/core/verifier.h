@@ -67,14 +67,6 @@ struct VerifierOptions
      */
     static VerifierOptions laneA();
     static VerifierOptions laneB();
-    /**
-     * A third racing lane: lane A's incremental encoding (same
-     * Plaisted-Greenbaum mode and XOR chunking, no preprocessing) with
-     * opposite branching phase and geometric restarts.  Because its
-     * encoder configuration is identical to lane A's, the engine wires
-     * the two into a learnt-clause exchange group in portfolio mode.
-     */
-    static VerifierOptions laneC();
 
     bool operator==(const VerifierOptions &) const = default;
 };
@@ -87,8 +79,9 @@ struct QubitResult
     Verdict verdict = Verdict::Unknown;
     FailedCondition failed = FailedCondition::None;
 
-    /** Index of the engine lane that produced the verdict (first to
-     *  finish in portfolio mode); -1 outside engine sessions. */
+    /** 0 when the session's lane decided a condition with a SAT
+     *  call; -1 when no SAT call was needed or outside engine
+     *  sessions. */
     int lane = -1;
 
     /** Satisfying initial assignment (by qubit id) when Unsafe. */
@@ -154,12 +147,12 @@ struct ProgramResult
     double totalSeconds = 0.0;
 
     /**
-     * Aggregated persistent-lane solver counters, summed over lanes
-     * and sessions (the peak fields sum per-solver peaks).  Filled by
-     * every batch path - VerificationEngine::verifyAllQubits(),
-     * core::verifyAll() and the verifyProgram()/verifySource()
-     * wrappers over it; scratch (preprocessing) lanes discharge in
-     * per-condition solvers whose counters are not included.
+     * Aggregated solver counters, summed over sessions: each
+     * session's persistent solver plus every per-condition scratch
+     * solver it retired (the peak fields sum per-solver peaks).
+     * Filled by every batch path - VerificationEngine::
+     * verifyAllQubits(), core::verifyAll() and the verifyProgram()/
+     * verifySource() wrappers over it.
      */
     sat::SolverStats solverTotals;
 

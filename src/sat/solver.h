@@ -29,11 +29,11 @@
  * reduction, failed-literal probing with hyper-binary resolution,
  * stamp-based transitive reduction; see analyzeBinaryGraph()), clause
  * vivification and backward subsumption - which the verification
- * engine runs at slice boundaries between queries, and ON-THE-FLY
+ * engine runs at query boundaries, and ON-THE-FLY
  * self-subsumption during conflict analysis: when the freshly learnt
  * clause self-subsumes one of its antecedents, the antecedent is
  * strengthened in place at learn time instead of waiting for the
- * slice-boundary pass.
+ * query-boundary pass.
  *
  * Two configuration presets (see SolverConfig::baseline() and
  * SolverConfig::simplify()) stand in for the two external solvers in the
@@ -47,9 +47,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sat/clause_allocator.h"
@@ -144,13 +142,6 @@ struct SolverConfig
     bool preprocess = false;
     /** Abort with Unknown after this many conflicts (-1 = unlimited). */
     std::int64_t conflictBudget = -1;
-    /**
-     * Learnt clauses with LBD at or below this are offered to the
-     * export callback (portfolio clause sharing); higher-LBD clauses
-     * stay private.  2 keeps only glue clauses, the standard portfolio
-     * exchange filter.
-     */
-    unsigned shareMaxLbd = 2;
 
     /** @name Inprocessing knobs (see Solver::inprocess()). @{ */
     /** Master switch: inprocess() is a no-op when false. */
@@ -182,7 +173,7 @@ struct SolverConfig
      * its pivot literal (a constant-time size check per resolution
      * step), that antecedent is strengthened in the arena right
      * after backtracking (see Solver::otfStrengthen()) instead of
-     * waiting for the slice-boundary subsumption pass.
+     * waiting for the query-boundary subsumption pass.
      */
     bool otfSubsume = true;
     /** Strengthening candidates remembered per conflict. */
@@ -193,22 +184,13 @@ struct SolverConfig
      * QUEUED instead of dropped, and applied at the next root
      * boundary - solve() entry, or a restart that returns to level 0 -
      * where the edit is always safe.  Without deferral those
-     * strengthenings wait for the next slice-boundary vivification
+     * strengthenings wait for the next query-boundary vivification
      * pass, which may be many queries away.
      */
     bool otfDefer = true;
     /** Bound on queued deferred strengthenings (oldest kept). */
     unsigned otfDeferredMax = 64;
     /** @} */
-
-    /**
-     * Shrink epochs an imported clause survives unconditionally
-     * before shrinkLearnts() starts judging it by LBD like an
-     * ordinary learnt clause.  Without retirement a long-lived lane
-     * under heavy exchange retains every import forever and its
-     * learnt database grows without bound.
-     */
-    unsigned importedRetireEpochs = 5;
 
     bool operator==(const SolverConfig &) const = default;
 
@@ -237,16 +219,6 @@ struct SolverStats
     std::int64_t learntClauses = 0;
     std::int64_t removedClauses = 0;
     std::int64_t eliminatedVars = 0;
-    std::int64_t exportedClauses = 0; ///< offered to the export hook
-    /** Clauses actually adopted from postImport() (attached or
-     *  enqueued as root units). */
-    std::int64_t importedClauses = 0;
-    /** postImport() offers NOT adopted: unknown variables, eliminated
-     *  state, already satisfied/tautological, or a root falsification
-     *  that only latched Unsat.  importedClauses + importedDropped is
-     *  the total number of offers drained, so exchange-efficiency
-     *  reports can be truthful. */
-    std::int64_t importedDropped = 0;
 
     /** @name Inprocessing / arena counters. @{ */
     std::int64_t inprocessRuns = 0;
@@ -275,10 +247,6 @@ struct SolverStats
     std::int64_t hyperBinaries = 0;
     /** Redundant binary clauses dropped by transitive reduction. */
     std::int64_t transitiveReduced = 0;
-    /** Imported clauses dropped by shrinkLearnts() after retiring
-     *  (survived importedRetireEpochs epochs, then aged out by
-     *  LBD like ordinary learnts). */
-    std::int64_t importedRetired = 0;
     std::int64_t gcRuns = 0;            ///< arena compactions
     std::int64_t gcWordsReclaimed = 0;  ///< 32-bit words freed by GC
     std::int64_t arenaPeakWords = 0;    ///< peak clause-arena size
@@ -350,7 +318,7 @@ class Solver
     LBool modelValue(Var v) const;
 
     /**
-     * Cooperative cancellation point for portfolio solving: search()
+     * Cooperative cancellation point (cancelled requests): search()
      * polls @p flag and returns Unknown once it becomes true.  Pass
      * nullptr to detach.  The solver remains fully usable afterwards.
      */
@@ -368,12 +336,8 @@ class Solver
 
     /**
      * Drop learnt clauses with LBD above @p max_lbd.  Root-locked
-     * clauses are always kept; imported clauses are kept
-     * unconditionally for their first SolverConfig::
-     * importedRetireEpochs calls (each call bumps their age), after
-     * which they are judged by LBD like ordinary learnts - so a lane
-     * under heavy exchange cannot grow its learnt database without
-     * bound.  Incremental sessions call this between queries: low-LBD
+     * clauses are always kept.  Incremental sessions call this
+     * between queries: low-LBD
      * clauses carry the cross-query reuse, while the bulk of the
      * learnt database only taxes later propagation.  Must be called
      * at decision level 0.  Triggers an arena garbage collection when
@@ -390,7 +354,7 @@ class Solver
      * SolverConfig vivify/subsume knobs; a no-op when
      * SolverConfig::inprocessing is false.  Must be called at decision
      * level 0, outside solve(); the verification engine runs it at
-     * slice boundaries between queries.
+     * query boundaries.
      *
      * @return false when inprocessing derived root unsatisfiability
      *         (subsequent solve() calls return Unsat).
@@ -406,52 +370,6 @@ class Solver
      * level.
      */
     void garbageCollect();
-
-    /** @name Cross-solver learnt-clause exchange. @{ */
-
-    /**
-     * Hook receiving every clause this solver learns with LBD at most
-     * SolverConfig::shareMaxLbd, in this solver's variable numbering.
-     * Invoked synchronously from the search loop (keep it cheap: copy
-     * the literals and return).  The intended receiver is a sibling
-     * portfolio solver built over the IDENTICAL clause stream - same
-     * incremental encoder configuration over the same arena, asserting
-     * the same conditions in the same order - whose variables therefore
-     * mean the same thing; the verification engine wires exactly those
-     * pairs.  Clauses cross as plain literal vectors, so the exchange
-     * is independent of either side's arena layout and survives
-     * relocating GCs on both ends.  Pass nullptr to detach.
-     */
-    using ExportHook = std::function<void(const LitVec &, unsigned lbd)>;
-    void setClauseExport(ExportHook hook) { exportHook = std::move(hook); }
-
-    /**
-     * Offer a clause learnt elsewhere to this solver.  Thread-safe and
-     * non-blocking with respect to a concurrently running solve(): the
-     * clause lands in a lock-guarded inbox that the search drains at
-     * restart boundaries (and on solve() entry), at decision level 0.
-     *
-     * @p lbd is the exporter's LBD for the clause; 0 means unknown,
-     * in which case the clause's size is used as the conservative
-     * bound.  The value decides how long the import outlives its
-     * retirement (see SolverConfig::importedRetireEpochs): a genuine
-     * glue clause keeps its low LBD and is retained like native glue,
-     * an unknown or high-LBD import ages out.
-     *
-     * The caller guarantees the clause is implied by this solver's
-     * problem clauses (present or future - see setClauseExport); under
-     * that contract imports can never flip a verdict, only prune
-     * search.  Clauses mentioning variables this solver has not
-     * created yet are dropped at drain time (the exporting sibling may
-     * be ahead in the shared clause stream).  Imported clauses are
-     * marked: shrinkLearnts() retains them alongside the low-LBD
-     * clauses until they retire (see importedRetireEpochs), and
-     * because they are implied by the clause database alone,
-     * failedAssumptions() cores derived through them remain genuine.
-     */
-    void postImport(LitVec clause, unsigned lbd = 0);
-
-    /** @} */
 
     const SolverStats &stats() const { return statistics; }
     const SolverConfig &config() const { return cfg; }
@@ -472,7 +390,7 @@ class Solver
      * == arena words).
      *
      * O(database size) - debug tooling, not a hot-path check.  The
-     * verification engine calls it at slice boundaries when built
+     * verification engine calls it at query boundaries when built
      * with QB_DEBUG_CHECKS; it is valid at any quiesced point, at any
      * decision level.
      */
@@ -529,7 +447,7 @@ class Solver
      *  unmerged variables). */
     Lit representativeOf(Lit l) const;
     /**
-     * The slice-boundary binary-implication-graph analysis
+     * The query-boundary binary-implication-graph analysis
      * (SolverConfig::binaryAnalysis): sweep satisfied binaries, then
      * Tarjan SCC equivalence reduction with representative
      * substitution through the whole solver, then failed-literal
@@ -549,8 +467,6 @@ class Solver
     void probeFailedLiterals();
     void transitiveReduce();
     void restoreEliminated();
-    void drainImports();
-    void addImported(LitVec lits, unsigned lbd);
     void cancelUntil(int target_level);
     Lit pickBranchLit();
     SolveResult search(std::int64_t conflict_limit);
@@ -614,10 +530,10 @@ class Solver
     bool okay = true;
     bool preprocessed = false;
     /** The solve-entry binary-graph pass is due: set whenever new
-     *  problem clauses arrive, cleared after a pass.  Keeps budgeted
-     *  slice resumptions (racing lanes re-enter solve() with only new
-     *  LEARNT clauses) from re-running SCC/probing/reduction on an
-     *  unchanged formula. */
+     *  problem clauses arrive, cleared after a pass.  Keeps repeated
+     *  solve() calls over an unchanged formula (only new LEARNT
+     *  clauses since the last call) from re-running
+     *  SCC/probing/reduction. */
     bool binaryAnalysisPending = true;
 
     /** The two literals of a conflicting binary clause found by
@@ -654,14 +570,6 @@ class Solver
      *  the learntLimitBase >= 0 regime. */
     std::int64_t nextReduceConflicts = 0;
     const std::atomic<bool> *stopFlag = nullptr;
-
-    ExportHook exportHook;
-    std::mutex importMutex;
-    /** Offered clauses with the exporter's LBD (0 = unknown). */
-    std::vector<std::pair<LitVec, unsigned>>
-        importInbox; ///< guarded by importMutex
-    /** Cheap has-mail check so restarts skip the inbox lock. */
-    std::atomic<bool> importPending{false};
 
     std::vector<LBool> model;
     /** One bounded variable elimination: the variable and the range

@@ -368,10 +368,8 @@ parseOptions(const JsonValue *node)
         fatal("'options' must be an object");
     if (const JsonValue *lane = node->find("lane")) {
         options.lane = lane->asString();
-        if (options.lane != "A" && options.lane != "B" &&
-            options.lane != "portfolio")
-            fatal("options.lane must be \"A\", \"B\" or "
-                  "\"portfolio\"");
+        if (options.lane != "A" && options.lane != "B")
+            fatal("options.lane must be \"A\" or \"B\"");
     }
     if (const JsonValue *clean = node->find("clean")) {
         options.clean = clean->asBool();

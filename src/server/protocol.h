@@ -173,7 +173,7 @@ struct StatsSnapshot
  */
 struct RequestOptions
 {
-    /** "A", "B" or "portfolio"; empty = server default. */
+    /** "A" or "B"; empty = server default. */
     std::string lane;
     /** Also check alloc'd clean ancillas; unset = server default. */
     bool clean = false;

@@ -291,7 +291,7 @@ Server::Impl::acceptOne(serving::Listener &listener)
 }
 
 /** Close connections idle past the configured timeout.  A connection
- *  with in-flight work is never idle, however long its SAT race runs;
+ *  with in-flight work is never idle, however long its SAT query runs;
  *  shutting the socket down (not closing the fd) kicks the reader,
  *  which owns the ordinary teardown path. */
 void
@@ -575,31 +575,20 @@ core::EngineOptions
 Server::Impl::engineOptionsFor(const RequestOptions &request)
 {
     const core::EngineOptions &base = options.engine;
-    // A lane override replaces the lane set only: server-wide policies
-    // (inprocessing, adaptive lanes, binary analysis, the static
-    // dischargers) survive it.
+    // A lane override replaces the lane only: server-wide policies
+    // (inprocessing, binary analysis, the static dischargers) survive
+    // it.
     core::EngineOptions chosen = base;
-    if (!request.lane.empty()) {
-        const core::EngineOptions preset =
-            core::EngineOptions::forLane(request.lane);
-        chosen.lanes = preset.lanes;
-        chosen.portfolio = preset.portfolio;
-    }
+    if (!request.lane.empty())
+        chosen.lane = core::EngineOptions::forLane(request.lane).lane;
     chosen.jobs = options.jobs;
-    const bool want_cex = request.counterexampleSet
+    chosen.lane.wantCounterexample = request.counterexampleSet
         ? request.counterexample
-        : (!base.lanes.empty() &&
-           base.lanes.front().wantCounterexample);
-    const std::int64_t budget = request.budgetSet
-        ? request.budget
-        : (base.lanes.empty() ? -1
-                              : base.lanes.front().conflictBudget);
-    for (core::VerifierOptions &lane : chosen.lanes) {
-        lane.wantCounterexample = want_cex;
-        lane.conflictBudget = budget;
-    }
+        : base.lane.wantCounterexample;
+    chosen.lane.conflictBudget =
+        request.budgetSet ? request.budget : base.lane.conflictBudget;
     // Distinct band per request: the pool round-robins bands, so one
-    // program's backlog cannot starve another's first race.
+    // program's backlog cannot starve another's first query.
     chosen.fairnessBand =
         1 + (bandCounter.fetch_add(1, std::memory_order_relaxed) &
              0x3ff);

@@ -11,14 +11,14 @@
  * created at startup, so across requests:
  *
  *   - pool startup is paid once, not per program;
- *   - concurrent programs' (qubit, condition) races interleave fairly
+ *   - concurrent programs' (qubit, condition) queries interleave fairly
  *     on the shared workers (each request gets its own scheduler
  *     fairness band);
  *   - admission is bounded (server/request_queue.h): when the backlog
  *     is full a new request is refused with a `queue full` error
  *     instead of growing memory without bound;
  *   - an in-flight request can be cancelled (per-request
- *     core::CancelSource), and shutdown drains in-flight races
+ *     core::CancelSource), and shutdown drains in-flight queries
  *     gracefully before the process exits.
  *
  * Threading model: one accept loop, one reader thread per connection
@@ -89,7 +89,7 @@ struct ServerOptions
     std::size_t resultCacheCapacity = 256;
 
     /**
-     * Per-request verification defaults (lanes, portfolio, budget,
+     * Per-request verification defaults (lane, budget,
      * counterexamples, inprocessing interval).  A request's `options`
      * object overrides the overridable subset per program; `jobs` is
      * ignored here - the pool is sized by ServerOptions::jobs.
@@ -153,7 +153,7 @@ class Server
 
     /**
      * Graceful shutdown: stop accepting, refuse new admissions, let
-     * the workers DRAIN every admitted request (in-flight races
+     * the workers DRAIN every admitted request (in-flight queries
      * complete and their results are delivered), then close all
      * connections and remove the socket file.  Idempotent.
      */

@@ -85,7 +85,7 @@ struct ProgramEntry
     /**
      * Scheduler fairness band pinned to this PROGRAM (allocated when
      * the entry is created).  Sessions bake their band in at
-     * construction, so a warm session must always race in the band it
+     * construction, so a warm session must always run in the band it
      * was built for; pinning the band per program keeps that
      * invariant while still giving distinct programs distinct bands.
      */

@@ -20,11 +20,8 @@ ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
 {
     // Everything that can change a VERDICT or a report field other
     // than timing goes in; scheduling-only knobs (fairnessBand, jobs,
-    // adaptiveLanes, inprocessInterval) stay out so they do not
-    // splinter the cache.  Lane order matters (reports name lanes by
-    // index), so lanes are fingerprinted in order.
+    // inprocessInterval) stay out so they do not splinter the cache.
     std::string key = check_clean ? "clean;" : "dirty;";
-    key += engine_opts.portfolio ? "pf;" : "sl;";
     // Static-analysis options change report fields (the "analysis"
     // discharge counters) even though verdicts are unaffected, so they
     // key the cache too.
@@ -32,18 +29,16 @@ ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
     key += format("an%d%d%d%d.w%u;", an.support ? 1 : 0,
                   an.mirror ? 1 : 0, an.affine ? 1 : 0,
                   an.permutation ? 1 : 0, an.permutationWindow);
-    for (const core::VerifierOptions &lane : engine_opts.lanes) {
-        const sat::SolverConfig &s = lane.solver;
-        key += format(
-            "enc%d.x%u.cb%lld.cex%d.vs%d.ph%d.p0%d.pre%d.luby%d."
-            "rb%lld.vd%g;",
-            static_cast<int>(lane.encoding), lane.xorChunk,
-            static_cast<long long>(lane.conflictBudget),
-            lane.wantCounterexample ? 1 : 0, s.useVsids ? 1 : 0,
-            s.phaseSaving ? 1 : 0, s.initialPhaseTrue ? 1 : 0,
-            s.preprocess ? 1 : 0, s.lubyRestarts ? 1 : 0,
-            static_cast<long long>(s.restartBase), s.varDecay);
-    }
+    const core::VerifierOptions &lane = engine_opts.lane;
+    const sat::SolverConfig &s = lane.solver;
+    key += format(
+        "enc%d.x%u.cb%lld.cex%d.vs%d.ph%d.p0%d.pre%d.luby%d.rb%lld.vd%g;",
+        static_cast<int>(lane.encoding), lane.xorChunk,
+        static_cast<long long>(lane.conflictBudget),
+        lane.wantCounterexample ? 1 : 0, s.useVsids ? 1 : 0,
+        s.phaseSaving ? 1 : 0, s.initialPhaseTrue ? 1 : 0,
+        s.preprocess ? 1 : 0, s.lubyRestarts ? 1 : 0,
+        static_cast<long long>(s.restartBase), s.varDecay);
     return key;
 }
 
@@ -123,7 +118,7 @@ ServingTier::verify(const std::string &source,
     if (warm)
         warmVerifies_.fetch_add(1, std::memory_order_relaxed);
 
-    // Warm sessions were built in (and must keep racing in) the
+    // Warm sessions were built in (and must keep running in) the
     // entry's pinned band.
     engine_opts.fairnessBand = entry->band;
     Outcome out;

@@ -259,62 +259,69 @@ crossCheckQbr(const std::string &src, std::size_t *safe_out,
 }
 
 /**
- * Cross-check one qbr program with the static dischargers on vs off;
- * empty string means agreement.  The dischargers are UNSAT-only
- * proofs, so verdict, failed condition and counterexample must all be
- * bit-identical - formulaNodes / solvedStructurally / analysisTotals
- * legitimately differ (that is the point of the passes) and are not
- * compared.  Throws what the pipeline throws (callers wrap).
+ * Cross-check one qbr program with the static dischargers on vs off,
+ * on the default lane and on lane A; empty string means agreement.
+ * The dischargers are UNSAT-only proofs, so within each lane verdict,
+ * failed condition and counterexample must all be bit-identical -
+ * formulaNodes / solvedStructurally / analysisTotals legitimately
+ * differ (that is the point of the passes) and are not compared.
+ * Safe/unsafe tallies count the default lane's verdicts.  Throws what
+ * the pipeline throws (callers wrap).
  */
 std::string
 crossCheckAnalysis(const std::string &src, std::size_t *safe_out,
                    std::size_t *unsafe_out)
 {
     const lang::ElaboratedProgram prog = lang::elaborateSource(src);
-    auto engine_options = [](bool with_analysis) {
-        core::EngineOptions o = core::EngineOptions::singleLane(
-            core::VerifierOptions::laneA());
-        o.jobs = 1;
-        if (!with_analysis)
-            o.analysis = analysis::AnalysisOptions::none();
-        return o;
-    };
-    const core::ProgramResult on =
-        core::verifyAll(prog, engine_options(true));
-    const core::ProgramResult off =
-        core::verifyAll(prog, engine_options(false));
-    if (on.qubits.size() != off.qubits.size())
-        return format(
-            "analysis-on reported %zu qubits, analysis-off %zu",
-            on.qubits.size(), off.qubits.size());
-    for (std::size_t i = 0; i < on.qubits.size(); ++i) {
-        const core::QubitResult &ra = on.qubits[i];
-        const core::QubitResult &rb = off.qubits[i];
-        if (ra.verdict != rb.verdict)
-            return format("qubit %s: analysis-on says %s, "
-                          "analysis-off says %s",
-                          ra.name.c_str(),
-                          core::verdictName(ra.verdict),
-                          core::verdictName(rb.verdict));
-        if (ra.failed != rb.failed)
-            return format("qubit %s: failed-condition mismatch "
-                          "(analysis-on %d, analysis-off %d)",
-                          ra.name.c_str(),
-                          static_cast<int>(ra.failed),
-                          static_cast<int>(rb.failed));
-        if (ra.counterexample != rb.counterexample)
+    for (const char *lane : {"", "A"}) {
+        const bool default_lane = *lane == '\0';
+        const char *lane_name = default_lane ? "default lane" : "lane A";
+        auto engine_options = [lane](bool with_analysis) {
+            core::EngineOptions o = core::EngineOptions::forLane(lane);
+            o.jobs = 1;
+            if (!with_analysis)
+                o.analysis = analysis::AnalysisOptions::none();
+            return o;
+        };
+        const core::ProgramResult on =
+            core::verifyAll(prog, engine_options(true));
+        const core::ProgramResult off =
+            core::verifyAll(prog, engine_options(false));
+        if (on.qubits.size() != off.qubits.size())
             return format(
-                "qubit %s: counterexample mismatch "
-                "(analysis-on has%s one, analysis-off has%s one)",
-                ra.name.c_str(),
-                ra.counterexample.has_value() ? "" : " not",
-                rb.counterexample.has_value() ? "" : " not");
-        if (safe_out != nullptr &&
-            ra.verdict == core::Verdict::Safe)
-            ++*safe_out;
-        if (unsafe_out != nullptr &&
-            ra.verdict == core::Verdict::Unsafe)
-            ++*unsafe_out;
+                "%s: analysis-on reported %zu qubits, analysis-off %zu",
+                lane_name, on.qubits.size(), off.qubits.size());
+        for (std::size_t i = 0; i < on.qubits.size(); ++i) {
+            const core::QubitResult &ra = on.qubits[i];
+            const core::QubitResult &rb = off.qubits[i];
+            if (ra.verdict != rb.verdict)
+                return format("%s, qubit %s: analysis-on says %s, "
+                              "analysis-off says %s",
+                              lane_name, ra.name.c_str(),
+                              core::verdictName(ra.verdict),
+                              core::verdictName(rb.verdict));
+            if (ra.failed != rb.failed)
+                return format("%s, qubit %s: failed-condition mismatch "
+                              "(analysis-on %d, analysis-off %d)",
+                              lane_name, ra.name.c_str(),
+                              static_cast<int>(ra.failed),
+                              static_cast<int>(rb.failed));
+            if (ra.counterexample != rb.counterexample)
+                return format(
+                    "%s, qubit %s: counterexample mismatch "
+                    "(analysis-on has%s one, analysis-off has%s one)",
+                    lane_name, ra.name.c_str(),
+                    ra.counterexample.has_value() ? "" : " not",
+                    rb.counterexample.has_value() ? "" : " not");
+            if (!default_lane)
+                continue;
+            if (safe_out != nullptr &&
+                ra.verdict == core::Verdict::Safe)
+                ++*safe_out;
+            if (unsafe_out != nullptr &&
+                ra.verdict == core::Verdict::Unsafe)
+                ++*unsafe_out;
+        }
     }
     return {};
 }

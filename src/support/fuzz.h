@@ -23,9 +23,10 @@
  *    per-qubit verdict is cross-checked against the classical
  *    brute-force oracle on the lifetime slice.
  *
- *  - analysis cases: the same random-program pipeline run twice,
- *    once with the static dischargers on (the default
- *    analysis::AnalysisOptions) and once fully off (SAT-only).  The
+ *  - analysis cases: the same random-program pipeline run on the
+ *    default lane and on lane A, each twice: once with the static
+ *    dischargers on (the default analysis::AnalysisOptions) and once
+ *    fully off (SAT-only).  The
  *    dischargers are UNSAT-only proofs, so every per-qubit verdict,
  *    failed condition and counterexample must be bit-identical; any
  *    difference is an unsound discharge.  The corpus tilts toward

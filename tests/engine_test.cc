@@ -2,7 +2,7 @@
  * @file
  * Tests for the session-based VerificationEngine: agreement with the
  * one-shot wrappers and the brute-force oracle, incremental reuse
- * across qubits, portfolio racing, batch verification with streaming
+ * across qubits, both lanes, batch verification with streaming
  * observers, and the JSON report emitter.
  */
 
@@ -46,11 +46,10 @@ TEST(Engine, AgreesWithOneShotOnAllCccnotQubits)
 TEST(Engine, MultiQubitCircuitOneSessionManyVerdicts)
 {
     // The Haner adder: all dirty ancillas safe, inputs unsafe, in one
-    // session with one solver per lane.
+    // session.
     const std::uint32_t n = 6;
     const Circuit c = circuits::hanerCarryCircuit(n);
     VerificationEngine engine(c);
-    EXPECT_EQ(1u, engine.numLanes());
     for (std::uint32_t i = 1; i <= n - 1; ++i) {
         EXPECT_EQ(Verdict::Safe, engine.verify(n + i - 1).verdict)
             << "a[" << i << "]";
@@ -85,23 +84,25 @@ TEST(Engine, NotClassicalCircuit)
               engine.verifyCleanAncilla(1).verdict);
 }
 
-TEST(Engine, PortfolioAgreesAndRecordsWinningLane)
+TEST(Engine, EachLaneAgreesAndRecordsItsLane)
 {
+    // QubitResult::lane is 0 when the session's lane decided a
+    // condition with a SAT call and -1 when none was needed.
     const Circuit c = circuits::hanerCarryCircuit(5);
-    VerificationEngine engine(c, EngineOptions::portfolioAB());
-    EXPECT_EQ(2u, engine.numLanes());
-    for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
-        const QubitResult r = engine.verify(q);
-        EXPECT_EQ(verifyQubit(c, q).verdict, r.verdict)
-            << "qubit " << q;
-        if (!r.solvedStructurally) {
-            EXPECT_GE(r.lane, 0);
-            EXPECT_LT(r.lane, 2);
+    for (const std::string lane : {"A", "B"}) {
+        VerificationEngine engine(c, EngineOptions::forLane(lane));
+        for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
+            const std::size_t calls = engine.stats().satCalls;
+            const QubitResult r = engine.verify(q);
+            EXPECT_EQ(verifyQubit(c, q).verdict, r.verdict)
+                << "lane " << lane << " qubit " << q;
+            EXPECT_EQ(engine.stats().satCalls > calls ? 0 : -1, r.lane)
+                << "lane " << lane << " qubit " << q;
         }
     }
 }
 
-TEST(Engine, PortfolioCounterexamplesAreValid)
+TEST(Engine, CounterexamplesAreValidOnEachLane)
 {
     Rng rng(7);
     Circuit c(6);
@@ -115,32 +116,35 @@ TEST(Engine, PortfolioCounterexamplesAreValid)
             t = static_cast<ir::QubitId>(rng.nextBelow(6));
         c.append(Gate::ccnot(a, b, t));
     }
-    VerificationEngine engine(c, EngineOptions::portfolioAB());
-    for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
-        const QubitResult r = engine.verify(q);
-        EXPECT_EQ(bruteForceVerdict(c, q), r.verdict) << "qubit " << q;
-        if (r.verdict != Verdict::Unsafe)
-            continue;
-        ASSERT_TRUE(r.counterexample.has_value());
-        const auto &cex = *r.counterexample;
-        sim::ClassicalState s0(c.numQubits()), s1(c.numQubits());
-        for (std::uint32_t k = 0; k < c.numQubits(); ++k) {
-            s0.set(k, cex[k]);
-            s1.set(k, cex[k]);
-        }
-        if (r.failed == FailedCondition::ZeroRestoration) {
-            ASSERT_FALSE(cex[q]);
-            s0.applyCircuit(c);
-            EXPECT_TRUE(s0.get(q));
-        } else {
-            s1.set(q, !cex[q]);
-            s0.applyCircuit(c);
-            s1.applyCircuit(c);
-            bool differs = false;
-            for (std::uint32_t k = 0; k < c.numQubits(); ++k)
-                if (k != q && s0.get(k) != s1.get(k))
-                    differs = true;
-            EXPECT_TRUE(differs);
+    for (const std::string lane : {"A", "B"}) {
+        VerificationEngine engine(c, EngineOptions::forLane(lane));
+        for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
+            const QubitResult r = engine.verify(q);
+            EXPECT_EQ(bruteForceVerdict(c, q), r.verdict)
+                << "lane " << lane << " qubit " << q;
+            if (r.verdict != Verdict::Unsafe)
+                continue;
+            ASSERT_TRUE(r.counterexample.has_value());
+            const auto &cex = *r.counterexample;
+            sim::ClassicalState s0(c.numQubits()), s1(c.numQubits());
+            for (std::uint32_t k = 0; k < c.numQubits(); ++k) {
+                s0.set(k, cex[k]);
+                s1.set(k, cex[k]);
+            }
+            if (r.failed == FailedCondition::ZeroRestoration) {
+                ASSERT_FALSE(cex[q]);
+                s0.applyCircuit(c);
+                EXPECT_TRUE(s0.get(q));
+            } else {
+                s1.set(q, !cex[q]);
+                s0.applyCircuit(c);
+                s1.applyCircuit(c);
+                bool differs = false;
+                for (std::uint32_t k = 0; k < c.numQubits(); ++k)
+                    if (k != q && s0.get(k) != s1.get(k))
+                        differs = true;
+                EXPECT_TRUE(differs);
+            }
         }
     }
 }
@@ -302,13 +306,12 @@ randomCircuit(Rng &rng, std::uint32_t n, int gates)
     return c;
 }
 
-TEST(Engine, PortfolioUnknownChargesEveryRacedLane)
+TEST(Engine, BudgetExhaustedConditionIsUnknownOnEachLane)
 {
-    // When every lane runs out of budget the verdict is Unknown, and
-    // the report must account the conflicts of ALL raced lanes - the
-    // losers burnt real time; dropping their counters under-reports
-    // the work done (and used to).  The adder conditions are hard
-    // enough that a 1-conflict budget cannot decide them.
+    // A 1-conflict budget cannot decide the adder conditions: on the
+    // persistent lane A and on the default scratch lane B alike the
+    // verdict is Unknown, the conflicts the lane burnt are charged to
+    // the result, and no counterexample is claimed.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
     const ir::QubitId first =
@@ -316,25 +319,27 @@ TEST(Engine, PortfolioUnknownChargesEveryRacedLane)
     const lang::QubitInfo &info = program.qubits[first];
     const Circuit scope =
         program.circuit.slice(info.scopeBegin, info.scopeEnd);
-    EngineOptions options = EngineOptions::portfolioAB();
-    for (VerifierOptions &lane : options.lanes) {
-        lane.conflictBudget = 1;
-        lane.wantCounterexample = false;
+    for (const std::string lane : {"A", "B"}) {
+        EngineOptions options = EngineOptions::forLane(lane);
+        options.lane.conflictBudget = 1;
+        options.jobs = 1;
+        VerificationEngine engine(scope, options);
+        bool saw_unknown = false;
+        for (ir::QubitId q :
+             program.qubitsWithRole(lang::QubitRole::BorrowVerify)) {
+            const QubitResult r = engine.verify(q);
+            if (r.verdict != Verdict::Unknown)
+                continue;
+            saw_unknown = true;
+            EXPECT_GE(r.conflicts, 1)
+                << "lane " << lane << " qubit " << q;
+            EXPECT_FALSE(r.counterexample.has_value())
+                << "lane " << lane << " qubit " << q;
+        }
+        EXPECT_TRUE(saw_unknown)
+            << "lane " << lane
+            << ": budget too generous for this circuit; tighten the test";
     }
-    options.jobs = 1;
-    VerificationEngine engine(scope, options);
-    bool saw_unknown = false;
-    for (ir::QubitId q :
-         program.qubitsWithRole(lang::QubitRole::BorrowVerify)) {
-        const QubitResult r = engine.verify(q);
-        if (r.verdict != Verdict::Unknown)
-            continue;
-        saw_unknown = true;
-        // Both lanes hit their 1-conflict budget: at least 2 total.
-        EXPECT_GE(r.conflicts, 2) << "qubit " << q;
-    }
-    EXPECT_TRUE(saw_unknown)
-        << "budget too generous for this circuit; tighten the test";
 }
 
 class EngineProperty : public ::testing::TestWithParam<int>

@@ -1,15 +1,15 @@
 /**
  * @file
  * Tests for the arena clause allocator, the relocating garbage
- * collector and the slice-boundary inprocessing passes (vivification
+ * collector and the query-boundary inprocessing passes (vivification
  * and backward subsumption).
  *
  * Built as the ctest-labelled `inprocessing` group: the ASan/TSan CI
  * jobs run it explicitly so GC relocation and the in-place clause
  * edits are exercised under both sanitizers.  Coverage follows the
  * reduceDb/GC interaction contract: locked (reason) clauses survive
- * relocation with valid references, imported clauses survive
- * shrinkLearnts() + GC, inprocessing never changes verdicts, and a
+ * relocation with valid references, inprocessing never changes
+ * verdicts, and a
  * solver that GCs mid-session returns identical verdicts AND
  * counterexamples under --jobs 1 and --jobs N.
  */
@@ -124,27 +124,6 @@ TEST(ClauseGc, LockedReasonsSurviveRelocation)
     EXPECT_EQ(LBool::True, s.modelValue(2));
 }
 
-TEST(ClauseGc, ImportedClausesSurviveShrinkAndGc)
-{
-    // shrinkLearnts(0) drops every non-glue learnt clause but must
-    // keep imports; the GC afterwards must carry the imported mark and
-    // the clause itself across relocation.
-    Solver s;
-    EXPECT_TRUE(s.addClause({~mkLit(0), mkLit(1)}));
-    EXPECT_TRUE(s.addClause({mkLit(2), mkLit(3), mkLit(4)}));
-    s.postImport({~mkLit(0), ~mkLit(1)}); // implied elsewhere, say
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-    EXPECT_EQ(1, s.stats().importedClauses);
-    s.shrinkLearnts(0);
-    s.garbageCollect();
-    EXPECT_GE(s.stats().gcRuns, 1);
-    // Only the imported clause rules out x0: it must still be there.
-    EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(0)}));
-    ASSERT_EQ(1u, s.failedAssumptions().size());
-    EXPECT_EQ(mkLit(0), s.failedAssumptions()[0]);
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-}
-
 TEST(ClauseGc, AutomaticGcTriggersUnderReduction)
 {
     // A tiny learnt limit forces frequent reduceDb() on a hard
@@ -237,19 +216,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InprocessingProperty,
 
 TEST(Inprocessing, VivificationShortensPaddedClauses)
 {
-    // x0 is forced at the root AFTER learnt clauses polluted with ~x0
-    // exist; vivification must strip the dead literal.  Construct the
-    // pollution directly through the import path (imports are learnt
-    // clauses).
+    // x0 is forced at the root AFTER a clause padded with ~x0 exists;
+    // inprocessing must strip the dead literal.
     Solver s;
     EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1), mkLit(2)}));
-    // The import mentions x3/x4: create them first or the offer is
-    // dropped as unknown-variable.
     EXPECT_TRUE(s.addClause({mkLit(1), mkLit(3), mkLit(4)}));
-    s.postImport({~mkLit(0), mkLit(3), mkLit(4)});
+    EXPECT_TRUE(s.addClause({~mkLit(0), mkLit(3), mkLit(4)}));
     EXPECT_EQ(SolveResult::Sat, s.solve());
-    ASSERT_EQ(1, s.stats().importedClauses);
-    // Now force x0 at the root: the imported clause's ~x0 is dead.
+    // Now force x0 at the root: the padded clause's ~x0 is dead.
     // Either the binary-graph root cleaning strips it (counted as a
     // strengthening; the remainder re-files as a real binary) or,
     // with that pass off, vivification strips it.
@@ -635,11 +609,12 @@ TEST_P(InprocessingProperty, BinaryAnalysisAgreesWithBruteForce)
 
 TEST_P(InprocessingProperty, BinaryAnalysisComposesWithImportsAndGc)
 {
-    // Equivalence substitution against clause import and relocating
-    // GC: imported clauses may name variables this solver has merged
-    // away (addImported() routes them through representativeOf), and
-    // the relocation sweep must keep binary reasons - which carry
-    // literals, not arena refs - intact across rounds.
+    // Equivalence substitution against clauses added between rounds
+    // and relocating GC: an added clause may name variables this
+    // solver has merged away (addClause() routes them through
+    // representativeOf), and the relocation sweep must keep binary
+    // reasons - which carry literals, not arena refs - intact across
+    // rounds.
     Rng rng(GetParam() + 97000);
     Cnf cnf;
     cnf.ensureVars(10);
@@ -670,16 +645,16 @@ TEST_P(InprocessingProperty, BinaryAnalysisComposesWithImportsAndGc)
         // variables on binary-heavy formulas); skip out once Unsat.
         if (solver.solve() != SolveResult::Sat)
             break;
-        // Offer an import the exchange contract allows: a widened
-        // copy of a real clause is subsumed by it, hence a
-        // consequence - deletable by reduction at any time, and its
-        // literals may name variables this solver has merged away.
-        LitVec offer =
+        // Add a consequence: a widened copy of a real clause is
+        // subsumed by it, so the verdicts below stay those of cnf,
+        // and its literals may name variables this solver has merged
+        // away.
+        LitVec implied =
             pool[rng.nextBelow(static_cast<std::uint32_t>(
                 pool.size()))];
-        offer.push_back(mkLit(
+        implied.push_back(mkLit(
             static_cast<Var>(rng.nextBelow(10)), rng.nextBool()));
-        solver.postImport(offer);
+        solver.addClause(implied);
         LitVec assumptions;
         for (Var v = 0; v < 10; ++v) {
             const auto choice = rng.nextBelow(4);
@@ -805,12 +780,13 @@ TEST(EngineInprocessing, JobsDeterminismWithGcAndInprocessing)
     // forced on every query and heavy reduction pressure (GC runs
     // mid-session): --jobs 1 and --jobs N give identical verdicts AND
     // counterexamples.
+    // Lane A: the persistent lane is the one that inprocesses and
+    // collects garbage mid-session.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(10));
-    EngineOptions base = EngineOptions::portfolioABC();
+    EngineOptions base = EngineOptions::forLane("A");
     base.inprocessInterval = 1;
-    for (VerifierOptions &lane : base.lanes)
-        lane.solver.learntLimitBase = 16;
+    base.lane.solver.learntLimitBase = 16;
     EngineOptions serial = base;
     serial.jobs = 1;
     EngineOptions parallel = base;
@@ -838,40 +814,49 @@ TEST(EngineInprocessing, BinaryAnalysisOnOffIdenticalAcrossJobs)
     // passes-off run, at --jobs 1 and --jobs N alike.  The adder
     // program exercises the passes for real (its carry chain is where
     // SCC merging and transitive reduction actually fire).
+    // Both lanes: lane A runs the passes in its query-boundary
+    // inprocessing, lane B at every scratch solver's entry.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(8));
-    EngineOptions base = EngineOptions::portfolioAB();
-    base.inprocessInterval = 1;
-    std::vector<ProgramResult> results;
-    for (const bool analysis : {true, false}) {
-        for (const int jobs : {1, 4}) {
-            EngineOptions options = base;
-            options.binaryAnalysis = analysis;
-            options.jobs = jobs;
-            results.push_back(verifyAll(program, options));
+    for (const std::string lane : {"A", "B"}) {
+        EngineOptions base = EngineOptions::forLane(lane);
+        base.inprocessInterval = 1;
+        std::vector<ProgramResult> results;
+        for (const bool analysis : {true, false}) {
+            for (const int jobs : {1, 4}) {
+                EngineOptions options = base;
+                options.binaryAnalysis = analysis;
+                options.jobs = jobs;
+                results.push_back(verifyAll(program, options));
+            }
         }
-    }
-    const ProgramResult &reference = results.front();
-    for (std::size_t k = 1; k < results.size(); ++k) {
-        ASSERT_EQ(reference.qubits.size(), results[k].qubits.size());
-        for (std::size_t i = 0; i < reference.qubits.size(); ++i) {
-            EXPECT_EQ(reference.qubits[i].verdict,
-                      results[k].qubits[i].verdict)
-                << "config " << k << " qubit " << i;
-            EXPECT_EQ(reference.qubits[i].failed,
-                      results[k].qubits[i].failed)
-                << "config " << k << " qubit " << i;
-            EXPECT_EQ(reference.qubits[i].counterexample,
-                      results[k].qubits[i].counterexample)
-                << "config " << k << " qubit " << i;
+        const ProgramResult &reference = results.front();
+        for (std::size_t k = 1; k < results.size(); ++k) {
+            ASSERT_EQ(reference.qubits.size(),
+                      results[k].qubits.size());
+            for (std::size_t i = 0; i < reference.qubits.size(); ++i) {
+                EXPECT_EQ(reference.qubits[i].verdict,
+                          results[k].qubits[i].verdict)
+                    << "lane " << lane << " config " << k << " qubit "
+                    << i;
+                EXPECT_EQ(reference.qubits[i].failed,
+                          results[k].qubits[i].failed)
+                    << "lane " << lane << " config " << k << " qubit "
+                    << i;
+                EXPECT_EQ(reference.qubits[i].counterexample,
+                          results[k].qubits[i].counterexample)
+                    << "lane " << lane << " config " << k << " qubit "
+                    << i;
+            }
         }
+        // The off runs must leave all four counters at zero: the
+        // engine-level switch must reach either kind of lane.
+        EXPECT_EQ(0, results[2].solverTotals.sccMergedVars +
+                         results[2].solverTotals.probedFailed +
+                         results[2].solverTotals.hyperBinaries +
+                         results[2].solverTotals.transitiveReduced)
+            << "lane " << lane;
     }
-    // The off runs must leave all four counters at zero, and the
-    // engine-level switch must reach scratch lanes too.
-    EXPECT_EQ(0, results[2].solverTotals.sccMergedVars +
-                     results[2].solverTotals.probedFailed +
-                     results[2].solverTotals.hyperBinaries +
-                     results[2].solverTotals.transitiveReduced);
 }
 
 /**
@@ -1007,11 +992,11 @@ TEST(EngineInprocessing, BinaryHeavyMcxCountersReachReport)
 
 TEST(EngineInprocessing, SolverTotalsReachJsonReport)
 {
-    // The aggregated lane counters must flow into ProgramResult and
-    // the JSON document (the report side of the new SolverStats).
+    // The aggregated solver counters must flow into ProgramResult and
+    // the JSON document (the report side of SolverStats).
     const auto program =
         lang::elaborateSource(circuits::mcxQbrSource(40));
-    EngineOptions options = EngineOptions::portfolioABC();
+    EngineOptions options = EngineOptions::forLane("A");
     options.inprocessInterval = 1;
     options.jobs = 2;
     const ProgramResult result = verifyAll(program, options);
@@ -1022,7 +1007,9 @@ TEST(EngineInprocessing, SolverTotalsReachJsonReport)
     EXPECT_NE(std::string::npos, json.find("\"inprocess_runs\": "));
     EXPECT_NE(std::string::npos, json.find("\"gc_runs\": "));
     EXPECT_NE(std::string::npos, json.find("\"arena_peak_words\": "));
-    EXPECT_NE(std::string::npos, json.find("\"imported_dropped\": "));
+    // Sessions share no clauses, so there are no exchange counters.
+    EXPECT_EQ(std::string::npos, json.find("imported"));
+    EXPECT_EQ(std::string::npos, json.find("exported"));
 }
 
 } // namespace

@@ -532,70 +532,13 @@ TEST_P(SatProperty, WideClausesAgree)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatProperty, ::testing::Range(0, 40));
 
-TEST(SolverShare, ExportedGlueClausesImportAndAgree)
-{
-    // Two solvers over the identical clause database: every clause one
-    // learns is implied in the other.  The exporter solves first and
-    // streams its glue clauses; the importer drains them on solve()
-    // entry and must reach the same verdict.
-    Solver exporter;
-    Solver importer;
-    exporter.addCnf(pigeonhole(5));
-    importer.addCnf(pigeonhole(5));
-    exporter.setClauseExport(
-        [&importer](const LitVec &clause, unsigned) {
-            importer.postImport(clause);
-        });
-    EXPECT_EQ(SolveResult::Unsat, exporter.solve());
-    EXPECT_GT(exporter.stats().exportedClauses, 0);
-    EXPECT_EQ(SolveResult::Unsat, importer.solve());
-    EXPECT_GT(importer.stats().importedClauses, 0);
-}
-
-TEST(SolverShare, ImportedUnitContradictionYieldsUnsat)
-{
-    Solver s;
-    s.addClause({mkLit(0)});
-    s.addClause({mkLit(1), mkLit(2)});
-    s.postImport({~mkLit(0)});
-    EXPECT_EQ(SolveResult::Unsat, s.solve());
-    // The offer latched Unsat but was never adopted into the clause
-    // database: it counts as dropped, not imported, so exchange
-    // efficiency (imported / offered) stays truthful.
-    EXPECT_EQ(0, s.stats().importedClauses);
-    EXPECT_EQ(1, s.stats().importedDropped);
-}
-
-TEST(SolverShare, ImportsMentioningUnknownVariablesAreDropped)
-{
-    // The exporting sibling may be ahead in the shared clause stream;
-    // clauses about structure this solver has not encoded yet are
-    // silently dropped, never misinterpreted - and the drop is
-    // counted.
-    Solver s;
-    s.addClause({mkLit(0), mkLit(1)});
-    s.postImport({mkLit(9)});
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-    EXPECT_EQ(0, s.stats().importedClauses);
-    EXPECT_EQ(1, s.stats().importedDropped);
-}
-
-TEST(SolverShare, ImportKeepsSolverIncremental)
-{
-    // Imports splice in as marked learnt clauses: assumption solving,
-    // failed-assumption cores and later solve() calls keep working.
-    Solver s;
-    s.addClause({~mkLit(0), mkLit(1)});
-    s.postImport({~mkLit(0), ~mkLit(1)}); // implied elsewhere, say
-    EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(0)}));
-    ASSERT_EQ(1u, s.failedAssumptions().size());
-    EXPECT_EQ(mkLit(0), s.failedAssumptions()[0]);
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-    EXPECT_EQ(LBool::False, s.modelValue(0));
-}
-
 TEST_P(SatProperty, ClauseExchangeNeverChangesVerdicts)
 {
+    // Clauses one solver derives are implied by the shared formula, so
+    // handing them to a differently configured solver over the same
+    // formula can prune its search but never change its verdict.  The
+    // derived clauses are the negated failed-assumption cores of
+    // solver a's Unsat assumption calls.
     Rng rng(GetParam() + 13000);
     const Cnf cnf = randomCnf(rng, 8, 34, 3);
     const bool expected = bruteForceSat(cnf);
@@ -605,12 +548,20 @@ TEST_P(SatProperty, ClauseExchangeNeverChangesVerdicts)
     Solver b(second);
     a.addCnf(cnf);
     b.addCnf(cnf);
-    a.setClauseExport([&b](const LitVec &clause, unsigned) {
-        b.postImport(clause);
-    });
-    b.setClauseExport([&a](const LitVec &clause, unsigned) {
-        a.postImport(clause);
-    });
+    for (int round = 0; round < 8; ++round) {
+        LitVec assumptions;
+        for (Var v = 0; v < cnf.numVars(); ++v)
+            if (rng.nextBelow(3) == 0)
+                assumptions.push_back(mkLit(v, rng.nextBool()));
+        if (a.solve(assumptions) != SolveResult::Unsat)
+            continue;
+        LitVec derived;
+        for (const Lit l : a.failedAssumptions())
+            derived.push_back(~l);
+        if (derived.empty())
+            break; // a refuted the formula itself
+        b.addClause(derived);
+    }
     EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
               a.solve());
     EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
@@ -830,90 +781,6 @@ TEST_P(SatProperty, OtfKeepsIncrementalAnswersExact)
                   solver.solve(assumptions))
             << "round " << round;
     }
-}
-
-// ============================================ imported-clause aging
-
-TEST(SolverShare, ImportsRetireAfterGraceEpochs)
-{
-    // A non-glue import (unknown LBD => clause size) is exempt from
-    // shrinkLearnts for exactly importedRetireEpochs calls, then
-    // judged by LBD like any learnt clause and dropped.
-    SolverConfig cfg;
-    cfg.importedRetireEpochs = 2;
-    Solver s(cfg);
-    EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1)}));
-    for (Var v = 2; v <= 5; ++v)
-        EXPECT_TRUE(s.addClause({mkLit(0), mkLit(v)}));
-    // Implied by {x0, x1}; size 5 => conservative LBD 5.
-    s.postImport({mkLit(0), mkLit(1), mkLit(2), mkLit(3), mkLit(4)});
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-    EXPECT_EQ(1, s.stats().importedClauses);
-    s.shrinkLearnts(3); // epoch 1: exempt, ages to 1
-    s.shrinkLearnts(3); // epoch 2: exempt, ages to 2
-    EXPECT_EQ(0, s.stats().importedRetired);
-    s.shrinkLearnts(3); // retired: LBD 5 > 3, dropped
-    EXPECT_EQ(1, s.stats().importedRetired);
-}
-
-TEST(SolverShare, GlueImportsSurviveRetirement)
-{
-    // An import whose exporter vouched a glue LBD keeps it, so after
-    // retirement it is retained exactly like native glue.
-    SolverConfig cfg;
-    cfg.importedRetireEpochs = 1;
-    Solver s(cfg);
-    EXPECT_TRUE(s.addClause({~mkLit(0), mkLit(1)}));
-    EXPECT_TRUE(s.addClause({mkLit(2), mkLit(3), mkLit(4)}));
-    s.postImport({~mkLit(0), ~mkLit(1)}, /*lbd=*/2);
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-    for (int epoch = 0; epoch < 6; ++epoch)
-        s.shrinkLearnts(3);
-    EXPECT_EQ(0, s.stats().importedRetired);
-    // Only the imported clause rules out x0: it must still be there.
-    EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(0)}));
-}
-
-TEST(SolverShare, LearntDbStaysBoundedUnderHeavyExchange)
-{
-    // The ISSUE 5 satellite: before aging, shrinkLearnts exempted
-    // imports forever and a lane under heavy exchange grew its learnt
-    // database without bound.  Pump imports for many epochs and
-    // assert the peak stays bounded by the retirement window, far
-    // below the total number of adopted offers.
-    SolverConfig cfg;
-    cfg.importedRetireEpochs = 2;
-    Solver s(cfg);
-    constexpr Var kVars = 20;
-    EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1)}));
-    for (Var v = 2; v < kVars; ++v)
-        EXPECT_TRUE(s.addClause({mkLit(0), mkLit(v)}));
-    Rng rng(20260726);
-    constexpr int kEpochs = 20;
-    constexpr int kPerEpoch = 50;
-    for (int epoch = 0; epoch < kEpochs; ++epoch) {
-        for (int i = 0; i < kPerEpoch; ++i) {
-            // {x0, x1, 3 random others}: implied by {x0, x1}, never
-            // root-satisfied, size 5 => retires as LBD 5.
-            LitVec clause{mkLit(0), mkLit(1)};
-            while (clause.size() < 5) {
-                const Var v = static_cast<Var>(
-                    2 + rng.nextBelow(kVars - 2));
-                clause.push_back(mkLit(v, rng.nextBool()));
-            }
-            s.postImport(clause);
-        }
-        EXPECT_EQ(SolveResult::Sat, s.solve()); // drains the inbox
-        s.shrinkLearnts(3);
-    }
-    EXPECT_GT(s.stats().importedRetired, 0);
-    // Live window: at most (grace epochs + the current batch) worth
-    // of imports, with slack for duplicates dropped at drain time.
-    EXPECT_LE(s.stats().peakLearnts, 4 * kPerEpoch)
-        << "imported clauses must age out, not accumulate";
-    EXPECT_GE(s.stats().importedClauses +
-                  s.stats().importedDropped,
-              static_cast<std::int64_t>(kEpochs * kPerEpoch));
 }
 
 // ======================================================= validateModel

@@ -2,9 +2,9 @@
  * @file
  * Tests for the persistent scheduler and the engine's use of it: pool
  * mechanics, determinism of verdicts AND counterexamples across jobs
- * counts, batch pipelining, cross-lane clause sharing, and the
- * no-thread-per-condition guarantee.  The stress tests double as the
- * ASan/TSan exercise in CI.
+ * counts, batch pipelining, and the no-thread-per-condition
+ * guarantee.  The stress tests double as the ASan/TSan exercise in
+ * CI.
  */
 
 #include <gtest/gtest.h>
@@ -76,7 +76,7 @@ TEST(Scheduler, BandsInterleaveRoundRobin)
     // Two fairness bands on ONE worker: the pool must serve them
     // round-robin (FIFO within a band), so a band with a deep backlog
     // cannot starve the other - the server-mode guarantee that one
-    // program's queued races cannot block another program's first.
+    // program's queued queries cannot block another program's first.
     std::vector<int> order;
     {
         Scheduler pool(1);
@@ -99,73 +99,6 @@ TEST(Scheduler, BandsInterleaveRoundRobin)
         released.notify_all();
     } // destructor drains
     const std::vector<int> expected{100, 200, 101, 201, 102, 202};
-    EXPECT_EQ(expected, order);
-}
-
-TEST(Scheduler, FrontSubmissionJumpsItsBandBacklog)
-{
-    // The adaptive engine boosts the likely winner's next slice with
-    // front=true: it must run before the band's queued backlog, while
-    // normally-submitted tasks keep FIFO order among themselves.
-    std::vector<int> order;
-    {
-        Scheduler pool(1);
-        std::mutex mutex;
-        std::condition_variable released;
-        bool go = false;
-        pool.submit([&] {
-            std::unique_lock<std::mutex> lock(mutex);
-            released.wait(lock, [&] { return go; });
-        });
-        for (int i = 0; i < 3; ++i)
-            pool.submit(1u, [&order, i] { order.push_back(i); });
-        pool.submit(1u, [&order] { order.push_back(99); },
-                    /*front=*/true);
-        {
-            const std::lock_guard<std::mutex> guard(mutex);
-            go = true;
-        }
-        released.notify_all();
-    } // destructor drains
-    const std::vector<int> expected{99, 0, 1, 2};
-    EXPECT_EQ(expected, order);
-}
-
-TEST(Scheduler, FrontSubmissionBoostsItsSerialQueue)
-{
-    // Queue-level boost: a front submission puts the task ahead of
-    // its queue's pending tasks AND lifts the queue's next activation
-    // ahead of its band - without breaking per-queue exclusivity.
-    std::vector<int> order;
-    {
-        Scheduler pool(1);
-        std::mutex mutex;
-        std::condition_variable released;
-        bool go = false;
-        pool.submit([&] {
-            std::unique_lock<std::mutex> lock(mutex);
-            released.wait(lock, [&] { return go; });
-        });
-        const auto slow = pool.makeQueue(1u);
-        const auto hot = pool.makeQueue(1u);
-        for (int i = 0; i < 2; ++i)
-            pool.submit(slow, [&order, i] { order.push_back(i); });
-        pool.submit(hot, [&order] { order.push_back(10); });
-        pool.submit(hot, [&order] { order.push_back(42); },
-                    /*front=*/true);
-        {
-            const std::lock_guard<std::mutex> guard(mutex);
-            go = true;
-        }
-        released.notify_all();
-    } // destructor drains
-    // Both queues were already activated (at the band's back, in
-    // submission order) when the boost arrived, so slow's first task
-    // still runs first; the boost latches and applies at hot's NEXT
-    // activation push.  From there hot runs the boosted task ahead of
-    // its own FIFO backlog AND re-activates ahead of slow's pending
-    // turn - the requeued-slice scenario the adaptive engine hits.
-    const std::vector<int> expected{0, 42, 10, 1};
     EXPECT_EQ(expected, order);
 }
 
@@ -203,20 +136,6 @@ TEST(Scheduler, BandBacklogReportsQueuedWork)
         }
         released.notify_all();
     } // destructor drains
-}
-
-TEST(Scheduler, LaneWinRateStartsNeutralAndLearns)
-{
-    Scheduler pool(1);
-    // Unknown families sit at the 0.5 prior.
-    EXPECT_DOUBLE_EQ(0.5, pool.laneWinRate("laneX"));
-    // Two wins out of two races, damped by the prior: 3/4.
-    pool.recordLaneOutcome("laneX", true);
-    pool.recordLaneOutcome("laneX", true);
-    EXPECT_DOUBLE_EQ(0.75, pool.laneWinRate("laneX"));
-    pool.recordLaneOutcome("laneY", false);
-    EXPECT_DOUBLE_EQ(1.0 / 3.0, pool.laneWinRate("laneY"));
-    EXPECT_GT(pool.laneWinRate("laneX"), pool.laneWinRate("laneY"));
 }
 
 TEST(Scheduler, IndependentQueuesDoNotSerializeEachOther)
@@ -263,34 +182,29 @@ randomCircuit(Rng &rng, std::uint32_t n, int gates)
 class JobsDeterminism : public ::testing::TestWithParam<int>
 {};
 
-/** --jobs 1 and --jobs N must agree exactly on @p c, for both
- *  portfolio shapes, with adaptive lane ordering off AND on. */
+/** --jobs 1 and --jobs N must agree exactly on @p c, on lane A and
+ *  on lane B. */
 void
 expectJobsDeterminism(const Circuit &c)
 {
-    for (const bool three_lanes : {false, true}) {
-        for (const bool adaptive : {false, true}) {
-            EngineOptions serial = three_lanes
-                ? EngineOptions::portfolioABC()
-                : EngineOptions::portfolioAB();
-            serial.adaptiveLanes = adaptive;
-            EngineOptions parallel = serial;
-            serial.jobs = 1;
-            parallel.jobs = 4;
-            VerificationEngine one(c, serial);
-            VerificationEngine many(c, parallel);
-            const ProgramResult r1 = one.verifyAllQubits();
-            const ProgramResult rn = many.verifyAllQubits();
-            ASSERT_EQ(r1.qubits.size(), rn.qubits.size());
-            for (std::size_t i = 0; i < r1.qubits.size(); ++i) {
-                EXPECT_EQ(r1.qubits[i].verdict, rn.qubits[i].verdict)
-                    << "qubit " << i << " adaptive " << adaptive;
-                EXPECT_EQ(r1.qubits[i].failed, rn.qubits[i].failed)
-                    << "qubit " << i << " adaptive " << adaptive;
-                EXPECT_EQ(r1.qubits[i].counterexample,
-                          rn.qubits[i].counterexample)
-                    << "qubit " << i << " adaptive " << adaptive;
-            }
+    for (const std::string lane : {"A", "B"}) {
+        EngineOptions serial = EngineOptions::forLane(lane);
+        EngineOptions parallel = serial;
+        serial.jobs = 1;
+        parallel.jobs = 4;
+        VerificationEngine one(c, serial);
+        VerificationEngine many(c, parallel);
+        const ProgramResult r1 = one.verifyAllQubits();
+        const ProgramResult rn = many.verifyAllQubits();
+        ASSERT_EQ(r1.qubits.size(), rn.qubits.size());
+        for (std::size_t i = 0; i < r1.qubits.size(); ++i) {
+            EXPECT_EQ(r1.qubits[i].verdict, rn.qubits[i].verdict)
+                << "qubit " << i << " lane " << lane;
+            EXPECT_EQ(r1.qubits[i].failed, rn.qubits[i].failed)
+                << "qubit " << i << " lane " << lane;
+            EXPECT_EQ(r1.qubits[i].counterexample,
+                      rn.qubits[i].counterexample)
+                << "qubit " << i << " lane " << lane;
         }
     }
 }
@@ -298,11 +212,9 @@ expectJobsDeterminism(const Circuit &c)
 TEST_P(JobsDeterminism, OneAndManyJobsIdenticalVerdictsAndCex)
 {
     // The acceptance contract of the scheduler: --jobs 1 and --jobs N
-    // produce identical verdicts AND identical counterexamples, for
-    // both portfolio shapes and with adaptive ordering on and off.
-    // (Counterexamples come from the deterministic replay solve, so
-    // racing cannot leak in; adaptive ordering only permutes race
-    // submission, and the race winner is picked by lane index.)
+    // produce identical verdicts AND identical counterexamples, on
+    // both lanes.  (Counterexamples come from the deterministic
+    // replay solve, so worker timing cannot leak in.)
     Rng rng(GetParam() + 77000);
     expectJobsDeterminism(randomCircuit(rng, 6, 14));
 }
@@ -312,7 +224,7 @@ TEST_P(JobsDeterminism, BinaryHeavyCircuitsStayDeterministic)
     // X/CNOT-only circuits elaborate to XOR-shaped conditions whose
     // Tseitin encodings are dominated by short clauses: the formulas
     // that stress the specialized binary watchers.  The determinism
-    // contract must hold there too, adaptive ordering on and off.
+    // contract must hold there too, on both lanes.
     Rng rng(GetParam() + 88000);
     const std::uint32_t n = 6;
     Circuit c(n);
@@ -332,26 +244,30 @@ TEST_P(JobsDeterminism, BinaryHeavyCircuitsStayDeterministic)
 INSTANTIATE_TEST_SUITE_P(Seeds, JobsDeterminism,
                          ::testing::Range(0, 10));
 
-TEST(SchedulerEngine, StressManyQubitsPortfolioSharedClauses)
+TEST(SchedulerEngine, StressManyQubitsOnEachLane)
 {
-    // The deterministic verifyAll stress: many qubits, three racing
-    // lanes (two of them exchanging clauses), a shared 4-worker pool,
-    // speculative (6.2) races and cross-qubit pipelining all at once.
-    // CI runs this under ASan and TSan.
+    // The deterministic verifyAll stress: many qubits, a shared
+    // 4-worker pool, speculative (6.2) queries and cross-qubit
+    // pipelining all at once - through lane A's serial queue and
+    // through lane B's unordered scratch tasks.  CI runs this under
+    // ASan and TSan.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
-    EngineOptions options = EngineOptions::portfolioABC();
-    options.jobs = 4;
-    const ProgramResult result = verifyAll(program, options);
-    ASSERT_EQ(11u, result.qubits.size());
-    for (const QubitResult &r : result.qubits)
-        EXPECT_EQ(Verdict::Safe, r.verdict) << r.name;
-    // Same verdicts as the sequential single-lane reference.
+    // Same verdicts as the sequential one-shot reference.
     const ProgramResult reference = verifyProgram(program);
-    ASSERT_EQ(reference.qubits.size(), result.qubits.size());
-    for (std::size_t i = 0; i < result.qubits.size(); ++i)
-        EXPECT_EQ(reference.qubits[i].verdict,
-                  result.qubits[i].verdict);
+    for (const std::string lane : {"A", "B"}) {
+        EngineOptions options = EngineOptions::forLane(lane);
+        options.jobs = 4;
+        const ProgramResult result = verifyAll(program, options);
+        ASSERT_EQ(11u, result.qubits.size());
+        for (const QubitResult &r : result.qubits)
+            EXPECT_EQ(Verdict::Safe, r.verdict)
+                << "lane " << lane << " " << r.name;
+        ASSERT_EQ(reference.qubits.size(), result.qubits.size());
+        for (std::size_t i = 0; i < result.qubits.size(); ++i)
+            EXPECT_EQ(reference.qubits[i].verdict,
+                      result.qubits[i].verdict);
+    }
 }
 
 TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
@@ -359,102 +275,19 @@ TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
     Rng rng(4242);
     for (int round = 0; round < 4; ++round) {
         const Circuit c = randomCircuit(rng, 7, 16);
-        EngineOptions options = EngineOptions::portfolioABC();
-        options.jobs = 3;
-        VerificationEngine engine(c, options);
-        const ProgramResult result = engine.verifyAllQubits();
-        for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
-            EXPECT_EQ(bruteForceVerdict(c, q),
-                      result.qubits[q].verdict)
-                << "round " << round << " qubit " << q;
+        for (const std::string lane : {"A", "B"}) {
+            EngineOptions options = EngineOptions::forLane(lane);
+            options.jobs = 3;
+            VerificationEngine engine(c, options);
+            const ProgramResult result = engine.verifyAllQubits();
+            for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
+                EXPECT_EQ(bruteForceVerdict(c, q),
+                          result.qubits[q].verdict)
+                    << "round " << round << " lane " << lane
+                    << " qubit " << q;
+            }
         }
     }
-}
-
-TEST(SchedulerEngine, AdaptiveLanesMatchDefaultOrderExactly)
-{
-    // --adaptive-lanes only permutes which lane's first slice is
-    // queued first; verdicts, failed conditions and counterexamples
-    // must be byte-identical to the default index order, and the
-    // shared win-rate table must actually learn from the races.
-    const auto program =
-        lang::elaborateSource(circuits::adderQbrSource(10));
-    EngineOptions plain = EngineOptions::portfolioAB();
-    plain.jobs = 2;
-    EngineOptions adaptive = plain;
-    adaptive.adaptiveLanes = true;
-    const ProgramResult expected = verifyAll(program, plain);
-    const auto scheduler = std::make_shared<Scheduler>(2u);
-    const ProgramResult got = verifyAll(program, adaptive, {}, false,
-                                        scheduler, nullptr);
-    ASSERT_EQ(expected.qubits.size(), got.qubits.size());
-    for (std::size_t i = 0; i < expected.qubits.size(); ++i) {
-        EXPECT_EQ(expected.qubits[i].verdict, got.qubits[i].verdict);
-        EXPECT_EQ(expected.qubits[i].failed, got.qubits[i].failed);
-        EXPECT_EQ(expected.qubits[i].counterexample,
-                  got.qubits[i].counterexample);
-    }
-    // Second batch over the SAME scheduler: the races now start from
-    // a warmed win-rate table (the family keys are internal, so the
-    // warm path is probed end-to-end), and the answers must still be
-    // identical.
-    const ProgramResult again = verifyAll(program, adaptive, {},
-                                          false, scheduler, nullptr);
-    ASSERT_EQ(expected.qubits.size(), again.qubits.size());
-    for (std::size_t i = 0; i < expected.qubits.size(); ++i)
-        EXPECT_EQ(expected.qubits[i].verdict,
-                  again.qubits[i].verdict);
-}
-
-TEST(SchedulerEngine, ShareGroupsWireOnlyCompatibleLanes)
-{
-    const Circuit c = circuits::hanerCarryCircuit(5);
-    // A and B encode differently (PG/4 vs Full/2, and B preprocesses):
-    // nothing to share.
-    VerificationEngine ab(c, EngineOptions::portfolioAB());
-    EXPECT_EQ(0u, ab.stats().shareLanes);
-    // A and C share one encoder configuration: both join the group.
-    VerificationEngine abc(c, EngineOptions::portfolioABC());
-    EXPECT_EQ(2u, abc.stats().shareLanes);
-    // No portfolio, no exchange - only lane 0 ever races.
-    VerificationEngine single(c, EngineOptions{});
-    EXPECT_EQ(0u, single.stats().shareLanes);
-}
-
-TEST(SchedulerEngine, GlueClausesFlowAcrossLanes)
-{
-    // Force the flow to be observable and deterministic: one worker,
-    // tiny conflict budgets.  Lane A exhausts its budget on the hard
-    // adder conditions (exporting its glue clauses as it goes); lane C
-    // races the same conditions afterwards and drains A's exports on
-    // solve entry.
-    const auto program =
-        lang::elaborateSource(circuits::adderQbrSource(12));
-    const ir::QubitId first =
-        program.qubitsWithRole(lang::QubitRole::BorrowVerify).front();
-    const lang::QubitInfo &info = program.qubits[first];
-    const Circuit scope =
-        program.circuit.slice(info.scopeBegin, info.scopeEnd);
-
-    EngineOptions options;
-    options.portfolio = true;
-    options.lanes = {VerifierOptions::laneA(),
-                     VerifierOptions::laneC()};
-    options.jobs = 1;
-    for (VerifierOptions &lane : options.lanes) {
-        lane.conflictBudget = 20;
-        lane.wantCounterexample = false;
-    }
-    VerificationEngine engine(scope, options);
-    engine.verifyAllQubits();
-    const std::int64_t imported =
-        engine.laneSolverStats(0).importedClauses +
-        engine.laneSolverStats(1).importedClauses;
-    const std::int64_t exported =
-        engine.laneSolverStats(0).exportedClauses +
-        engine.laneSolverStats(1).exportedClauses;
-    EXPECT_GT(exported, 0);
-    EXPECT_GT(imported, 0);
 }
 
 /** Current thread count of this process, 0 if unknowable. */
@@ -476,12 +309,13 @@ TEST(SchedulerEngine, NoThreadPerCondition)
     const std::size_t before = threadCount();
     if (before == 0)
         GTEST_SKIP() << "/proc/self/status not available";
-    // 11 qubits x 2 conditions x 3 lanes = 66 condition solves; the
-    // PR 1 engine would have spawned a thread for every one of them.
-    // The pool bound must hold at every observation point.
+    // 11 qubits x 2 conditions = 22 condition solves, each an
+    // unordered scratch task on the default lane; a thread per
+    // condition would show up here.  The pool bound must hold at
+    // every observation point.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
-    EngineOptions options = EngineOptions::portfolioABC();
+    EngineOptions options;
     options.jobs = 2;
     std::size_t peak = 0;
     verifyAll(program, options, [&peak](const QubitResult &) {
@@ -489,7 +323,7 @@ TEST(SchedulerEngine, NoThreadPerCondition)
     });
     EXPECT_GT(peak, 0u);
     // jobs workers, plus one for a sanitizer's background thread
-    // (TSan spawns one lazily).  66 per-condition threads would blow
+    // (TSan spawns one lazily).  22 per-condition threads would blow
     // straight through this.
     EXPECT_LE(peak, before + 2 + 1);
 }
@@ -516,7 +350,7 @@ TEST(SchedulerEngine, SessionsShareOnePoolAcrossLifetimes)
         CCNOT[b, q[2], q[4]];
         release b;
     )");
-    EngineOptions options = EngineOptions::portfolioAB();
+    EngineOptions options;
     options.jobs = 2;
     std::size_t peak = 0;
     const ProgramResult result =

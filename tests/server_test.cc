@@ -142,13 +142,13 @@ TEST(ParseRequest, VerifyWithOptions)
 {
     const Request r = parseRequest(
         R"({"op": "verify", "id": 7, "name": "p", "source": "X[q];",)"
-        R"( "options": {"lane": "portfolio", "clean": true,)"
+        R"( "options": {"lane": "A", "clean": true,)"
         R"( "budget": 500, "counterexample": false}})");
     EXPECT_EQ(RequestOp::Verify, r.op);
     EXPECT_EQ(7, r.id);
     EXPECT_EQ("p", r.name);
     EXPECT_EQ("X[q];", r.source);
-    EXPECT_EQ("portfolio", r.options.lane);
+    EXPECT_EQ("A", r.options.lane);
     EXPECT_TRUE(r.options.clean);
     EXPECT_TRUE(r.options.cleanSet);
     EXPECT_EQ(500, r.options.budget);
@@ -1093,24 +1093,24 @@ TEST(ServingCache, ResultCacheKeysOnSourceHashAndOptions)
 
 TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
 {
-    const core::EngineOptions base =
-        core::EngineOptions::portfolioAB();
+    const core::EngineOptions base = core::EngineOptions::forLane("A");
     const std::string key =
         serving::ServingTier::optionsFingerprint(base, false);
     EXPECT_EQ(key,
               serving::ServingTier::optionsFingerprint(base, false));
     EXPECT_NE(key,
               serving::ServingTier::optionsFingerprint(base, true));
+    EXPECT_NE(key, serving::ServingTier::optionsFingerprint(
+                       core::EngineOptions::forLane("B"), false));
     core::EngineOptions budgeted = base;
-    for (auto &lane : budgeted.lanes)
-        lane.conflictBudget = 100;
+    budgeted.lane.conflictBudget = 100;
     EXPECT_NE(key, serving::ServingTier::optionsFingerprint(
                        budgeted, false));
     // Scheduling-only knobs must NOT splinter the cache.
     core::EngineOptions scheduling = base;
     scheduling.fairnessBand = 77;
     scheduling.jobs = 9;
-    scheduling.adaptiveLanes = true;
+    scheduling.inprocessInterval = 3;
     EXPECT_EQ(key, serving::ServingTier::optionsFingerprint(
                        scheduling, false));
 }
@@ -1224,7 +1224,7 @@ TEST(Server, WarmSessionsServeRepeatsWhenResultCacheIsOff)
 
 TEST(Server, LaneOverrideKeepsServerWideAnalysisSetting)
 {
-    // A request's "lane" replaces the lane set only: on a daemon
+    // A request's "lane" replaces the lane only: on a daemon
     // started with the static dischargers off, a program the affine
     // pass would discharge still goes to SAT whatever lane it names.
     ServerOptions options;
@@ -1239,8 +1239,7 @@ TEST(Server, LaneOverrideKeepsServerWideAnalysisSetting)
     const std::string source = circuits::wideLinearMirrorQbrSource(64);
     std::int64_t id = 1;
     for (const std::string lane :
-         {"", R"("lane": "A")", R"("lane": "B")",
-          R"("lane": "portfolio")"}) {
+         {"", R"("lane": "A")", R"("lane": "B")"}) {
         client.send(verifyRequestLine(id, source, lane));
         const auto frames = client.collect(id++);
         const JsonValue *report = frames.back().find("report");
@@ -1252,6 +1251,44 @@ TEST(Server, LaneOverrideKeepsServerWideAnalysisSetting)
             << lane;
     }
     server.shutdown();
+}
+
+TEST(Server, PortfolioLaneIsRejectedAndServiceContinues)
+{
+    // "portfolio" is not a lane: the request gets exactly one error
+    // frame naming the lanes that exist, and the same connection goes
+    // on to serve a valid verify.
+    ServerOptions options;
+    options.socketPath = testSocketPath("nolane");
+    options.jobs = 1;
+    Server server(std::move(options));
+    server.start();
+
+    TestClient client(server.socketPath());
+    const std::string source = circuits::adderQbrSource(4);
+    client.send(
+        verifyRequestLine(1, source, R"("lane": "portfolio")"));
+    const auto error = client.next();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ("error", error->find("type")->asString());
+    const std::string message = error->find("message")->asString();
+    EXPECT_NE(std::string::npos, message.find("\"A\"")) << message;
+    EXPECT_NE(std::string::npos, message.find("\"B\"")) << message;
+
+    client.send(verifyRequestLine(2, source, R"("lane": "A")"));
+    while (auto frame = client.next()) {
+        const std::string type = frame->find("type")->asString();
+        ASSERT_NE("error", type) << "second error frame";
+        if (type != "result")
+            continue;
+        EXPECT_EQ(2, frame->find("id")->asInt());
+        EXPECT_TRUE(
+            frame->find("report")->find("all_safe")->asBool(false));
+        break;
+    }
+    server.shutdown();
+    EXPECT_EQ(1u, server.counters().errors);
+    EXPECT_EQ(1u, server.counters().served);
 }
 
 TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)

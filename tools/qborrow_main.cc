@@ -63,10 +63,6 @@ usage(const char *argv0)
         "\n"
         "options:\n"
         "  --lane A|B        solver lane (default B; see docs)\n"
-        "  --portfolio       race both lanes per query, first wins\n"
-        "  --adaptive-lanes  track per-lane-family win rates and\n"
-        "                    seed each race with the likely winner\n"
-        "                    (portfolio mode; verdicts unchanged)\n"
         "  --jobs N          scheduler worker threads (default: all\n"
         "                    hardware threads); without --budget,\n"
         "                    verdicts and counterexamples are\n"
@@ -87,10 +83,9 @@ usage(const char *argv0)
         "  --dump-circuit    print the elaborated gate list\n"
         "  --no-cex          skip counterexample extraction\n"
         "  --budget N        conflict budget per SAT call\n"
-        "  --inprocess N     persistent lanes (--lane A, the\n"
-        "                    portfolio) vivify/subsume their clause\n"
-        "                    DB every N queries (default 16, 0\n"
-        "                    disables)\n"
+        "  --inprocess N     the persistent lane (--lane A)\n"
+        "                    vivifies/subsumes its clause DB every\n"
+        "                    N queries (default 16, 0 disables)\n"
         "  --binary-analysis / --no-binary-analysis\n"
         "                    binary implication graph passes inside\n"
         "                    inprocessing: SCC equivalence merging,\n"
@@ -153,7 +148,7 @@ readFile(const std::string &path)
 struct CliOptions
 {
     std::string path;
-    std::string lane; ///< empty = the library default lane set
+    std::string lane; ///< empty = the library default lane
     std::string servePath;
     std::string serveTcp;
     std::string connectPath;
@@ -166,8 +161,6 @@ struct CliOptions
     bool noLint = false;
     std::string analysisSpec;
     long analysisWindow = -1;
-    bool portfolio = false;
-    bool adaptive = false;
     bool clean = false;
     bool json = false;
     bool want_cex = true;
@@ -237,52 +230,36 @@ analysisOptionsFor(const CliOptions &cli)
 qb::core::EngineOptions
 engineOptionsFor(const CliOptions &cli)
 {
-    qb::core::EngineOptions options = qb::core::EngineOptions::forLane(
-        cli.portfolio ? "portfolio" : cli.lane);
+    qb::core::EngineOptions options =
+        qb::core::EngineOptions::forLane(cli.lane);
     options.jobs = static_cast<unsigned>(cli.jobs);
     options.inprocessInterval = static_cast<unsigned>(cli.inprocess);
     options.binaryAnalysis = cli.binaryAnalysis;
-    options.adaptiveLanes = cli.adaptive;
     options.analysis = analysisOptionsFor(cli);
-    for (qb::core::VerifierOptions &lane_options : options.lanes) {
-        lane_options.wantCounterexample = cli.want_cex;
-        lane_options.conflictBudget = cli.budget;
-    }
+    options.lane.wantCounterexample = cli.want_cex;
+    options.lane.conflictBudget = cli.budget;
     return options;
 }
 
 /**
- * The "[lane X]" tag letter of each of @p options' lanes, by preset
- * (reports number lanes by index; the tag names what ran).  Per-run
+ * The "[lane X]" tag letter of @p options' lane, by preset (reports
+ * record only whether the lane ran; the tag names what ran).  Per-run
  * knobs are not part of a preset's identity.
  */
-std::string
-laneTags(const qb::core::EngineOptions &options)
+char
+laneTag(const qb::core::EngineOptions &options)
 {
     using qb::core::VerifierOptions;
-    std::string tags;
-    for (VerifierOptions lane : options.lanes) {
-        lane.conflictBudget = VerifierOptions{}.conflictBudget;
-        lane.wantCounterexample = VerifierOptions{}.wantCounterexample;
-        tags += lane == VerifierOptions::laneA()   ? 'A'
-                : lane == VerifierOptions::laneB() ? 'B'
-                : lane == VerifierOptions::laneC() ? 'C'
-                                                   : '?';
-    }
-    return tags;
-}
-
-/** Tag of lane index @p lane under @p tags; '?' when out of range. */
-char
-laneTag(const std::string &tags, long lane)
-{
-    return lane >= 0 && static_cast<std::size_t>(lane) < tags.size()
-        ? tags[static_cast<std::size_t>(lane)]
-        : '?';
+    VerifierOptions lane = options.lane;
+    lane.conflictBudget = VerifierOptions{}.conflictBudget;
+    lane.wantCounterexample = VerifierOptions{}.wantCounterexample;
+    return lane == VerifierOptions::laneA()   ? 'A'
+           : lane == VerifierOptions::laneB() ? 'B'
+                                              : '?';
 }
 
 void
-printQubitLine(const qb::core::QubitResult &r, const std::string &tags)
+printQubitLine(const qb::core::QubitResult &r, char tag)
 {
     std::printf("  %-10s %s", r.name.c_str(),
                 qb::core::verdictName(r.verdict));
@@ -294,7 +271,7 @@ printQubitLine(const qb::core::QubitResult &r, const std::string &tags)
                         : "|+>");
     }
     if (r.lane >= 0)
-        std::printf(" [lane %c]", laneTag(tags, r.lane));
+        std::printf(" [lane %c]", tag);
     std::printf("\n");
     if (r.counterexample) {
         std::printf("    counterexample input:");
@@ -356,9 +333,9 @@ runLocal(const CliOptions &cli)
     // Stream per-qubit lines as the engine produces them.
     qb::core::ResultObserver observer;
     if (!cli.quiet && !cli.json)
-        observer = [tags = laneTags(options)](
+        observer = [tag = laneTag(options)](
                        const qb::core::QubitResult &r) {
-            printQubitLine(r, tags);
+            printQubitLine(r, tag);
         };
     const auto result =
         qb::core::verifyAll(program, options, observer, cli.clean);
@@ -540,7 +517,7 @@ readLine(int fd, std::string &buffer, std::string &line)
 
 /** Rebuild the local per-qubit text line from a `qubit` response. */
 void
-printQubitJson(const qb::server::JsonValue &q, const std::string &tags)
+printQubitJson(const qb::server::JsonValue &q, char tag)
 {
     using qb::server::JsonValue;
     const JsonValue *name = q.find("name");
@@ -558,7 +535,7 @@ printQubitJson(const qb::server::JsonValue &q, const std::string &tags)
     }
     if (const JsonValue *lane = q.find("lane");
         lane && lane->kind() == JsonValue::Kind::Number)
-        std::printf(" [lane %c]", laneTag(tags, lane->asInt()));
+        std::printf(" [lane %c]", tag);
     std::printf("\n");
     if (const JsonValue *cex = q.find("counterexample");
         cex && cex->kind() == JsonValue::Kind::Array) {
@@ -652,9 +629,6 @@ runClient(const CliOptions &cli)
         qb::warn("--jobs is server-wide; ignored in client mode");
     if (cli.inprocess != 16)
         qb::warn("--inprocess is server-wide; ignored in client mode");
-    if (cli.adaptive)
-        qb::warn("--adaptive-lanes is server-wide; ignored in "
-                 "client mode");
     if (!cli.binaryAnalysis)
         qb::warn("--no-binary-analysis is server-wide; ignored in "
                  "client mode");
@@ -664,13 +638,12 @@ runClient(const CliOptions &cli)
     request += ", \"name\": \"" + qb::jsonEscape(cli.path) + "\"";
     request += ", \"source\": \"" + qb::jsonEscape(source) + "\"";
     request += ", \"options\": {";
-    // Always name the lane set, so the daemon runs what a local run
-    // would and the tags below name what ran.
-    const std::string lane = cli.portfolio ? "portfolio"
-        : cli.lane.empty() ? laneTags(qb::core::EngineOptions{})
-                           : cli.lane;
-    const std::string tags =
-        laneTags(qb::core::EngineOptions::forLane(lane));
+    // Always name the lane, so the daemon runs what a local run would
+    // and the tag below names what ran.
+    const std::string lane = cli.lane.empty()
+        ? std::string(1, laneTag(qb::core::EngineOptions{}))
+        : cli.lane;
+    const char tag = laneTag(qb::core::EngineOptions::forLane(lane));
     request += "\"lane\": \"" + lane + "\"";
     request += qb::format(", \"clean\": %s",
                           cli.clean ? "true" : "false");
@@ -706,7 +679,7 @@ runClient(const CliOptions &cli)
         if (kind == "qubit") {
             if (!cli.quiet && !cli.json)
                 if (const JsonValue *q = doc.find("qubit"))
-                    printQubitJson(*q, tags);
+                    printQubitJson(*q, tag);
             continue;
         }
         if (kind != "result")
@@ -766,10 +739,6 @@ run(int argc, char **argv)
             cli.dump = true;
         } else if (arg == "--no-cex") {
             cli.want_cex = false;
-        } else if (arg == "--portfolio") {
-            cli.portfolio = true;
-        } else if (arg == "--adaptive-lanes") {
-            cli.adaptive = true;
         } else if (arg == "--binary-analysis") {
             cli.binaryAnalysis = true;
         } else if (arg == "--no-binary-analysis") {

@@ -124,7 +124,7 @@ run(int argc, char **argv)
     qb::sat::Solver solver(config);
     solver.addCnf(cnf);
     // One explicit inprocessing pass before search puts the whole
-    // slice-boundary machinery (vivification, backward subsumption,
+    // query-boundary machinery (vivification, backward subsumption,
     // binary-graph passes) on the standalone-CNF path too; solve()
     // entry then re-runs the binary-graph analysis as usual.
     solver.inprocess();
