@@ -15,16 +15,11 @@
  *     qubit, reproducing the seed verifyQubit loop;
  *   - Engine: one VerificationEngine session shared by all dirty
  *     qubits (they are borrowed together, so their lifetimes
- *     coincide), discharging every condition through assumption-based
- *     incremental SAT on one solver (lane B's preprocessing preset
- *     discharges per-condition, see EngineOptions::lane).
+ *     coincide): one arena and one formula build, with every
+ *     condition decided in its own solver as an unordered pool task.
  *
- * Reference numbers (1-core container, n = 100): OneShot A 2.55 s /
- * B 0.95 s; Engine A 3.45 s / B 0.81 s.  Lane B wins this family by
- * 2.7x either way (the paper's lane crossover), and the engine beats
- * one-shot on the winning lane; on lane A the adder's per-qubit
- * conditions share too little structure for clause reuse to offset
- * the larger shared solver.
+ * Lane B's preprocessing preset wins this family (the paper's lane
+ * crossover).
  *
  * Paper reference (MacBook Air M3): CVC5 4/24/71/171/365/751/1069 s,
  * Bitwuzla 3/12/29/98/158/248/313 s for n = 50..200.  Absolute times
@@ -88,10 +83,9 @@ reportCounters(benchmark::State &state,
     state.counters["formula_nodes"] = static_cast<double>(nodes);
     state.counters["conflicts"] = static_cast<double>(conflicts);
     state.counters["dirty_qubits"] = n - 1;
-    // Memory line: process peak RSS plus the learnt-DB footprint of
-    // the engine sessions (zero in the one-shot variants, which build
-    // no persistent lanes) - the numbers the clause-arena GC and the
-    // query-boundary inprocessing are meant to hold down.
+    // Memory line: process peak RSS plus the summed learnt-DB peaks
+    // of the session's solvers - the numbers the clause-arena GC and
+    // the learnt-clause reduction are meant to hold down.
     state.counters["peak_rss_mb"] = peakRssMb();
     state.counters["learnt_db_peak"] = static_cast<double>(
         result.solverTotals.peakLearnts);

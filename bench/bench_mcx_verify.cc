@@ -8,11 +8,10 @@
  * (2m-1)-controlled NOT over its borrow...release lifetime, running
  * the full text -> parse -> elaborate -> verify pipeline.  The OneShot
  * variants reproduce the seed per-qubit sessions; the Engine variants
- * go through a VerificationEngine, which even for a single qubit
- * shares one encoding and one solver between conditions (6.1) and
- * (6.2): at n = 999 the incremental path cuts lane A solve time from
- * ~2.5 ms to ~0.65 ms (total time is dominated by the shared
- * frontend+build phases and is unchanged).
+ * go through a VerificationEngine, which shares one arena and one
+ * formula build between conditions (6.1) and (6.2) and decides each
+ * in its own solver (total time is dominated by the shared
+ * frontend+build phases).
  *
  * Paper reference (MacBook Air M3): CVC5 0/1/4/7/11/17/27 s,
  * Bitwuzla 3/16/35/61/115/163/239 s for n = 499..3499.  Note the
@@ -70,10 +69,9 @@ reportCounters(benchmark::State &state,
     state.counters["formula_nodes"] =
         static_cast<double>(result.qubits[0].formulaNodes);
     state.counters["controls"] = n;
-    // Memory line: process peak RSS plus the learnt-DB footprint of
-    // the engine sessions (zero in the one-shot variants, which build
-    // no persistent lanes) - the numbers the clause-arena GC and the
-    // query-boundary inprocessing are meant to hold down.
+    // Memory line: process peak RSS plus the summed learnt-DB peaks
+    // of the session's solvers - the numbers the clause-arena GC and
+    // the learnt-clause reduction are meant to hold down.
     state.counters["peak_rss_mb"] = peakRssMb();
     state.counters["learnt_db_peak"] = static_cast<double>(
         result.solverTotals.peakLearnts);
@@ -193,35 +191,29 @@ McxVerifyEngineLaneBNoAnalysis(benchmark::State &state)
 void
 McxVerifyEngineLaneANoBinaryAnalysis(benchmark::State &state)
 {
-    // Binary-graph passes off on the persistent lane, whose
-    // inprocessing runs them: the on/off pair bounds what SCC
-    // merging, probing and transitive reduction buy on this family,
-    // and pins the arena_peak_kw comparison (verdicts are identical
-    // by construction).
+    // Binary-graph passes off on lane A's preset: the on/off pair
+    // bounds what SCC merging, probing and transitive reduction buy
+    // on this family, and pins the arena_peak_kw comparison (verdicts
+    // are identical by construction).
     qb::core::EngineOptions options = qb::core::EngineOptions::
         singleLane(qb::core::VerifierOptions::laneA());
     options.binaryAnalysis = false;
-    // An inprocessing pass every query boundary, so the graph passes
-    // (when on) actually run at every engine size in this family's
-    // range - the default interval of 16 fires only on programs with
-    // more queries than mcx's single qubit issues.
-    options.inprocessInterval = 1;
     runMcxVerify(state, options, false);
 }
 
 void
 McxVerifyEngineLaneABinaryAnalysis(benchmark::State &state)
 {
-    // The matching analysis-ON twin of the NoBinaryAnalysis variant
-    // (inprocessInterval = 1 likewise): the pair bounds cost and
-    // arena_peak_kw with the graph passes on vs off.  The plain
+    // The matching analysis-ON twin of the NoBinaryAnalysis variant:
+    // the pair bounds cost and arena_peak_kw with the graph passes on
+    // vs off.  The plain
     // ladder's implication graph is a tree, so the SCC / reduction
     // counters legitimately stay 0 here - the counter smoke test
     // lives on the BinaryHeavy family below.
-    qb::core::EngineOptions options = qb::core::EngineOptions::
-        singleLane(qb::core::VerifierOptions::laneA());
-    options.inprocessInterval = 1;
-    runMcxVerify(state, options, false);
+    runMcxVerify(state,
+                 qb::core::EngineOptions::singleLane(
+                     qb::core::VerifierOptions::laneA()),
+                 false);
 }
 
 void

@@ -11,7 +11,7 @@
  *     pre-PR 6 daemon, minus socket I/O);
  *   - ServeWarmSessions: program cache on, result cache off - repeats
  *     skip the frontend and verify through the entry's warm sessions
- *     (incremental encodings, learnt clauses);
+ *     (arena and built conditions);
  *   - ServeResultHit: both caches on - repeats replay the memoized
  *     verdict and never touch the pool.
  *
@@ -38,10 +38,9 @@ runServe(benchmark::State &state, std::size_t program_capacity,
     const auto n = static_cast<std::uint32_t>(state.range(0));
     const std::uint32_t m = (n + 1) / 2;
     const std::string source = qb::circuits::mcxQbrSource(m);
-    // Lane A, the persistent lane (and the faster one on mcx): warm
-    // sessions keep its incremental encoding and learnt clauses.
-    qb::core::EngineOptions options = qb::core::EngineOptions::
-        singleLane(qb::core::VerifierOptions::laneA());
+    // The default lane: warm sessions keep the arena and the built
+    // conditions.
+    qb::core::EngineOptions options;
     options.lane.wantCounterexample = false;
     const std::string key =
         qb::serving::ServingTier::optionsFingerprint(options, false);

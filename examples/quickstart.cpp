@@ -44,7 +44,7 @@ main()
 
     // Verify every dirty qubit (Theorem 6.4: two UNSAT checks each)
     // through an engine session: qubits sharing a lifetime share one
-    // formula arena and one incremental solver per lane, and the
+    // formula arena, each condition gets its own solver, and the
     // observer sees each result the moment it is decided.
     const qb::core::ProgramResult result = qb::core::verifyAll(
         program, qb::core::EngineOptions{},

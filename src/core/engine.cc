@@ -20,23 +20,11 @@ EngineOptions::singleLane(const VerifierOptions &options)
     return o;
 }
 
-EngineOptions
-EngineOptions::forLane(const std::string &lane)
-{
-    if (lane.empty())
-        return EngineOptions{};
-    if (lane == "A")
-        return singleLane(VerifierOptions::laneA());
-    if (lane == "B")
-        return singleLane(VerifierOptions::laneB());
-    fatal("unknown lane '" + lane + "' (expected \"A\" or \"B\")");
-}
-
 namespace {
 
 /** @p options with the engine-level binary-analysis switch and the
  *  per-call conflict budget folded into its solver configuration,
- *  which every solver of the lane is built from. */
+ *  which every solver of the session is built from. */
 VerifierOptions
 laneOptions(VerifierOptions options, bool binary_analysis)
 {
@@ -44,21 +32,6 @@ laneOptions(VerifierOptions options, bool binary_analysis)
         options.solver.binaryAnalysis && binary_analysis;
     options.solver.conflictBudget = options.conflictBudget;
     return options;
-}
-
-/**
- * Solver configuration for a long-lived lane.  Bounded variable
- * elimination is a whole-database transformation that is unsound once
- * selector-guarded conditions and learnt clauses accumulate, so it is
- * disabled regardless of the lane preset; the presets keep their
- * branching/restart/phase identities.
- */
-sat::SolverConfig
-incrementalConfig(const VerifierOptions &options)
-{
-    sat::SolverConfig cfg = options.solver;
-    cfg.preprocess = false;
-    return cfg;
 }
 
 /** Satisfying input assignment (by qubit id) from a solver model. */
@@ -102,39 +75,6 @@ CancelSource::detach(VerificationEngine *engine)
     std::erase(engines, engine);
 }
 
-/** The session's lane: its preset plus, for a persistent lane, the
- *  long-lived solver and its incremental encoder. */
-struct VerificationEngine::Lane
-{
-    VerifierOptions options;
-    sat::Solver solver;
-    sat::IncrementalTseitin encoder;
-    /** Preprocessing lanes discharge per-condition in fresh solvers. */
-    bool scratch;
-    /** Serial task queue keeping a persistent lane's condition stream
-     *  ordered (scratch work is unordered). */
-    std::shared_ptr<Scheduler::SerialQueue> queue;
-    /** Queries since the last inprocessing pass (owned by the lane's
-     *  serial task chain; see EngineOptions::inprocessInterval). */
-    unsigned queriesSinceInprocess = 0;
-
-    Lane(const VerifierOptions &opts, const bexp::Arena &arena,
-         Scheduler &sched, unsigned band, bool binary_analysis)
-        : options(laneOptions(opts, binary_analysis)),
-          solver(incrementalConfig(options)),
-          encoder(arena, solver, options.encoding, options.xorChunk),
-          scratch(options.solver.preprocess)
-    {
-        if (!scratch)
-            queue = sched.makeQueue(band);
-        // The arena holds exactly the circuit's qubit formulas at lane
-        // construction time: that region sits in every condition's
-        // cone, so its definitions stay unguarded and the conflict
-        // clauses learnt over it transfer between queries.
-        encoder.markSessionShared();
-    }
-};
-
 /** Cached per-qubit verification conditions (6.1) and (6.2). */
 struct VerificationEngine::Conditions
 {
@@ -150,7 +90,7 @@ struct VerificationEngine::Conditions
     /** @} */
 };
 
-/** Result of deciding one condition in the lane (or structurally). */
+/** Result of deciding one condition in a solver (or structurally). */
 struct VerificationEngine::Outcome
 {
     sat::SolveResult result = sat::SolveResult::Unknown;
@@ -163,7 +103,7 @@ struct VerificationEngine::Outcome
 };
 
 /**
- * One condition submitted to the lane: the (qubit, condition) work
+ * One condition submitted for solving: the (qubit, condition) work
  * item of the scheduler.  The worker fills outcome; the producing
  * thread blocks in collectQuery() only when it actually needs the
  * verdict.
@@ -188,7 +128,7 @@ VerificationEngine::Pending::operator=(Pending &&) noexcept = default;
 VerificationEngine::Pending::~Pending()
 {
     // An unredeemed handle cancels its queries; the engine's
-    // destruction fence keeps the lane alive until the cancelled
+    // destruction fence keeps the session alive until the cancelled
     // tasks drain.
     VerificationEngine::abandon(zero);
     VerificationEngine::abandon(plus);
@@ -199,7 +139,8 @@ VerificationEngine::VerificationEngine(
     std::shared_ptr<Scheduler> scheduler,
     std::shared_ptr<CancelSource> cancel)
     : options_(std::move(options)), circuit_(circuit),
-      scheduler_(std::move(scheduler)), cancel_(std::move(cancel))
+      scheduler_(std::move(scheduler)), cancel_(std::move(cancel)),
+      lane_(laneOptions(options_.lane, options_.binaryAnalysis))
 {
     if (!scheduler_) {
         // Auto-sizing (jobs == 0) caps the private pool at what this
@@ -212,10 +153,8 @@ VerificationEngine::VerificationEngine(
             jobs = std::thread::hardware_concurrency();
             if (jobs == 0)
                 jobs = 1;
-            // A persistent lane is one serial queue; a scratch lane
-            // solves a qubit's two conditions side by side.
-            jobs = std::min(jobs, options_.lane.solver.preprocess ? 2u
-                                                                  : 1u);
+            // A qubit's two conditions are solved side by side.
+            jobs = std::min(jobs, 2u);
         }
         scheduler_ = std::make_shared<Scheduler>(jobs);
     }
@@ -232,9 +171,6 @@ VerificationEngine::VerificationEngine(
             finals.push_back(builder.formula(q));
         engineStats.formulaBuildSeconds = build_timer.seconds();
     }
-    lane_ = std::make_unique<Lane>(options_.lane, arena, *scheduler_,
-                                   options_.fairnessBand,
-                                   options_.binaryAnalysis);
     if (cancel_) {
         cancel_->attach(this);
         // The source may have fired before this session existed:
@@ -300,21 +236,8 @@ sat::SolverStats
 VerificationEngine::aggregateSolverStats()
 {
     waitIdle();
-    sat::SolverStats total = lane_->solver.stats();
-    {
-        const std::lock_guard<std::mutex> guard(scratchStatsMutex);
-        total.accumulate(scratchTotals_);
-    }
-    return total;
-}
-
-void
-VerificationEngine::harvestScratchStats(const sat::Solver *solver)
-{
-    if (!solver)
-        return;
-    const std::lock_guard<std::mutex> guard(scratchStatsMutex);
-    scratchTotals_.accumulate(solver->stats());
+    const std::lock_guard<std::mutex> guard(solverStatsMutex);
+    return solverTotals_;
 }
 
 /** Static-discharge counters of @p stats as report-ready totals. */
@@ -473,8 +396,7 @@ VerificationEngine::submitQuery(bexp::NodeRef condition)
         ++tasksInFlight;
     }
     auto task = [this, query] {
-        Outcome outcome =
-            lane_->scratch ? runScratch(*query) : runPersistent(*query);
+        Outcome outcome = decide(*query);
         {
             const std::lock_guard<std::mutex> guard(query->mutex);
             query->outcome = std::move(outcome);
@@ -489,84 +411,27 @@ VerificationEngine::submitQuery(bexp::NodeRef condition)
         --tasksInFlight;
         fenceIdle.notify_all();
     };
-    if (lane_->scratch)
-        scheduler_->submit(options_.fairnessBand, std::move(task));
-    else
-        scheduler_->submit(lane_->queue, std::move(task));
+    scheduler_->submit(options_.fairnessBand, std::move(task));
     return query;
 }
 
 VerificationEngine::Outcome
-VerificationEngine::runPersistent(Query &query)
+VerificationEngine::decide(Query &query)
 {
-    Lane &lane = *lane_;
+    // Every condition is decided in a dedicated solver: the presets'
+    // whole-database preprocessing (bounded variable elimination)
+    // applies, and independent conditions run on any free worker.
     Outcome out;
     if (query.stop.load(std::memory_order_acquire))
         return out; // abandoned before it ran: encode nothing
     Timer encode_timer;
-    const std::size_t vars_before = lane.encoder.varsCreated();
-    const std::size_t clauses_before = lane.encoder.clausesEmitted();
-    const sat::IncrementalTseitin::Selector sel =
-        lane.encoder.assertCondition(query.condition);
-    out.encodeSeconds = encode_timer.seconds();
-    out.vars = lane.encoder.varsCreated() - vars_before;
-    out.clauses = lane.encoder.clausesEmitted() - clauses_before;
-    // Constant conditions resolve at prepare time, upstream.
-    qbAssert(!sel.rootIsConst, "constant conditions decide upstream");
-    // Epoch-style retention BETWEEN queries: carry over only the
-    // high-value (low-LBD) conflict clauses.  They are what makes
-    // repeated or structurally-related queries cheap, while the bulk
-    // of the learnt database would tax every propagation.
-    lane.solver.shrinkLearnts(3);
-    // Query-boundary inprocessing: every inprocessInterval-th query,
-    // vivify and subsume what the shrink kept, then let the arena GC
-    // compact.  Serialized with all other solver access by the lane's
-    // serial queue.
-    if (options_.inprocessInterval != 0 &&
-        ++lane.queriesSinceInprocess >= options_.inprocessInterval) {
-        lane.queriesSinceInprocess = 0;
-        lane.solver.inprocess();
-    }
-    if (query.stop.load(std::memory_order_acquire))
-        return out;
-    lane.solver.setStopFlag(&query.stop);
-    const std::int64_t conflicts_before = lane.solver.stats().conflicts;
-    Timer solve_timer;
-    out.result = lane.solver.solve({sel.lit});
-    out.solveSeconds = solve_timer.seconds();
-    out.conflicts = lane.solver.stats().conflicts - conflicts_before;
-    lane.solver.setStopFlag(nullptr);
-#ifdef QB_DEBUG_CHECKS
-    // Query boundary: the solver is quiesced between solve() calls -
-    // the exact point where watcher, reason and arena-waste
-    // invariants must all hold, whatever the decision level.
-    lane.solver.checkInvariants();
-#endif
-    return out;
-}
-
-VerificationEngine::Outcome
-VerificationEngine::runScratch(Query &query)
-{
-    // Lanes whose preset asks for preprocessing discharge each
-    // condition in a dedicated solver: bounded variable elimination
-    // is a whole-database transformation that is unsound once
-    // selector-guarded conditions and learnt clauses accumulate, and
-    // for these lanes it is worth far more than clause reuse (the
-    // paper's "formula simplification algorithms" trade-off).
-    const Lane &lane = *lane_;
-    Outcome out;
-    if (query.stop.load(std::memory_order_acquire))
-        return out;
-    Timer encode_timer;
     sat::TseitinResult enc = sat::encodeAssertTrue(
-        arena, query.condition, lane.options.encoding,
-        lane.options.xorChunk);
+        arena, query.condition, lane_.encoding, lane_.xorChunk);
     out.encodeSeconds = encode_timer.seconds();
     qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
     out.vars = static_cast<std::size_t>(enc.cnf.numVars());
     out.clauses = enc.cnf.numClauses();
-    sat::Solver solver(lane.options.solver);
+    sat::Solver solver(lane_.solver);
     solver.addCnf(enc.cnf);
     solver.setStopFlag(&query.stop);
     const std::int64_t conflicts_before = solver.stats().conflicts;
@@ -577,7 +442,8 @@ VerificationEngine::runScratch(Query &query)
 #ifdef QB_DEBUG_CHECKS
     solver.checkInvariants();
 #endif
-    harvestScratchStats(&solver);
+    const std::lock_guard<std::mutex> guard(solverStatsMutex);
+    solverTotals_.accumulate(solver.stats());
     return out;
 }
 
@@ -601,7 +467,7 @@ VerificationEngine::collectQuery(Query &query, QubitResult &out)
     Outcome result;
     result.result = o.result;
     if (result.result == sat::SolveResult::Sat &&
-        lane_->options.wantCounterexample)
+        lane_.wantCounterexample)
         result.model = deterministicModel(query.condition);
     return result;
 }
@@ -617,7 +483,7 @@ VerificationEngine::structuralOutcome(bexp::NodeRef condition)
         ? sat::SolveResult::Sat
         : sat::SolveResult::Unsat;
     if (outcome.result == sat::SolveResult::Sat &&
-        lane_->options.wantCounterexample)
+        lane_.wantCounterexample)
         outcome.model =
             std::vector<bool>(circuit_.numQubits(), false);
     return outcome;
@@ -628,17 +494,16 @@ VerificationEngine::deterministicModel(bexp::NodeRef condition)
 {
     // Replay the satisfiable condition in a fresh lane-configured
     // solver with no stop flag: the resulting model depends only on
-    // the condition, never on a persistent solver's learnt clauses or
-    // on the scheduler's timing, so counterexamples are identical
-    // between --jobs 1 and --jobs N runs.  The replay honors the
-    // lane's per-call conflict budget (it is one more SAT call); if
-    // the budget is too tight to re-find a model, the Unsafe verdict
-    // stands and the counterexample is simply omitted.
-    const VerifierOptions &opts = lane_->options;
+    // the condition, never on the stop flag or on the scheduler's
+    // timing, so counterexamples are identical between --jobs 1 and
+    // --jobs N runs.  The replay honors the lane's per-call conflict
+    // budget (it is one more SAT call); if the budget is too tight to
+    // re-find a model, the Unsafe verdict stands and the
+    // counterexample is simply omitted.
     sat::TseitinResult enc = sat::encodeAssertTrue(
-        arena, condition, opts.encoding, opts.xorChunk);
+        arena, condition, lane_.encoding, lane_.xorChunk);
     qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
-    sat::SolverConfig config = opts.solver;
+    sat::SolverConfig config = lane_.solver;
     // The binary-graph passes steer the search, and with it the model
     // found: the replay runs without them whatever the engine switch
     // says, so counterexamples do not depend on --binary-analysis.
@@ -922,12 +787,11 @@ verifyAll(const lang::ElaboratedProgram &program,
 
     // One session per distinct borrow...release lifetime: qubits whose
     // scopes coincide (e.g. adder.qbr's a[1..n-1], all borrowed and
-    // released together) share one arena and one lane.
+    // released together) share one arena and one formula scan.
     // Sessions already in @p sessions are WARM - built by an earlier
     // run of the same program with the same options (the serving
     // tier's warm cache) - and only need re-arming onto this run's
-    // CancelSource; their arenas, incremental encodings and learnt
-    // clauses carry over.
+    // CancelSource; their arenas and built conditions carry over.
     std::set<std::pair<std::size_t, std::size_t>> rearmed;
     const auto sessionFor =
         [&](const lang::QubitInfo &info) -> VerificationEngine & {

@@ -1,29 +1,25 @@
 /**
  * @file
- * Session-based, incremental verification engine.
+ * Session-based verification engine.
  *
- * The one-shot entry points of verifier.h rebuild everything per qubit:
- * a fresh arena, a fresh Tseitin encoding and a fresh CDCL solver for
- * every formula of every qubit, even though all qubits of a circuit
- * share the same gate DAG and most of the same CNF.  A
- * VerificationEngine is the session object that hoists the shared work:
+ * Verifying one qubit at a time would rebuild the circuit's formulas
+ * per qubit, even though all qubits of a circuit share the same gate
+ * DAG.  A VerificationEngine is the session object that hoists the
+ * shared work:
  *
  *   - ONE bexp::Arena and ONE FormulaBuilder pass over the circuit,
  *     shared by all per-qubit conditions (6.1), (6.2) and the
  *     clean-ancilla criterion;
- *   - ONE lane deciding every condition: either a long-lived solver
- *     queried through assumption-based incremental SAT
- *     (sat::IncrementalTseitin emits each condition behind a selector
- *     literal), so conflict clauses learnt while verifying one qubit
- *     speed up the next, or - for a preprocessing lane - a fresh
- *     solver per condition.
+ *   - ONE lane preset deciding every condition: each condition is
+ *     Tseitin-encoded into its own fresh solver, so the solver's
+ *     whole-database preprocessing (bounded variable elimination)
+ *     applies and independent conditions never wait on each other.
  *
  * All SAT work runs on a persistent core::Scheduler worker pool sized
- * to the hardware (or EngineOptions::jobs): a persistent lane is a
- * serial queue on the pool, conditions are (qubit, condition) work
- * items, and batch verification pipelines whole circuits through the
- * pool instead of spawning threads per condition and barriering per
- * qubit.
+ * to the hardware (or EngineOptions::jobs): conditions are unordered
+ * (qubit, condition) pool tasks, and batch verification pipelines
+ * whole circuits through the pool instead of spawning threads per
+ * condition and barriering per qubit.
  *
  * The free functions of verifier.h remain as thin compatibility
  * wrappers over this class.
@@ -39,7 +35,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,22 +49,15 @@ namespace qb::core {
 struct EngineOptions
 {
     /**
-     * The lane deciding every SAT query of the session.  A lane
-     * without preprocessing keeps one incremental solver for the
-     * session's whole lifetime.  A lane whose preset enables
-     * preprocessing discharges each condition in a dedicated solver
-     * instead - bounded variable elimination is a whole-database
-     * transformation that cannot survive incremental clause addition,
-     * and for such lanes it outweighs clause reuse.
+     * The lane preset deciding every SAT query of the session: each
+     * condition is encoded into a fresh solver built from
+     * lane.solver and runs as an unordered pool task, so a program's
+     * independent conditions fill every worker.
      *
-     * The default is lane B, such a "scratch" lane: each condition
-     * gets its own preprocessed solver and runs as an unordered pool
-     * task, so a program's independent conditions fill every worker.
-     * A persistent lane answers them one after the other on a serial
-     * queue, over a clause database that keeps the selector-guarded
-     * clauses of every condition already decided.  This is the one
-     * place the default lane is declared: the qborrow CLI without
-     * --lane and the daemon take it from here.
+     * The default is lane B, whose preset preprocesses (bounded
+     * variable elimination) at solve entry.  This is the one place
+     * the default lane is declared: the qborrow CLI and the daemon
+     * take it from here.
      */
     VerifierOptions lane = VerifierOptions::laneB();
 
@@ -82,19 +70,8 @@ struct EngineOptions
     unsigned jobs = 0;
 
     /**
-     * Query-boundary inprocessing policy: a persistent lane runs
-     * Solver::inprocess() (clause vivification, backward subsumption,
-     * then an arena GC if warranted) after every this-many queries,
-     * at the query boundary where the epoch shrink already happens.
-     * 0 disables.  The per-pass effort bounds live in
-     * sat::SolverConfig (vivifyPropBudget, subsumeMaxSize,
-     * subsumeOccLimit).
-     */
-    unsigned inprocessInterval = 16;
-
-    /**
-     * Binary implication graph analysis inside each inprocessing
-     * pass (sat::SolverConfig::binaryAnalysis): SCC equivalence
+     * Binary implication graph analysis at each solver's solve entry
+     * (sat::SolverConfig::binaryAnalysis): SCC equivalence
      * reduction, failed-literal probing with hyper-binary resolution,
      * and transitive reduction over the binary clauses.  Every pass
      * preserves the model set over the original variables, so
@@ -106,12 +83,12 @@ struct EngineOptions
     bool binaryAnalysis = true;
 
     /**
-     * Scheduler fairness band of this session's work (the lane queue
-     * or the scratch tasks).  Sessions sharing one pool but belonging
-     * to different request streams - distinct programs in qborrow
-     * server mode - should use distinct bands: the pool drains bands
-     * round-robin, so a program with a deep backlog of queries cannot
-     * starve a newly-admitted program.  0 (the default) is the shared
+     * Scheduler fairness band of this session's condition tasks.
+     * Sessions sharing one pool but belonging to different request
+     * streams - distinct programs in qborrow server mode - should use
+     * distinct bands: the pool drains bands round-robin, so a
+     * program with a deep backlog of queries cannot starve a
+     * newly-admitted program.  0 (the default) is the shared
      * band of standalone runs.
      */
     unsigned fairnessBand = 0;
@@ -131,13 +108,6 @@ struct EngineOptions
 
     /** Session deciding every query with @p options. */
     static EngineOptions singleLane(const VerifierOptions &options);
-    /**
-     * The session a lane selector names - the vocabulary shared by
-     * qborrow's --lane flag and the server protocol's "lane" option:
-     * "A" or "B" is that preset, and "" is the default
-     * EngineOptions{}.  Throws FatalError on any other name.
-     */
-    static EngineOptions forLane(const std::string &lane);
 };
 
 /** Streaming consumer of per-qubit results (batch verification). */
@@ -194,12 +164,9 @@ class CancelSource
  * all prepare/finish/verify calls must come from one thread.
  *
  * Counterexamples are extracted by a deterministic replay solve of the
- * satisfiable condition rather than from the lane's own (possibly
- * long-lived, learnt-clause-laden) solver, so with the default
- * unlimited conflict budget, verdicts AND counterexamples are
- * identical across jobs counts and schedules.  (With a finite budget,
- * whether a persistent lane decides a condition also depends on the
- * learnt clauses its earlier queries left behind.)
+ * satisfiable condition in a fresh solver with the binary-graph passes
+ * off, so verdicts AND counterexamples are identical across jobs
+ * counts, schedules and binary-analysis settings.
  */
 class VerificationEngine
 {
@@ -292,11 +259,10 @@ class VerificationEngine
     }
 
     /**
-     * The persistent solver's counters plus the harvested totals of
-     * every retired scratch solver (peak fields sum per-solver peaks)
-     * - a preprocessing lane discharges each condition in a throwaway
-     * solver, and without the harvest its preprocessing and
-     * binary-graph work would vanish with it.  Quiesces this
+     * The summed counters of every solver this session has retired
+     * (peak fields sum per-solver peaks): each condition is decided in
+     * a throwaway solver, and without the harvest its preprocessing
+     * and binary-graph work would vanish with it.  Quiesces this
      * session's scheduler work first, so it is safe - but blocking -
      * mid-batch.  The batch drivers copy this into
      * ProgramResult::solverTotals so reports and benchmarks can show
@@ -309,8 +275,7 @@ class VerificationEngine
      * for any straggler scheduler tasks, detach from the previous
      * request's CancelSource, attach to @p cancel and reset the
      * cancelled latch accordingly.  All session state that makes
-     * reuse profitable - the arena, the persistent lane's
-     * incremental encoding and learnt clauses, the condition cache -
+     * reuse profitable - the arena and the condition cache -
      * survives.  Must be called between verifications, never while a
      * prepare()/finish() is outstanding.
      */
@@ -319,7 +284,6 @@ class VerificationEngine
   private:
     friend class CancelSource;
 
-    struct Lane;
     struct Conditions;
     struct Outcome;
     struct Query;
@@ -333,8 +297,7 @@ class VerificationEngine
     std::shared_ptr<Query> submitQuery(bexp::NodeRef condition);
     Outcome collectQuery(Query &query, QubitResult &out);
     Outcome structuralOutcome(bexp::NodeRef condition);
-    Outcome runPersistent(Query &query);
-    Outcome runScratch(Query &query);
+    Outcome decide(Query &query);
     std::optional<std::vector<bool>>
     deterministicModel(bexp::NodeRef condition);
     void finishUnsafe(QubitResult &out, const Outcome &outcome,
@@ -351,20 +314,19 @@ class VerificationEngine
     std::shared_ptr<Scheduler> scheduler_;
     std::shared_ptr<CancelSource> cancel_;
     std::atomic<bool> cancelled_{false};
-    std::unique_ptr<Lane> lane_;
+    /** options_.lane with the engine-level binary-analysis switch and
+     *  the conflict budget folded into its solver configuration. */
+    VerifierOptions lane_;
     /** Static dischargers over circuit_; created on first use. */
     std::unique_ptr<analysis::Analyzer> analyzer_;
     std::vector<std::unique_ptr<Conditions>> conditionCache;
     std::vector<std::optional<bexp::NodeRef>> cleanCache;
     Stats engineStats;
 
-    /** Fold a retiring scratch solver's counters into
-     *  scratchTotals_ (no-op on nullptr). */
-    void harvestScratchStats(const sat::Solver *solver);
-    /** Solver counters of every scratch solver retired so far;
-     *  guarded by scratchStatsMutex (harvests run on pool workers). */
-    sat::SolverStats scratchTotals_;
-    std::mutex scratchStatsMutex;
+    /** Solver counters of every solver retired so far; guarded by
+     *  solverStatsMutex (harvests run on pool workers). */
+    sat::SolverStats solverTotals_;
+    std::mutex solverStatsMutex;
 
     /** @name Destruction fence over in-flight scheduler tasks. @{ */
     std::mutex fenceMutex;
@@ -401,12 +363,11 @@ class VerificationEngine::Pending
  * verifyProgram() but through engine sessions.
  *
  * Qubits whose lifetimes span the same gate range share one session -
- * one arena and one lane - which is where the incremental speedup of a
- * persistent lane comes from on programs like adder.qbr whose dirty
- * qubits are borrowed together.  All sessions share ONE scheduler pool
- * sized by @p options.jobs, and the whole program is pipelined through
- * it: every qubit's queries are queued before the first result is
- * awaited.
+ * one arena and one formula-building scan - as on programs like
+ * adder.qbr whose dirty qubits are borrowed together.  All sessions
+ * share ONE scheduler pool sized by @p options.jobs, and the whole
+ * program is pipelined through it: every qubit's queries are queued
+ * before the first result is awaited.
  * Results stream through @p observer (when set) in qubit order as they
  * are produced.
  */
@@ -437,7 +398,7 @@ ProgramResult verifyAll(const lang::ElaboratedProgram &program,
  * The warm sessions of one (program, engine options) pair, keyed by
  * circuit slice (scopeBegin, scopeEnd): what a verifyAll() run builds
  * and what a later run of the SAME program with the SAME options can
- * reuse instead of rebuilding arenas, encodings and solvers (the
+ * reuse instead of rebuilding arenas and conditions (the
  * serving tier's warm cache stores one SessionSet per cached program
  * per options key).  Sessions are stateful single-threaded objects:
  * a SessionSet must never be fed to two concurrent verifyAll() calls.

@@ -58,9 +58,8 @@ emitProgram(const ProgramResult &result,
                   "\"undecided\": %zu},",
                   safe, unsafe, other);
     out += nl;
-    // Aggregated solver counters - persistent solvers plus retired
-    // scratch solvers: clause-DB health and the inprocessing/GC
-    // activity of this run's sessions.
+    // Aggregated counters of every per-condition solver: clause-DB
+    // health and the inprocessing/GC activity of this run's sessions.
     const sat::SolverStats &s = result.solverTotals;
     const auto count = [](std::int64_t v) {
         return format("%lld", static_cast<long long>(v));

@@ -1,6 +1,7 @@
 #include "core/scheduler.h"
 
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -13,10 +14,9 @@ struct Scheduler::Impl
     std::mutex mutex;
     std::condition_variable workAvailable;
     /**
-     * Runnable units - plain tasks or queue-drain thunks - keyed by
-     * fairness band.  Bands are erased when drained, so iteration cost
-     * tracks the number of ACTIVE request streams, not of all streams
-     * ever seen.
+     * Runnable tasks keyed by fairness band.  Bands are erased when
+     * drained, so iteration cost tracks the number of ACTIVE request
+     * streams, not of all streams ever seen.
      */
     std::map<unsigned, std::deque<Task>> bands;
     std::size_t runnableCount = 0;
@@ -33,7 +33,7 @@ struct Scheduler::Impl
         ++runnableCount;
     }
 
-    /** Pop the next runnable unit, round-robin across bands, FIFO
+    /** Pop the next runnable task, round-robin across bands, FIFO
      *  within a band.  Caller holds the mutex; runnableCount > 0. */
     Task
     popNext()
@@ -122,67 +122,6 @@ Scheduler::bandBacklog() const
     for (const auto &[band, tasks] : impl->bands)
         out.emplace_back(band, tasks.size());
     return out;
-}
-
-std::shared_ptr<Scheduler::SerialQueue>
-Scheduler::makeQueue(unsigned band)
-{
-    auto queue = std::make_shared<SerialQueue>();
-    queue->band = band;
-    return queue;
-}
-
-void
-Scheduler::submit(const std::shared_ptr<SerialQueue> &queue, Task task)
-{
-    bool activate = false;
-    {
-        const std::lock_guard<std::mutex> guard(impl->mutex);
-        queue->tasks.push_back(std::move(task));
-        if (!queue->active) {
-            queue->active = true;
-            activate = true;
-            impl->push(queue->band, drainThunk(queue));
-        }
-    }
-    if (activate)
-        impl->workAvailable.notify_one();
-}
-
-Scheduler::Task
-Scheduler::drainThunk(std::shared_ptr<SerialQueue> queue)
-{
-    // One queue task per activation, then the queue goes to the BACK
-    // of its band's runnable list: with many sessions sharing the pool
-    // (server mode) the rotation keeps every session's lane advancing
-    // instead of letting one long condition stream hold a worker.
-    // FIFO order and mutual exclusion per queue still hold - only this
-    // thunk pops the queue while active is set.
-    return [this, queue = std::move(queue)] {
-        Task next;
-        {
-            const std::lock_guard<std::mutex> guard(impl->mutex);
-            if (queue->tasks.empty()) {
-                queue->active = false;
-                return;
-            }
-            next = std::move(queue->tasks.front());
-            queue->tasks.pop_front();
-        }
-        next();
-        bool more = false;
-        {
-            const std::lock_guard<std::mutex> guard(impl->mutex);
-            if (queue->tasks.empty())
-                queue->active = false;
-            else {
-                impl->push(queue->band, drainThunk(queue));
-                more = true;
-            }
-        }
-        if (more)
-            impl->workAvailable.notify_one();
-    };
 }
 
 } // namespace qb::core

@@ -3,24 +3,14 @@
  * Persistent worker pool for batch verification.
  *
  * A fixed pool of workers, created once and sized to the machine (or
- * to EngineOptions::jobs), that pulls (qubit, condition) work items
- * from queues.  Engines submit every SAT task here - batch pipelines
- * and single queries alike - so the process-wide thread count is the
- * pool size, full stop.
+ * to EngineOptions::jobs), that runs (qubit, condition) work items.
+ * Engines submit every SAT task here - batch pipelines and single
+ * queries alike - so the process-wide thread count is the pool size,
+ * full stop.  Tasks are independent: each condition is decided in its
+ * own solver and shares no state with any other task.
  *
- * Two submission flavors cover the engine's needs:
- *
- *   - submit(task): independent work, runs on any free worker (a
- *     scratch-solver lane, whose per-condition solves share no state);
- *   - submit(queue, task): ordered work.  Tasks on one SerialQueue run
- *     strictly one-at-a-time in FIFO order (actor semantics), which is
- *     how a persistent incremental solver lane - single-threaded by
- *     nature - processes its condition stream without locks and in a
- *     deterministic order, while distinct sessions' lanes still run in
- *     parallel.
- *
- * Every submission additionally belongs to a fairness BAND.  Runnable
- * units are drained round-robin across non-empty bands and FIFO within
+ * Every submission additionally belongs to a fairness BAND.  Tasks
+ * are drained round-robin across non-empty bands and FIFO within
  * each band, so when independent request streams share one pool (the
  * qborrow server feeding many programs through one process-wide
  * scheduler), a program that queued a hundred queries cannot starve a
@@ -38,7 +28,6 @@
 #define QB_CORE_SCHEDULER_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -50,17 +39,6 @@ class Scheduler
 {
   public:
     using Task = std::function<void()>;
-
-    /** Ordered task stream; create via makeQueue().  Tasks submitted
-     *  to one queue never run concurrently with each other and run in
-     *  submission order. */
-    class SerialQueue
-    {
-        friend class Scheduler;
-        std::deque<Task> tasks; ///< guarded by the scheduler mutex
-        bool active = false;    ///< a worker is draining this queue
-        unsigned band = 0;      ///< fairness band of the drain thunks
-    };
 
     /**
      * Start the pool.  @p jobs = 0 sizes it to
@@ -84,16 +62,8 @@ class Scheduler
      *  @p band. */
     void submit(unsigned band, Task task);
 
-    /** Run @p task after every earlier task of @p queue,
-     *  exclusively. */
-    void submit(const std::shared_ptr<SerialQueue> &queue, Task task);
-
-    /** New serial queue whose drain turns run in fairness band
-     *  @p band. */
-    std::shared_ptr<SerialQueue> makeQueue(unsigned band = 0);
-
     /**
-     * Snapshot of the queued (runnable, not yet running) units per
+     * Snapshot of the queued (runnable, not yet running) tasks per
      * fairness band, as (band, backlog) pairs in band order.  Empty
      * bands are absent.  This is the pool-side half of the server's
      * `stats` protocol op: with one band per request stream, the
@@ -103,7 +73,6 @@ class Scheduler
 
   private:
     struct Impl;
-    Task drainThunk(std::shared_ptr<SerialQueue> queue);
     std::unique_ptr<Impl> impl;
 };
 

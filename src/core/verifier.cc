@@ -39,10 +39,11 @@ VerifierOptions::laneB()
 
 // The free functions below are the original one-shot API, kept as the
 // compatibility surface.  Each one is a thin wrapper that spins up a
-// single-lane VerificationEngine session for exactly one query; code
-// with more than one condition to discharge should hold on to an
-// engine instead and let it reuse the arena, encoding and learnt
-// clauses across queries (see core/engine.h).
+// single-lane VerificationEngine session for exactly one qubit; code
+// with more than one qubit to verify should hold on to an engine
+// instead and let it reuse the arena and the circuit's formulas
+// across qubits (see core/engine.h).  Every condition is decided in
+// its own solver either way.
 
 QubitResult
 verifyQubit(const ir::Circuit &circuit, ir::QubitId q,

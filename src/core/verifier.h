@@ -147,9 +147,9 @@ struct ProgramResult
     double totalSeconds = 0.0;
 
     /**
-     * Aggregated solver counters, summed over sessions: each
-     * session's persistent solver plus every per-condition scratch
-     * solver it retired (the peak fields sum per-solver peaks).
+     * Aggregated solver counters, summed over sessions: every
+     * per-condition solver each session retired (the peak fields sum
+     * per-solver peaks).
      * Filled by every batch path - VerificationEngine::
      * verifyAllQubits(), core::verifyAll() and the verifyProgram()/
      * verifySource() wrappers over it.

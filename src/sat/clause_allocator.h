@@ -23,7 +23,7 @@
  * Compared with one heap allocation (plus a std::vector of literals)
  * per clause, the arena halves the pointer width in every watcher and
  * reason slot, removes a level of indirection from the propagation
- * loop, and - decisively for long incremental sessions - makes the
+ * loop, and - decisively for long searches - makes the
  * learnt database CONTIGUOUS, so the watcher loop walks cache lines
  * instead of chasing malloc placements.
  *

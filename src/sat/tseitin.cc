@@ -1,9 +1,7 @@
 #include "sat/tseitin.h"
 
-#include <unordered_set>
 #include <vector>
 
-#include "sat/solver.h"
 #include "support/logging.h"
 
 namespace qb::sat {
@@ -13,36 +11,6 @@ namespace {
 using bexp::Arena;
 using bexp::NodeKind;
 using bexp::NodeRef;
-
-/**
- * Direct clausal expansion of out = xor(inputs): forbid every
- * odd-parity assignment of (out, inputs).  @p emit receives each
- * clause; shared by the one-shot and incremental encoders.
- */
-template <typename Emit>
-void
-expandXorDefinition(Lit out, const std::vector<Lit> &inputs,
-                    Emit &&emit)
-{
-    const std::size_t k = inputs.size();
-    qbAssert(k >= 1 && k <= 30, "XOR definition arity out of range");
-    std::vector<Lit> all;
-    all.push_back(out);
-    all.insert(all.end(), inputs.begin(), inputs.end());
-    const std::size_t n = all.size();
-    for (std::uint32_t a = 0; a < (1u << n); ++a) {
-        if (__builtin_popcount(a) % 2 == 0)
-            continue; // even parity satisfies out ^ xor(inputs) = 0
-        LitVec clause;
-        clause.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const bool bit = (a >> i) & 1u;
-            // Literal false under the forbidden assignment.
-            clause.push_back(bit ? ~all[i] : all[i]);
-        }
-        emit(std::move(clause));
-    }
-}
 
 /** Working state for one encoding run. */
 struct Encoder
@@ -97,12 +65,31 @@ Encoder::computePolarities(NodeRef root)
     }
 }
 
+/**
+ * Direct clausal expansion of out = xor(inputs): forbid every
+ * odd-parity assignment of (out, inputs).
+ */
 void
 Encoder::emitXorDefinition(Lit out, const std::vector<Lit> &inputs)
 {
-    expandXorDefinition(out, inputs, [this](LitVec clause) {
+    const std::size_t k = inputs.size();
+    qbAssert(k >= 1 && k <= 30, "XOR definition arity out of range");
+    std::vector<Lit> all;
+    all.push_back(out);
+    all.insert(all.end(), inputs.begin(), inputs.end());
+    const std::size_t n = all.size();
+    for (std::uint32_t a = 0; a < (1u << n); ++a) {
+        if (__builtin_popcount(a) % 2 == 0)
+            continue; // even parity satisfies out ^ xor(inputs) = 0
+        LitVec clause;
+        clause.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const bool bit = (a >> i) & 1u;
+            // Literal false under the forbidden assignment.
+            clause.push_back(bit ? ~all[i] : all[i]);
+        }
         result.cnf.addClause(std::move(clause));
-    });
+    }
 }
 
 Lit
@@ -216,276 +203,6 @@ encodeAssertTrue(const bexp::Arena &arena, bexp::NodeRef root,
     const Lit root_lit = enc.encode(root);
     enc.result.cnf.addUnit(root_lit);
     return std::move(enc.result);
-}
-
-IncrementalTseitin::IncrementalTseitin(const bexp::Arena &arena_in,
-                                       Solver &solver_in,
-                                       TseitinMode mode_in,
-                                       unsigned xor_chunk)
-    : arena(arena_in), solver(solver_in), mode(mode_in),
-      xorChunk(xor_chunk)
-{
-    qbAssert(xorChunk >= 1, "xorChunk must be positive");
-}
-
-void
-IncrementalTseitin::markSessionShared()
-{
-    qbAssert(selectorsCreated_ == 0,
-             "markSessionShared after assertCondition");
-    sharedMark = static_cast<bexp::NodeRef>(arena.numNodes());
-}
-
-Var
-IncrementalTseitin::freshVar()
-{
-    ++varsCreated_;
-    return solver.newVar();
-}
-
-void
-IncrementalTseitin::emitClause(LitVec lits)
-{
-    ++clausesEmitted_;
-    solver.addClause(std::move(lits));
-}
-
-void
-IncrementalTseitin::growPolarities(NodeRef root)
-{
-    // Accumulate needed polarities across calls; only nodes whose mask
-    // grows are (re)visited.  Full mode wants both directions of every
-    // definition, PG mode only the direction(s) each reference uses.
-    const unsigned root_pol =
-        mode == TseitinMode::PlaistedGreenbaum ? 1u : 3u;
-    std::vector<std::pair<NodeRef, unsigned>> stack{{root, root_pol}};
-    while (!stack.empty()) {
-        auto [ref, pol] = stack.back();
-        stack.pop_back();
-        unsigned &cur = polarity[ref];
-        if ((cur & pol) == pol)
-            continue;
-        cur |= pol;
-        const NodeKind k = arena.kind(ref);
-        if (k == NodeKind::And) {
-            for (NodeRef c : arena.children(ref))
-                stack.emplace_back(c, pol);
-        } else if (k == NodeKind::Xor) {
-            // XOR is non-monotone: children occur in both polarities,
-            // except the pure-negation case which just flips.
-            const auto kids = arena.children(ref);
-            const bool negation =
-                kids.size() == 2 && kids[0] == bexp::kTrue;
-            for (NodeRef c : kids) {
-                if (c == bexp::kTrue)
-                    continue;
-                if (negation) {
-                    const unsigned flipped =
-                        ((pol & 1u) << 1) | ((pol >> 1) & 1u);
-                    stack.emplace_back(c, flipped);
-                } else {
-                    stack.emplace_back(c, 3u);
-                }
-            }
-        }
-    }
-}
-
-Lit
-IncrementalTseitin::defineXorChain(Lit guard,
-                                   const std::vector<Lit> &inputs)
-{
-    qbAssert(!inputs.empty(), "empty XOR chain");
-    if (inputs.size() == 1)
-        return inputs[0];
-    // A group below {acc, one input} cannot make progress.
-    const unsigned chunk = xorChunk < 2 ? 2 : xorChunk;
-    std::size_t pos = 0;
-    Lit acc = inputs[pos++];
-    while (pos < inputs.size()) {
-        std::vector<Lit> group{acc};
-        while (pos < inputs.size() && group.size() < chunk)
-            group.push_back(inputs[pos++]);
-        const Lit out = mkLit(freshVar());
-        expandXorDefinition(out, group, [this, guard](LitVec clause) {
-            if (guard != kUndefLit)
-                clause.push_back(guard);
-            emitClause(std::move(clause));
-        });
-        acc = out;
-    }
-    return acc;
-}
-
-Lit
-IncrementalTseitin::encode(NodeRef root)
-{
-    std::vector<std::pair<NodeRef, bool>> stack{{root, false}};
-    while (!stack.empty()) {
-        auto [ref, expanded] = stack.back();
-        stack.pop_back();
-        const unsigned need = polarity.at(ref);
-        const unsigned done =
-            emittedPol.count(ref) ? emittedPol.at(ref) : 0u;
-        if (!expanded && litOf.count(ref) && (done & need) == need)
-            continue; // node and (transitively) its children covered
-        const NodeKind k = arena.kind(ref);
-        switch (k) {
-          case NodeKind::Const:
-            panic("constant below the root must have been folded");
-          case NodeKind::Var: {
-            if (!litOf.count(ref)) {
-                const Var v = freshVar();
-                inputVar_.emplace(arena.varId(ref), v);
-                litOf.emplace(ref, mkLit(v));
-            }
-            emittedPol[ref] = 3u; // inputs have no defining clauses
-            break;
-          }
-          case NodeKind::And:
-          case NodeKind::Xor: {
-            if (!expanded) {
-                stack.emplace_back(ref, true);
-                for (NodeRef c : arena.children(ref))
-                    if (c != bexp::kTrue)
-                        stack.emplace_back(c, false);
-                break;
-            }
-            std::vector<Lit> kids;
-            bool flip = false;
-            for (NodeRef c : arena.children(ref)) {
-                if (c == bexp::kTrue) {
-                    flip = true; // only XOR carries a TRUE child
-                    continue;
-                }
-                kids.push_back(litOf.at(c));
-            }
-            const bool shared = ref < sharedMark;
-            if (k == NodeKind::Xor) {
-                if (kids.size() == 1) {
-                    // Pure negation: an alias with no clauses of its
-                    // own.  Its coverage is exactly the child's under
-                    // the flipped polarity - claiming more (e.g. 3)
-                    // would prune later traversals at the alias and
-                    // leave the child's other direction unemitted.
-                    const NodeRef child =
-                        arena.children(ref)[0] == bexp::kTrue
-                            ? arena.children(ref)[1]
-                            : arena.children(ref)[0];
-                    if (!litOf.count(ref))
-                        litOf.emplace(ref, flip ? ~kids[0] : kids[0]);
-                    const unsigned child_done =
-                        emittedPol.count(child)
-                            ? emittedPol.at(child)
-                            : 0u;
-                    emittedPol[ref] = flip
-                        ? ((child_done & 1u) << 1) |
-                            ((child_done >> 1) & 1u)
-                        : child_done;
-                } else {
-                    // Parity clauses define both directions at once,
-                    // so a real XOR is complete after first emission
-                    // (its children were required at polarity 3).
-                    if (!litOf.count(ref)) {
-                        Lit guard = kUndefLit;
-                        if (!shared) {
-                            const Lit act = mkLit(freshVar());
-                            actOf.emplace(ref, act);
-                            guard = ~act;
-                        }
-                        Lit out = defineXorChain(guard, kids);
-                        if (flip)
-                            out = ~out;
-                        litOf.emplace(ref, out);
-                    }
-                    emittedPol[ref] = 3u;
-                }
-            } else {
-                if (!litOf.count(ref)) {
-                    litOf.emplace(ref, mkLit(freshVar()));
-                    if (!shared)
-                        actOf.emplace(ref, mkLit(freshVar()));
-                }
-                const Lit out = litOf.at(ref);
-                const Lit guard =
-                    shared ? kUndefLit : ~actOf.at(ref);
-                // Lazy polarity completion: emit only the clause
-                // direction(s) this call newly requires.
-                const unsigned missing = need & ~done;
-                if (missing & 1u) {
-                    for (Lit l : kids) {
-                        if (guard != kUndefLit)
-                            emitClause({guard, ~out, l});
-                        else
-                            emitClause({~out, l});
-                    }
-                }
-                if (missing & 2u) {
-                    LitVec clause;
-                    clause.reserve(kids.size() + 2);
-                    if (guard != kUndefLit)
-                        clause.push_back(guard);
-                    clause.push_back(out);
-                    for (Lit l : kids)
-                        clause.push_back(~l);
-                    emitClause(std::move(clause));
-                }
-                emittedPol[ref] = done | need;
-            }
-            break;
-          }
-        }
-    }
-    return litOf.at(root);
-}
-
-void
-IncrementalTseitin::emitActivation(NodeRef root, Lit selector)
-{
-    // Assuming the selector must switch on the definitions of every
-    // node in the condition's cone: one binary clause per node.  This
-    // is what scopes a query's propagation to its own cone.
-    std::vector<NodeRef> stack{root};
-    std::unordered_set<NodeRef> visited;
-    while (!stack.empty()) {
-        const NodeRef ref = stack.back();
-        stack.pop_back();
-        // Session-shared subtrees are unguarded throughout (children
-        // always precede parents in the arena), so prune there.
-        if (arena.isConst(ref) || ref < sharedMark ||
-            !visited.insert(ref).second)
-            continue;
-        const auto act = actOf.find(ref);
-        if (act != actOf.end())
-            emitClause({~selector, act->second});
-        const NodeKind k = arena.kind(ref);
-        if (k == NodeKind::And || k == NodeKind::Xor) {
-            for (NodeRef c : arena.children(ref))
-                stack.push_back(c);
-        }
-    }
-}
-
-IncrementalTseitin::Selector
-IncrementalTseitin::assertCondition(NodeRef root)
-{
-    const auto it = selectorOf.find(root);
-    if (it != selectorOf.end())
-        return it->second;
-    Selector sel;
-    if (arena.isConst(root)) {
-        sel.rootIsConst = true;
-        sel.rootConstValue = arena.constValue(root);
-    } else {
-        growPolarities(root);
-        const Lit root_lit = encode(root);
-        sel.lit = mkLit(freshVar());
-        emitClause({~sel.lit, root_lit});
-        emitActivation(root, sel.lit);
-        ++selectorsCreated_;
-    }
-    selectorOf.emplace(root, sel);
-    return sel;
 }
 
 } // namespace qb::sat

@@ -11,6 +11,9 @@
  * Plaisted-Greenbaum polarity-based encoding which emits only the clause
  * direction needed for satisfiability equivalence (roughly half the
  * clauses on verifier formulas).
+ *
+ * Every condition is encoded on its own into a self-contained CNF for
+ * a fresh solver, so whole-database preprocessing stays sound.
  */
 
 #ifndef QB_SAT_TSEITIN_H
@@ -56,127 +59,6 @@ TseitinResult encodeAssertTrue(const bexp::Arena &arena,
                                bexp::NodeRef root,
                                TseitinMode mode = TseitinMode::Full,
                                unsigned xorChunk = 4);
-
-class Solver;
-
-/**
- * Incremental Tseitin encoder: shares one encoding of a formula DAG
- * across many satisfiability queries on one Solver.
- *
- * Where encodeAssertTrue() builds a throwaway CNF asserting a single
- * root, this encoder emits definitional clauses for DAG nodes straight
- * into a long-lived solver, exactly once per node, and asserts each
- * queried root through a fresh *selector* literal s with the single
- * clause (~s OR root).  Solving under assumption {s} then decides
- * satisfiability of that root; without the assumption the clauses are
- * inert, so any number of conditions can coexist in one clause
- * database and every conflict clause the solver learns about the
- * shared structure is reused by later queries.
- *
- * In PlaistedGreenbaum mode the one-sided definitions are completed
- * lazily: when a later root references an already-encoded node under a
- * polarity not yet covered, only the missing clause direction is
- * emitted.  This keeps the per-query clause count at PG levels while
- * staying sound under arbitrary mixes of selectors (extra definition
- * clauses only constrain auxiliary variables, never the inputs).
- *
- * Definition clauses are additionally *guarded* by a per-node
- * activation literal, and each selector activates exactly the nodes in
- * its root's cone (one binary clause per node).  Without the guards,
- * every variable assignment would propagate through the definition
- * tails of every condition ever encoded - the session would slow down
- * linearly with its own age; with them, a query's propagation stays
- * confined to its own cone, while still sharing node variables (and
- * therefore learnt clauses) with every other condition.
- *
- * The caller may mark a *session-shared* node region (e.g. the
- * circuit's qubit formulas, which sit in every condition's cone) whose
- * definitions stay unguarded: propagation there is paid by every query
- * anyway, and unguarded clauses keep the conflict clauses learnt over
- * the region free of activation literals, so they transfer between
- * queries at full strength.
- *
- * The arena may keep growing between calls (e.g. through
- * Arena::substitute); NodeRefs are stable, and hash-consing means a
- * semantically repeated condition maps to the same selector.
- */
-class IncrementalTseitin
-{
-  public:
-    /** Handle for one asserted condition. */
-    struct Selector
-    {
-        /** Assumption literal activating the condition (undefined
-         *  when the root folded to a constant). */
-        Lit lit = kUndefLit;
-        bool rootIsConst = false;
-        bool rootConstValue = false;
-    };
-
-    /**
-     * @param arena formula arena; must outlive the encoder.
-     * @param solver destination solver; must outlive the encoder.
-     */
-    IncrementalTseitin(const bexp::Arena &arena, Solver &solver,
-                       TseitinMode mode = TseitinMode::Full,
-                       unsigned xorChunk = 4);
-
-    /**
-     * Declare every node currently in the arena session-shared: their
-     * definitions are emitted unguarded (see the class comment).  Call
-     * once, before the first assertCondition(), while the arena holds
-     * exactly the shared region (nodes interned later stay guarded;
-     * arena children always precede their parents, so the region is
-     * closed under reachability).
-     */
-    void markSessionShared();
-
-    /**
-     * Ensure @p root is encoded and return its selector.  Idempotent:
-     * repeated calls with the same root return the cached selector.
-     */
-    Selector assertCondition(bexp::NodeRef root);
-
-    /** Solver variable of each encoded Boolean input variable id. */
-    const std::unordered_map<std::uint32_t, Var> &inputVars() const
-    {
-        return inputVar_;
-    }
-
-    /** @name Cumulative emission statistics. @{ */
-    std::size_t clausesEmitted() const { return clausesEmitted_; }
-    std::size_t varsCreated() const { return varsCreated_; }
-    std::size_t selectorsCreated() const { return selectorsCreated_; }
-    /** @} */
-
-  private:
-    Lit encode(bexp::NodeRef root);
-    void growPolarities(bexp::NodeRef root);
-    void emitActivation(bexp::NodeRef root, Lit selector);
-    Lit defineXorChain(Lit guard, const std::vector<Lit> &inputs);
-    void emitClause(LitVec lits);
-    Var freshVar();
-
-    const bexp::Arena &arena;
-    Solver &solver;
-    TseitinMode mode;
-    unsigned xorChunk;
-    /** Nodes below this ref are session-shared (0 = none). */
-    bexp::NodeRef sharedMark = 0;
-
-    std::unordered_map<bexp::NodeRef, Lit> litOf;
-    /** Activation literal guarding each node's definition clauses. */
-    std::unordered_map<bexp::NodeRef, Lit> actOf;
-    /** Needed polarity mask per node (bit0 pos, bit1 neg). */
-    std::unordered_map<bexp::NodeRef, unsigned> polarity;
-    /** Polarity mask already backed by emitted clauses. */
-    std::unordered_map<bexp::NodeRef, unsigned> emittedPol;
-    std::unordered_map<bexp::NodeRef, Selector> selectorOf;
-    std::unordered_map<std::uint32_t, Var> inputVar_;
-    std::size_t clausesEmitted_ = 0;
-    std::size_t varsCreated_ = 0;
-    std::size_t selectorsCreated_ = 0;
-};
 
 } // namespace qb::sat
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -366,21 +367,30 @@ parseOptions(const JsonValue *node)
         return options;
     if (node->kind() != JsonValue::Kind::Object)
         fatal("'options' must be an object");
-    if (const JsonValue *lane = node->find("lane")) {
-        options.lane = lane->asString();
-        if (options.lane != "A" && options.lane != "B")
-            fatal("options.lane must be \"A\" or \"B\"");
-    }
+    // Solver lanes are not per-request: every condition is decided
+    // with the server's lane preset.
+    if (node->find("lane"))
+        fatal("options.lane is not supported: the server decides every "
+              "request with its one lane");
     if (const JsonValue *clean = node->find("clean")) {
+        if (clean->kind() != JsonValue::Kind::Bool)
+            fatal("options.clean must be a boolean");
         options.clean = clean->asBool();
         options.cleanSet = true;
     }
     if (const JsonValue *cex = node->find("counterexample")) {
-        options.counterexample = cex->asBool(true);
+        if (cex->kind() != JsonValue::Kind::Bool)
+            fatal("options.counterexample must be a boolean");
+        options.counterexample = cex->asBool();
         options.counterexampleSet = true;
     }
     if (const JsonValue *budget = node->find("budget")) {
-        options.budget = budget->asInt(-1);
+        // asInt() would truncate 1.5 and map a string to its default.
+        const double value = budget->asNumber(-2.0);
+        if (budget->kind() != JsonValue::Kind::Number ||
+            value != std::floor(value) || value < -1.0 || value > 9.2e18)
+            fatal("options.budget must be an integer >= -1");
+        options.budget = budget->asInt();
         options.budgetSet = true;
     }
     return options;

@@ -575,12 +575,7 @@ core::EngineOptions
 Server::Impl::engineOptionsFor(const RequestOptions &request)
 {
     const core::EngineOptions &base = options.engine;
-    // A lane override replaces the lane only: server-wide policies
-    // (inprocessing, binary analysis, the static dischargers) survive
-    // it.
     core::EngineOptions chosen = base;
-    if (!request.lane.empty())
-        chosen.lane = core::EngineOptions::forLane(request.lane).lane;
     chosen.jobs = options.jobs;
     chosen.lane.wantCounterexample = request.counterexampleSet
         ? request.counterexample

@@ -89,8 +89,8 @@ struct ServerOptions
     std::size_t resultCacheCapacity = 256;
 
     /**
-     * Per-request verification defaults (lane, budget,
-     * counterexamples, inprocessing interval).  A request's `options`
+     * Per-request verification defaults (lane preset, budget,
+     * counterexamples, binary analysis).  A request's `options`
      * object overrides the overridable subset per program; `jobs` is
      * ignored here - the pool is sized by ServerOptions::jobs.
      */

@@ -15,8 +15,8 @@
  *     elaboration error, so malformed programs fail fast on
  *     resubmission too), a pinned scheduler fairness band, and the
  *     warm core::SessionSet of every engine-options fingerprint the
- *     program has been verified under - arenas, incremental encodings
- *     and learnt clauses survive between requests.
+ *     program has been verified under - arenas and built conditions
+ *     survive between requests.
  *
  *   - ResultCache memoizes finished VERDICTS: (source hash, options
  *     fingerprint) -> the complete core::ProgramResult.  A hit

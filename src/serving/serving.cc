@@ -19,8 +19,8 @@ ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
                                 bool check_clean)
 {
     // Everything that can change a VERDICT or a report field other
-    // than timing goes in; scheduling-only knobs (fairnessBand, jobs,
-    // inprocessInterval) stay out so they do not splinter the cache.
+    // than timing goes in; scheduling-only knobs (fairnessBand and
+    // jobs) stay out so they do not splinter the cache.
     std::string key = check_clean ? "clean;" : "dirty;";
     // Static-analysis options change report fields (the "analysis"
     // discharge counters) even though verdicts are unaffected, so they

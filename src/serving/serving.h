@@ -12,8 +12,8 @@
  *      to the run that produced it.  No scheduler work at all.
  *   2. PROGRAM HIT, no verdict - the source is known: skip parsing
  *      and elaboration, and verify through the program's WARM
- *      sessions (same arena, incremental encodings, learnt clauses)
- *      instead of rebuilding them.
+ *      sessions (same arena, same built conditions) instead of
+ *      rebuilding them.
  *   3. MISS - elaborate, build sessions, verify; everything learnt
  *      stays warm for the next request.
  *

@@ -215,12 +215,10 @@ crossCheckQbr(const std::string &src, std::size_t *safe_out,
 {
     const lang::ElaboratedProgram prog = lang::elaborateSource(src);
     // jobs=1: each fuzz worker thread is already one lane of
-    // parallelism; inprocessInterval=1 runs the full inprocessing
-    // stack between every query - maximum pressure per case.
+    // parallelism.
     auto engine_options = [](const core::VerifierOptions &lane) {
         core::EngineOptions o = core::EngineOptions::singleLane(lane);
         o.jobs = 1;
-        o.inprocessInterval = 1;
         return o;
     };
     const core::ProgramResult lane_a = core::verifyAll(
@@ -273,11 +271,13 @@ crossCheckAnalysis(const std::string &src, std::size_t *safe_out,
                    std::size_t *unsafe_out)
 {
     const lang::ElaboratedProgram prog = lang::elaborateSource(src);
-    for (const char *lane : {"", "A"}) {
-        const bool default_lane = *lane == '\0';
+    for (const bool default_lane : {true, false}) {
         const char *lane_name = default_lane ? "default lane" : "lane A";
-        auto engine_options = [lane](bool with_analysis) {
-            core::EngineOptions o = core::EngineOptions::forLane(lane);
+        auto engine_options = [default_lane](bool with_analysis) {
+            core::EngineOptions o = default_lane
+                ? core::EngineOptions{}
+                : core::EngineOptions::singleLane(
+                      core::VerifierOptions::laneA());
             o.jobs = 1;
             if (!with_analysis)
                 o.analysis = analysis::AnalysisOptions::none();

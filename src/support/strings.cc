@@ -72,6 +72,17 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+std::optional<std::int64_t>
+parseInt(std::string_view text, std::int64_t min, std::int64_t max)
+{
+    std::int64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || value < min || value > max)
+        return std::nullopt;
+    return value;
+}
+
 std::string
 join(const std::vector<std::string> &parts, const std::string &sep)
 {

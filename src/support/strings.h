@@ -7,7 +7,10 @@
 #define QB_SUPPORT_STRINGS_H
 
 #include <cstdarg>
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qb {
@@ -25,6 +28,18 @@ std::string format(const char *fmt, ...)
  * not a JSON number.
  */
 std::string formatFixed(double value, int precision);
+
+/**
+ * The whole of @p text as a base-10 integer in [@p min, @p max], or
+ * nullopt.  Strict, unlike atoll: an empty string, a leading '+' or
+ * whitespace, any trailing character ("2x"), overflow and an
+ * out-of-range value are all rejected.  Command-line integer flags
+ * parse through this, so a malformed value is a usage error instead
+ * of a silent 0.
+ */
+std::optional<std::int64_t> parseInt(std::string_view text,
+                                     std::int64_t min,
+                                     std::int64_t max);
 
 /** Join the elements of @p parts with @p sep. */
 std::string join(const std::vector<std::string> &parts,

@@ -90,7 +90,10 @@ TEST(Engine, EachLaneAgreesAndRecordsItsLane)
     // condition with a SAT call and -1 when none was needed.
     const Circuit c = circuits::hanerCarryCircuit(5);
     for (const std::string lane : {"A", "B"}) {
-        VerificationEngine engine(c, EngineOptions::forLane(lane));
+        VerificationEngine engine(
+            c, EngineOptions::singleLane(lane == "A"
+                                             ? VerifierOptions::laneA()
+                                             : VerifierOptions::laneB()));
         for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
             const std::size_t calls = engine.stats().satCalls;
             const QubitResult r = engine.verify(q);
@@ -117,7 +120,10 @@ TEST(Engine, CounterexamplesAreValidOnEachLane)
         c.append(Gate::ccnot(a, b, t));
     }
     for (const std::string lane : {"A", "B"}) {
-        VerificationEngine engine(c, EngineOptions::forLane(lane));
+        VerificationEngine engine(
+            c, EngineOptions::singleLane(lane == "A"
+                                             ? VerifierOptions::laneA()
+                                             : VerifierOptions::laneB()));
         for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
             const QubitResult r = engine.verify(q);
             EXPECT_EQ(bruteForceVerdict(c, q), r.verdict)
@@ -308,8 +314,8 @@ randomCircuit(Rng &rng, std::uint32_t n, int gates)
 
 TEST(Engine, BudgetExhaustedConditionIsUnknownOnEachLane)
 {
-    // A 1-conflict budget cannot decide the adder conditions: on the
-    // persistent lane A and on the default scratch lane B alike the
+    // A 1-conflict budget cannot decide the adder conditions: on
+    // lane A's preset and on the default lane B's alike the
     // verdict is Unknown, the conflicts the lane burnt are charged to
     // the result, and no counterexample is claimed.
     const auto program =
@@ -320,7 +326,9 @@ TEST(Engine, BudgetExhaustedConditionIsUnknownOnEachLane)
     const Circuit scope =
         program.circuit.slice(info.scopeBegin, info.scopeEnd);
     for (const std::string lane : {"A", "B"}) {
-        EngineOptions options = EngineOptions::forLane(lane);
+        EngineOptions options = EngineOptions::singleLane(
+            lane == "A" ? VerifierOptions::laneA()
+                        : VerifierOptions::laneB());
         options.lane.conflictBudget = 1;
         options.jobs = 1;
         VerificationEngine engine(scope, options);

@@ -776,16 +776,14 @@ namespace {
 
 TEST(EngineInprocessing, JobsDeterminismWithGcAndInprocessing)
 {
-    // The scheduler acceptance contract must hold with inprocessing
-    // forced on every query and heavy reduction pressure (GC runs
-    // mid-session): --jobs 1 and --jobs N give identical verdicts AND
-    // counterexamples.
-    // Lane A: the persistent lane is the one that inprocesses and
-    // collects garbage mid-session.
+    // The scheduler acceptance contract must hold under heavy
+    // reduction pressure (GC runs mid-solve): --jobs 1 and --jobs N
+    // give identical verdicts AND counterexamples.  Lane A's preset
+    // does not preprocess, so its solvers search longest.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(10));
-    EngineOptions base = EngineOptions::forLane("A");
-    base.inprocessInterval = 1;
+    EngineOptions base =
+        EngineOptions::singleLane(VerifierOptions::laneA());
     base.lane.solver.learntLimitBase = 16;
     EngineOptions serial = base;
     serial.jobs = 1;
@@ -814,13 +812,13 @@ TEST(EngineInprocessing, BinaryAnalysisOnOffIdenticalAcrossJobs)
     // passes-off run, at --jobs 1 and --jobs N alike.  The adder
     // program exercises the passes for real (its carry chain is where
     // SCC merging and transitive reduction actually fire).
-    // Both lanes: lane A runs the passes in its query-boundary
-    // inprocessing, lane B at every scratch solver's entry.
+    // Both lane presets: each runs the passes at every solver's entry.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(8));
     for (const std::string lane : {"A", "B"}) {
-        EngineOptions base = EngineOptions::forLane(lane);
-        base.inprocessInterval = 1;
+        const EngineOptions base = EngineOptions::singleLane(
+            lane == "A" ? VerifierOptions::laneA()
+                        : VerifierOptions::laneB());
         std::vector<ProgramResult> results;
         for (const bool analysis : {true, false}) {
             for (const int jobs : {1, 4}) {
@@ -892,7 +890,9 @@ TEST(EngineInprocessing, UnsafeCounterexamplesIgnoreBinaryAnalysisAndJobs)
         std::vector<std::vector<QubitResult>> runs;
         for (const bool analysis : {true, false}) {
             for (const unsigned jobs : {1u, 4u}) {
-                EngineOptions options = EngineOptions::forLane(lane);
+                EngineOptions options = lane.empty()
+                    ? EngineOptions{}
+                    : EngineOptions::singleLane(VerifierOptions::laneA());
                 options.binaryAnalysis = analysis;
                 options.jobs = jobs;
                 const auto scheduler = std::make_shared<Scheduler>(jobs);
@@ -996,8 +996,8 @@ TEST(EngineInprocessing, SolverTotalsReachJsonReport)
     // the JSON document (the report side of SolverStats).
     const auto program =
         lang::elaborateSource(circuits::mcxQbrSource(40));
-    EngineOptions options = EngineOptions::forLane("A");
-    options.inprocessInterval = 1;
+    EngineOptions options =
+        EngineOptions::singleLane(VerifierOptions::laneA());
     options.jobs = 2;
     const ProgramResult result = verifyAll(program, options);
     EXPECT_GT(result.solverTotals.propagations, 0);

@@ -50,27 +50,6 @@ TEST(Scheduler, ZeroJobsMeansHardwareSized)
     EXPECT_GE(pool.workers(), 1u);
 }
 
-TEST(Scheduler, SerialQueueIsFifoAndExclusive)
-{
-    std::vector<int> order;
-    std::atomic<int> inside{0};
-    {
-        Scheduler pool(4);
-        const auto queue = pool.makeQueue();
-        for (int i = 0; i < 100; ++i) {
-            pool.submit(queue, [&, i] {
-                // Exclusivity: no other task of this queue runs now.
-                EXPECT_EQ(1, inside.fetch_add(1) + 1);
-                order.push_back(i);
-                inside.fetch_sub(1);
-            });
-        }
-    }
-    ASSERT_EQ(100u, order.size());
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(i, order[i]);
-}
-
 TEST(Scheduler, BandsInterleaveRoundRobin)
 {
     // Two fairness bands on ONE worker: the pool must serve them
@@ -138,23 +117,6 @@ TEST(Scheduler, BandBacklogReportsQueuedWork)
     } // destructor drains
 }
 
-TEST(Scheduler, IndependentQueuesDoNotSerializeEachOther)
-{
-    // Both queues finish even though one blocks a worker for a while;
-    // with two workers the pool must interleave them.
-    std::atomic<int> done{0};
-    {
-        Scheduler pool(2);
-        const auto a = pool.makeQueue();
-        const auto b = pool.makeQueue();
-        for (int i = 0; i < 10; ++i) {
-            pool.submit(a, [&done] { ++done; });
-            pool.submit(b, [&done] { ++done; });
-        }
-    }
-    EXPECT_EQ(20, done.load());
-}
-
 /** Random reversible circuit generator (mirrors engine_test). */
 Circuit
 randomCircuit(Rng &rng, std::uint32_t n, int gates)
@@ -188,7 +150,9 @@ void
 expectJobsDeterminism(const Circuit &c)
 {
     for (const std::string lane : {"A", "B"}) {
-        EngineOptions serial = EngineOptions::forLane(lane);
+        EngineOptions serial = EngineOptions::singleLane(
+            lane == "A" ? VerifierOptions::laneA()
+                        : VerifierOptions::laneB());
         EngineOptions parallel = serial;
         serial.jobs = 1;
         parallel.jobs = 4;
@@ -248,15 +212,16 @@ TEST(SchedulerEngine, StressManyQubitsOnEachLane)
 {
     // The deterministic verifyAll stress: many qubits, a shared
     // 4-worker pool, speculative (6.2) queries and cross-qubit
-    // pipelining all at once - through lane A's serial queue and
-    // through lane B's unordered scratch tasks.  CI runs this under
-    // ASan and TSan.
+    // pipelining all at once - on lane A's and on lane B's preset.
+    // CI runs this under ASan and TSan.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
     // Same verdicts as the sequential one-shot reference.
     const ProgramResult reference = verifyProgram(program);
     for (const std::string lane : {"A", "B"}) {
-        EngineOptions options = EngineOptions::forLane(lane);
+        EngineOptions options = EngineOptions::singleLane(
+            lane == "A" ? VerifierOptions::laneA()
+                        : VerifierOptions::laneB());
         options.jobs = 4;
         const ProgramResult result = verifyAll(program, options);
         ASSERT_EQ(11u, result.qubits.size());
@@ -276,7 +241,9 @@ TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
     for (int round = 0; round < 4; ++round) {
         const Circuit c = randomCircuit(rng, 7, 16);
         for (const std::string lane : {"A", "B"}) {
-            EngineOptions options = EngineOptions::forLane(lane);
+            EngineOptions options = EngineOptions::singleLane(
+                lane == "A" ? VerifierOptions::laneA()
+                            : VerifierOptions::laneB());
             options.jobs = 3;
             VerificationEngine engine(c, options);
             const ProgramResult result = engine.verifyAllQubits();

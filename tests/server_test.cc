@@ -43,19 +43,19 @@ namespace {
 
 TEST(ServerDefaults, LibraryCliAndDaemonShareOneDefaultFingerprint)
 {
-    // The default lane set is declared once, in core::EngineOptions:
-    // qborrow with no lane flag resolves it through forLane(""), and
-    // the daemon's per-request defaults start from ServerOptions{}.
+    // The default lane is declared once, in core::EngineOptions:
+    // qborrow starts from EngineOptions{}, and the daemon's
+    // per-request defaults start from ServerOptions{}.
     const auto fp = [](const core::EngineOptions &o) {
         return serving::ServingTier::optionsFingerprint(o, false);
     };
     const std::string library = fp(core::EngineOptions{});
-    EXPECT_EQ(library, fp(core::EngineOptions::forLane("")));
     EXPECT_EQ(library, fp(ServerOptions{}.engine));
-    // That default is lane B alone: per-condition scratch solvers.
-    EXPECT_EQ(library, fp(core::EngineOptions::forLane("B")));
-    EXPECT_NE(library, fp(core::EngineOptions::forLane("A")));
-    EXPECT_THROW(core::EngineOptions::forLane("Z"), FatalError);
+    // That default is lane B's preset.
+    EXPECT_EQ(library, fp(core::EngineOptions::singleLane(
+                           core::VerifierOptions::laneB())));
+    EXPECT_NE(library, fp(core::EngineOptions::singleLane(
+                           core::VerifierOptions::laneA())));
 }
 
 TEST(JsonValue, ParsesScalarsObjectsAndArrays)
@@ -142,13 +142,12 @@ TEST(ParseRequest, VerifyWithOptions)
 {
     const Request r = parseRequest(
         R"({"op": "verify", "id": 7, "name": "p", "source": "X[q];",)"
-        R"( "options": {"lane": "A", "clean": true,)"
+        R"( "options": {"clean": true,)"
         R"( "budget": 500, "counterexample": false}})");
     EXPECT_EQ(RequestOp::Verify, r.op);
     EXPECT_EQ(7, r.id);
     EXPECT_EQ("p", r.name);
     EXPECT_EQ("X[q];", r.source);
-    EXPECT_EQ("A", r.options.lane);
     EXPECT_TRUE(r.options.clean);
     EXPECT_TRUE(r.options.cleanSet);
     EXPECT_EQ(500, r.options.budget);
@@ -161,7 +160,6 @@ TEST(ParseRequest, DefaultsAreUnset)
 {
     const Request r = parseRequest(
         R"({"op": "verify", "id": 0, "source": ""})");
-    EXPECT_TRUE(r.options.lane.empty());
     EXPECT_FALSE(r.options.cleanSet);
     EXPECT_FALSE(r.options.budgetSet);
     EXPECT_FALSE(r.options.counterexampleSet);
@@ -211,12 +209,40 @@ TEST(ParseRequest, RejectsBadFrames)
         R"({"op": "verify", "source": "X[q];"})",    // no id
         R"({"op": "verify", "id": -4, "source": ""})",
         R"({"op": "cancel", "id": 1})",              // no target
-        R"({"op": "verify", "id": 1, "source": "",)"
-        R"( "options": {"lane": "Z"}})",             // bad lane
     };
     for (const char *text : bad)
         EXPECT_THROW(parseRequest(text), FatalError)
             << "accepted: " << text;
+    // Mistyped options are rejected, never defaulted, and the message
+    // names the field.
+    const std::pair<const char *, const char *> bad_options[] = {
+        {R"("lane": "A")", "options.lane"},
+        {R"("budget": "100")", "options.budget"},
+        {R"("budget": 1.5)", "options.budget"},
+        {R"("budget": -2)", "options.budget"},
+        {R"("budget": null)", "options.budget"},
+        {R"("clean": 1)", "options.clean"},
+        {R"("counterexample": "no")", "options.counterexample"},
+    };
+    for (const auto &[option, field] : bad_options) {
+        const std::string text =
+            format(R"({"op": "verify", "id": 1, "source": "", )"
+                   R"("options": {%s}})",
+                   option);
+        try {
+            parseRequest(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string::npos,
+                      std::string(e.what()).find(field))
+                << e.what();
+        }
+    }
+    // -1 (unlimited) is the smallest budget.
+    EXPECT_EQ(-1, parseRequest(R"({"op": "verify", "id": 1, )"
+                               R"("source": "", "options": )"
+                               R"({"budget": -1}})")
+                      .options.budget);
 }
 
 // ======================================================== request queue
@@ -1093,7 +1119,8 @@ TEST(ServingCache, ResultCacheKeysOnSourceHashAndOptions)
 
 TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
 {
-    const core::EngineOptions base = core::EngineOptions::forLane("A");
+    const core::EngineOptions base =
+        core::EngineOptions::singleLane(core::VerifierOptions::laneA());
     const std::string key =
         serving::ServingTier::optionsFingerprint(base, false);
     EXPECT_EQ(key,
@@ -1101,7 +1128,9 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
     EXPECT_NE(key,
               serving::ServingTier::optionsFingerprint(base, true));
     EXPECT_NE(key, serving::ServingTier::optionsFingerprint(
-                       core::EngineOptions::forLane("B"), false));
+                       core::EngineOptions::singleLane(
+                           core::VerifierOptions::laneB()),
+                       false));
     core::EngineOptions budgeted = base;
     budgeted.lane.conflictBudget = 100;
     EXPECT_NE(key, serving::ServingTier::optionsFingerprint(
@@ -1110,7 +1139,6 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
     core::EngineOptions scheduling = base;
     scheduling.fairnessBand = 77;
     scheduling.jobs = 9;
-    scheduling.inprocessInterval = 3;
     EXPECT_EQ(key, serving::ServingTier::optionsFingerprint(
                        scheduling, false));
 }
@@ -1222,42 +1250,11 @@ TEST(Server, WarmSessionsServeRepeatsWhenResultCacheIsOff)
     EXPECT_EQ(2u, server.counters().served);
 }
 
-TEST(Server, LaneOverrideKeepsServerWideAnalysisSetting)
+TEST(Server, LaneOptionIsRejectedAndServiceContinues)
 {
-    // A request's "lane" replaces the lane only: on a daemon
-    // started with the static dischargers off, a program the affine
-    // pass would discharge still goes to SAT whatever lane it names.
-    ServerOptions options;
-    options.socketPath = testSocketPath("laneoverride");
-    options.concurrency = 1;
-    options.jobs = 2;
-    options.engine.analysis = analysis::AnalysisOptions::none();
-    Server server(std::move(options));
-    server.start();
-
-    TestClient client(server.socketPath());
-    const std::string source = circuits::wideLinearMirrorQbrSource(64);
-    std::int64_t id = 1;
-    for (const std::string lane :
-         {"", R"("lane": "A")", R"("lane": "B")"}) {
-        client.send(verifyRequestLine(id, source, lane));
-        const auto frames = client.collect(id++);
-        const JsonValue *report = frames.back().find("report");
-        ASSERT_NE(nullptr, report) << lane;
-        EXPECT_TRUE(report->find("all_safe")->asBool(false)) << lane;
-        EXPECT_EQ(0, report->find("analysis")
-                         ->find("analysis_discharged")
-                         ->asInt())
-            << lane;
-    }
-    server.shutdown();
-}
-
-TEST(Server, PortfolioLaneIsRejectedAndServiceContinues)
-{
-    // "portfolio" is not a lane: the request gets exactly one error
-    // frame naming the lanes that exist, and the same connection goes
-    // on to serve a valid verify.
+    // The daemon decides every request with its one lane: a request
+    // naming a lane gets exactly one error frame naming the field,
+    // and the same connection goes on to serve a valid verify.
     ServerOptions options;
     options.socketPath = testSocketPath("nolane");
     options.jobs = 1;
@@ -1266,16 +1263,14 @@ TEST(Server, PortfolioLaneIsRejectedAndServiceContinues)
 
     TestClient client(server.socketPath());
     const std::string source = circuits::adderQbrSource(4);
-    client.send(
-        verifyRequestLine(1, source, R"("lane": "portfolio")"));
+    client.send(verifyRequestLine(1, source, R"("lane": "A")"));
     const auto error = client.next();
     ASSERT_TRUE(error.has_value());
     EXPECT_EQ("error", error->find("type")->asString());
     const std::string message = error->find("message")->asString();
-    EXPECT_NE(std::string::npos, message.find("\"A\"")) << message;
-    EXPECT_NE(std::string::npos, message.find("\"B\"")) << message;
+    EXPECT_NE(std::string::npos, message.find("options.lane")) << message;
 
-    client.send(verifyRequestLine(2, source, R"("lane": "A")"));
+    client.send(verifyRequestLine(2, source));
     while (auto frame = client.next()) {
         const std::string type = frame->find("type")->asString();
         ASSERT_NE("error", type) << "second error frame";

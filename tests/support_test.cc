@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <set>
 
 #include "support/logging.h"
@@ -126,6 +128,27 @@ TEST(Strings, Join)
     EXPECT_EQ("a,b,c", join({"a", "b", "c"}, ","));
     EXPECT_EQ("a", join({"a"}, ","));
     EXPECT_EQ("", join({}, ","));
+}
+
+TEST(Strings, ParseIntAcceptsWholeInRangeIntegers)
+{
+    EXPECT_EQ(std::optional<std::int64_t>(0), parseInt("0", 0, 10));
+    EXPECT_EQ(std::optional<std::int64_t>(-1), parseInt("-1", -1, 5));
+    EXPECT_EQ(std::optional<std::int64_t>(10), parseInt("10", 0, 10));
+    EXPECT_EQ(std::optional<std::int64_t>(INT64_MAX),
+              parseInt("9223372036854775807", 0, INT64_MAX));
+}
+
+TEST(Strings, ParseIntRejectsMalformedAndOutOfRange)
+{
+    for (const char *bad :
+         {"", "abc", "2x", "3z", " 4", "4 ", "+4", "--4", "0x10", "1.5",
+          "1e3", "9223372036854775808", "-"})
+        EXPECT_FALSE(parseInt(bad, INT64_MIN, INT64_MAX).has_value())
+            << "accepted '" << bad << "'";
+    EXPECT_FALSE(parseInt("0", 1, 10).has_value()) << "below min";
+    EXPECT_FALSE(parseInt("11", 1, 10).has_value()) << "above max";
+    EXPECT_FALSE(parseInt("-2", -1, 10).has_value()) << "below -1";
 }
 
 TEST(Timer, MeasuresNonNegativeMonotonicTime)

@@ -172,179 +172,16 @@ TEST_P(TseitinProperty, SatModelEvaluatesFormulaTrue)
 INSTANTIATE_TEST_SUITE_P(Seeds, TseitinProperty,
                          ::testing::Range(0, 30));
 
-TEST(IncrementalTseitin, ConstantRootsNeedNoSelector)
-{
-    Arena a;
-    Solver s;
-    IncrementalTseitin enc(a, s);
-    const auto t = enc.assertCondition(bexp::kTrue);
-    EXPECT_TRUE(t.rootIsConst);
-    EXPECT_TRUE(t.rootConstValue);
-    const auto f = enc.assertCondition(bexp::kFalse);
-    EXPECT_TRUE(f.rootIsConst);
-    EXPECT_FALSE(f.rootConstValue);
-    EXPECT_EQ(0u, enc.selectorsCreated());
-}
-
-TEST(IncrementalTseitin, IndependentConditionsOneSolver)
-{
-    Arena a;
-    Solver s;
-    IncrementalTseitin enc(a, s);
-    const NodeRef x = a.mkVar(0);
-    // Condition 1: x AND NOT x is unsatisfiable...
-    const auto contradiction =
-        enc.assertCondition(a.mkAnd({x, a.mkNot(x)}));
-    // ...except the arena folds it to FALSE during construction.
-    EXPECT_TRUE(contradiction.rootIsConst);
-    EXPECT_FALSE(contradiction.rootConstValue);
-    // Conditions over distinct variables decide independently.
-    const NodeRef y = a.mkVar(1);
-    const auto want_x = enc.assertCondition(x);
-    const auto want_both = enc.assertCondition(a.mkAnd({x, y}));
-    const auto want_neither =
-        enc.assertCondition(a.mkAnd({a.mkNot(x), a.mkNot(y)}));
-    EXPECT_EQ(SolveResult::Sat, s.solve({want_x.lit}));
-    EXPECT_EQ(SolveResult::Sat, s.solve({want_both.lit}));
-    EXPECT_EQ(SolveResult::Sat, s.solve({want_neither.lit}));
-    // Contradictory pairs of selectors are jointly unsat.
-    EXPECT_EQ(SolveResult::Unsat,
-              s.solve({want_both.lit, want_neither.lit}));
-    ASSERT_EQ(2u, s.failedAssumptions().size());
-}
-
-TEST(IncrementalTseitin, RepeatedConditionReturnsCachedSelector)
-{
-    Arena a;
-    Solver s;
-    IncrementalTseitin enc(a, s);
-    const NodeRef f = a.mkAnd({a.mkVar(0), a.mkVar(1)});
-    const auto first = enc.assertCondition(f);
-    const std::size_t clauses = enc.clausesEmitted();
-    const auto again = enc.assertCondition(f);
-    EXPECT_EQ(first.lit, again.lit);
-    EXPECT_EQ(clauses, enc.clausesEmitted())
-        << "re-asserting must not emit new clauses";
-    EXPECT_EQ(1u, enc.selectorsCreated());
-}
-
-TEST(IncrementalTseitin, LazyPolarityCompletion)
-{
-    // PG mode: an AND first referenced positively gets only the
-    // out -> child clauses; referencing its negation later must add
-    // (only) the missing direction, and both conditions must decide
-    // correctly before and after.
-    Arena a;
-    Solver s;
-    IncrementalTseitin enc(a, s, TseitinMode::PlaistedGreenbaum);
-    const NodeRef conj = a.mkAnd({a.mkVar(0), a.mkVar(1)});
-    const auto pos = enc.assertCondition(conj);
-    const std::size_t clauses_pos = enc.clausesEmitted();
-    EXPECT_EQ(SolveResult::Sat, s.solve({pos.lit}));
-    EXPECT_EQ(LBool::True, s.modelValue(enc.inputVars().at(0)));
-    EXPECT_EQ(LBool::True, s.modelValue(enc.inputVars().at(1)));
-    const auto neg = enc.assertCondition(a.mkNot(conj));
-    EXPECT_GT(enc.clausesEmitted(), clauses_pos)
-        << "the missing clause direction must be emitted";
-    EXPECT_EQ(SolveResult::Sat, s.solve({neg.lit}));
-    const bool v0 =
-        s.modelValue(enc.inputVars().at(0)) == LBool::True;
-    const bool v1 =
-        s.modelValue(enc.inputVars().at(1)) == LBool::True;
-    EXPECT_FALSE(v0 && v1);
-    // Both selectors together are contradictory.
-    EXPECT_EQ(SolveResult::Unsat, s.solve({pos.lit, neg.lit}));
-}
-
-TEST(IncrementalTseitin, XorChunkOneTerminates)
+TEST(Tseitin, XorChunkOneTerminates)
 {
     // Regression: xorChunk = 1 used to loop forever in the XOR chain
     // splitter (a group can never be smaller than {acc, input}).
     Arena a;
-    Solver s;
-    IncrementalTseitin enc(a, s, TseitinMode::Full, 1);
-    const NodeRef parity =
-        a.mkXor({a.mkVar(0), a.mkVar(1), a.mkVar(2)});
-    const auto sel = enc.assertCondition(parity);
-    EXPECT_EQ(SolveResult::Sat, s.solve({sel.lit}));
-    int ones = 0;
-    for (const auto &[input, var] : enc.inputVars())
-        ones += s.modelValue(var) == LBool::True;
-    EXPECT_EQ(1, ones % 2);
-    // Same guarantee for the one-shot encoder.
-    Arena b;
-    const auto enc2 = encodeAssertTrue(
-        b, b.mkXor({b.mkVar(0), b.mkVar(1), b.mkVar(2)}),
+    const auto enc = encodeAssertTrue(
+        a, a.mkXor({a.mkVar(0), a.mkVar(1), a.mkVar(2)}),
         TseitinMode::Full, 1);
-    EXPECT_EQ(SolveResult::Sat, solveCnf(enc2.cnf));
+    EXPECT_EQ(SolveResult::Sat, solveCnf(enc.cnf));
 }
-
-TEST(IncrementalTseitin, NegationAliasPolarityGrowth)
-{
-    // Regression: a pure-negation alias must not be marked fully
-    // emitted, or a later condition referencing it under a grown
-    // polarity is pruned at the alias and the child's other clause
-    // direction is never emitted - yielding a spurious SAT.
-    Arena a;
-    Solver s;
-    IncrementalTseitin enc(a, s, TseitinMode::PlaistedGreenbaum);
-    const NodeRef x0 = a.mkVar(0), x1 = a.mkVar(1), y = a.mkVar(2);
-    const NodeRef cond_a =
-        a.mkAnd({y, a.mkNot(a.mkAnd({x0, x1}))});
-    const auto sel_a = enc.assertCondition(cond_a);
-    EXPECT_EQ(SolveResult::Sat, s.solve({sel_a.lit}));
-    // NOT(cond_a) AND NOT x0 AND y requires x0 AND x1: UNSAT.
-    const NodeRef cond_b =
-        a.mkAnd({a.mkNot(cond_a), a.mkNot(x0), y});
-    const auto sel_b = enc.assertCondition(cond_b);
-    EXPECT_EQ(SolveResult::Unsat, s.solve({sel_b.lit}));
-}
-
-class IncrementalTseitinProperty : public ::testing::TestWithParam<int>
-{};
-
-TEST_P(IncrementalTseitinProperty, ManyConditionsAgreeWithBruteForce)
-{
-    // The engine's workload: many overlapping random conditions
-    // encoded into ONE solver, each decided under its own selector,
-    // in both encoding modes; verdicts and models must match a fresh
-    // brute-force check per condition.
-    Rng rng(GetParam());
-    for (const TseitinMode mode :
-         {TseitinMode::Full, TseitinMode::PlaistedGreenbaum}) {
-        Arena arena;
-        Solver solver;
-        IncrementalTseitin enc(arena, solver, mode, 3);
-        constexpr std::uint32_t num_vars = 6;
-        for (int cond = 0; cond < 8; ++cond) {
-            const NodeRef f =
-                randomFormula(arena, rng, num_vars, 5);
-            const bool expected =
-                bruteForceFormulaSat(arena, f, num_vars);
-            const auto sel = enc.assertCondition(f);
-            bool got;
-            if (sel.rootIsConst) {
-                got = sel.rootConstValue;
-            } else {
-                const SolveResult result = solver.solve({sel.lit});
-                ASSERT_NE(SolveResult::Unknown, result);
-                got = result == SolveResult::Sat;
-                if (got) {
-                    std::vector<bool> env(num_vars, false);
-                    for (const auto &[input, var] : enc.inputVars())
-                        env[input] =
-                            solver.modelValue(var) == LBool::True;
-                    EXPECT_TRUE(arena.evaluate(f, env))
-                        << "model must satisfy the asserted condition";
-                }
-            }
-            EXPECT_EQ(expected, got) << "condition " << cond;
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalTseitinProperty,
-                         ::testing::Range(0, 40));
 
 } // namespace
 } // namespace qb::sat

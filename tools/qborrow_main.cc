@@ -20,6 +20,7 @@
  * input, socket or protocol errors.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -27,6 +28,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -62,7 +65,6 @@ usage(const char *argv0)
         "Verify safe uncomputation of every borrowed dirty qubit.\n"
         "\n"
         "options:\n"
-        "  --lane A|B        solver lane (default B; see docs)\n"
         "  --jobs N          scheduler worker threads (default: all\n"
         "                    hardware threads); without --budget,\n"
         "                    verdicts and counterexamples are\n"
@@ -82,13 +84,11 @@ usage(const char *argv0)
         "  --quiet           only print the summary line\n"
         "  --dump-circuit    print the elaborated gate list\n"
         "  --no-cex          skip counterexample extraction\n"
-        "  --budget N        conflict budget per SAT call\n"
-        "  --inprocess N     the persistent lane (--lane A)\n"
-        "                    vivifies/subsumes its clause DB every\n"
-        "                    N queries (default 16, 0 disables)\n"
+        "  --budget N        conflict budget per SAT call (-1 =\n"
+        "                    unlimited, the default)\n"
         "  --binary-analysis / --no-binary-analysis\n"
-        "                    binary implication graph passes inside\n"
-        "                    inprocessing: SCC equivalence merging,\n"
+        "                    binary implication graph passes at each\n"
+        "                    solver's entry: SCC equivalence merging,\n"
         "                    failed-literal probing, transitive\n"
         "                    reduction (default on; verdicts and\n"
         "                    counterexamples are unchanged either\n"
@@ -148,7 +148,6 @@ readFile(const std::string &path)
 struct CliOptions
 {
     std::string path;
-    std::string lane; ///< empty = the library default lane
     std::string servePath;
     std::string serveTcp;
     std::string connectPath;
@@ -160,23 +159,22 @@ struct CliOptions
     bool lint = false;
     bool noLint = false;
     std::string analysisSpec;
-    long analysisWindow = -1;
+    std::int64_t analysisWindow = -1;
     bool clean = false;
     bool json = false;
     bool want_cex = true;
     bool shutdown_server = false;
     bool stats = false;
     std::int64_t budget = -1;
-    long jobs = 0;
-    long inprocess = 16;
+    std::int64_t jobs = 0;
     bool binaryAnalysis = true;
-    long parallel = 2;
-    long queue = 16;
-    long maxConnections = 0;
-    long maxInflight = 0;
-    long idleTimeout = 0;
-    long programCache = 64;
-    long resultCache = 256;
+    std::int64_t parallel = 2;
+    std::int64_t queue = 16;
+    std::int64_t maxConnections = 0;
+    std::int64_t maxInflight = 0;
+    std::int64_t idleTimeout = 0;
+    std::int64_t programCache = 64;
+    std::int64_t resultCache = 256;
 };
 
 /** --auth-token / --token when given, else $QB_AUTH_TOKEN, else
@@ -230,10 +228,8 @@ analysisOptionsFor(const CliOptions &cli)
 qb::core::EngineOptions
 engineOptionsFor(const CliOptions &cli)
 {
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::forLane(cli.lane);
+    qb::core::EngineOptions options;
     options.jobs = static_cast<unsigned>(cli.jobs);
-    options.inprocessInterval = static_cast<unsigned>(cli.inprocess);
     options.binaryAnalysis = cli.binaryAnalysis;
     options.analysis = analysisOptionsFor(cli);
     options.lane.wantCounterexample = cli.want_cex;
@@ -242,17 +238,15 @@ engineOptionsFor(const CliOptions &cli)
 }
 
 /**
- * The "[lane X]" tag letter of @p options' lane, by preset (reports
- * record only whether the lane ran; the tag names what ran).  Per-run
- * knobs are not part of a preset's identity.
+ * The "[lane X]" tag letter of the default lane preset, which every
+ * local and daemon run decides with (reports record only whether the
+ * lane ran; the tag names what ran).
  */
 char
-laneTag(const qb::core::EngineOptions &options)
+laneTag()
 {
     using qb::core::VerifierOptions;
-    VerifierOptions lane = options.lane;
-    lane.conflictBudget = VerifierOptions{}.conflictBudget;
-    lane.wantCounterexample = VerifierOptions{}.wantCounterexample;
+    const VerifierOptions lane = qb::core::EngineOptions{}.lane;
     return lane == VerifierOptions::laneA()   ? 'A'
            : lane == VerifierOptions::laneB() ? 'B'
                                               : '?';
@@ -333,7 +327,7 @@ runLocal(const CliOptions &cli)
     // Stream per-qubit lines as the engine produces them.
     qb::core::ResultObserver observer;
     if (!cli.quiet && !cli.json)
-        observer = [tag = laneTag(options)](
+        observer = [tag = laneTag()](
                        const qb::core::QubitResult &r) {
             printQubitLine(r, tag);
         };
@@ -394,8 +388,9 @@ runServer(const CliOptions &cli)
         endpoints += "tcp:" + server.tcpEndpoint();
     }
     qb::inform(qb::format(
-        "qborrow server listening on %s (parallel %ld, queue %ld%s)",
-        endpoints.c_str(), cli.parallel, cli.queue,
+        "qborrow server listening on %s (parallel %lld, queue %lld%s)",
+        endpoints.c_str(), static_cast<long long>(cli.parallel),
+        static_cast<long long>(cli.queue),
         authed ? ", auth required" : ""));
     server.run(&g_stop); // returns after the graceful drain
     const auto counters = server.counters();
@@ -623,12 +618,10 @@ runClient(const CliOptions &cli)
                   "acknowledged");
     }
 
-    // Pool size and inprocessing interval are fixed when the daemon
-    // starts; passing them here would silently do nothing, so say so.
+    // Pool size and binary analysis are fixed when the daemon starts;
+    // passing them here would silently do nothing, so say so.
     if (cli.jobs != 0)
         qb::warn("--jobs is server-wide; ignored in client mode");
-    if (cli.inprocess != 16)
-        qb::warn("--inprocess is server-wide; ignored in client mode");
     if (!cli.binaryAnalysis)
         qb::warn("--no-binary-analysis is server-wide; ignored in "
                  "client mode");
@@ -637,15 +630,8 @@ runClient(const CliOptions &cli)
     std::string request = "{\"op\": \"verify\", \"id\": 1";
     request += ", \"name\": \"" + qb::jsonEscape(cli.path) + "\"";
     request += ", \"source\": \"" + qb::jsonEscape(source) + "\"";
-    request += ", \"options\": {";
-    // Always name the lane, so the daemon runs what a local run would
-    // and the tag below names what ran.
-    const std::string lane = cli.lane.empty()
-        ? std::string(1, laneTag(qb::core::EngineOptions{}))
-        : cli.lane;
-    const char tag = laneTag(qb::core::EngineOptions::forLane(lane));
-    request += "\"lane\": \"" + lane + "\"";
-    request += qb::format(", \"clean\": %s",
+    const char tag = laneTag();
+    request += qb::format(", \"options\": {\"clean\": %s",
                           cli.clean ? "true" : "false");
     request += qb::format(", \"counterexample\": %s",
                           cli.want_cex ? "true" : "false");
@@ -731,9 +717,43 @@ int
 run(int argc, char **argv)
 {
     CliOptions cli;
+    // Integer flags: the whole value must be an integer in range, or
+    // the run is a usage error.  The thread-count bound keeps a typo
+    // from starting a pool of millions of workers.
+    constexpr std::int64_t kMaxThreads = 1024;
+    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+    const struct
+    {
+        const char *flag;
+        std::int64_t *value;
+        std::int64_t min, max;
+    } int_flags[] = {
+        {"--analysis-window", &cli.analysisWindow, 0, kMax},
+        {"--budget", &cli.budget, -1,
+         std::numeric_limits<std::int64_t>::max()},
+        {"--jobs", &cli.jobs, 1, kMaxThreads},
+        {"--parallel", &cli.parallel, 1, kMaxThreads},
+        {"--queue", &cli.queue, 1, kMax},
+        {"--max-connections", &cli.maxConnections, 0, kMax},
+        {"--max-inflight", &cli.maxInflight, 0, kMax},
+        {"--idle-timeout", &cli.idleTimeout, 0, kMax},
+        {"--program-cache", &cli.programCache, 0, kMax},
+        {"--result-cache", &cli.resultCache, 0, kMax},
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--quiet") {
+        const auto int_flag =
+            std::find_if(std::begin(int_flags), std::end(int_flags),
+                         [&arg](const auto &f) { return arg == f.flag; });
+        if (int_flag != std::end(int_flags) && i + 1 < argc) {
+            const auto value =
+                qb::parseInt(argv[++i], int_flag->min, int_flag->max);
+            if (!value) {
+                usage(argv[0]);
+                return 2;
+            }
+            *int_flag->value = *value;
+        } else if (arg == "--quiet") {
             cli.quiet = true;
         } else if (arg == "--dump-circuit") {
             cli.dump = true;
@@ -753,12 +773,6 @@ run(int argc, char **argv)
             cli.analysisSpec = arg.substr(std::strlen("--analysis="));
         } else if (arg == "--analysis" && i + 1 < argc) {
             cli.analysisSpec = argv[++i];
-        } else if (arg == "--analysis-window" && i + 1 < argc) {
-            cli.analysisWindow = std::atol(argv[++i]);
-            if (cli.analysisWindow < 0) {
-                usage(argv[0]);
-                return 2;
-            }
         } else if (arg == "--json") {
             cli.json = true;
         } else if (arg == "--shutdown") {
@@ -777,68 +791,6 @@ run(int argc, char **argv)
                    i + 1 < argc) {
             cli.token = argv[++i];
             cli.tokenSet = true;
-        } else if (arg == "--max-connections" && i + 1 < argc) {
-            cli.maxConnections = std::atol(argv[++i]);
-            if (cli.maxConnections < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--max-inflight" && i + 1 < argc) {
-            cli.maxInflight = std::atol(argv[++i]);
-            if (cli.maxInflight < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--idle-timeout" && i + 1 < argc) {
-            cli.idleTimeout = std::atol(argv[++i]);
-            if (cli.idleTimeout < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--program-cache" && i + 1 < argc) {
-            cli.programCache = std::atol(argv[++i]);
-            if (cli.programCache < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--result-cache" && i + 1 < argc) {
-            cli.resultCache = std::atol(argv[++i]);
-            if (cli.resultCache < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--lane" && i + 1 < argc) {
-            cli.lane = argv[++i];
-            if (cli.lane != "A" && cli.lane != "B") {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--budget" && i + 1 < argc) {
-            cli.budget = std::atoll(argv[++i]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            cli.jobs = std::atol(argv[++i]);
-            if (cli.jobs < 1) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--inprocess" && i + 1 < argc) {
-            cli.inprocess = std::atol(argv[++i]);
-            if (cli.inprocess < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--parallel" && i + 1 < argc) {
-            cli.parallel = std::atol(argv[++i]);
-            if (cli.parallel < 1) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--queue" && i + 1 < argc) {
-            cli.queue = std::atol(argv[++i]);
-            if (cli.queue < 1) {
-                usage(argv[0]);
-                return 2;
-            }
         } else if (!arg.empty() && arg[0] == '-') {
             usage(argv[0]);
             return 2;

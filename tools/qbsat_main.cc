@@ -16,14 +16,15 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "sat/dimacs.h"
 #include "sat/solver.h"
 #include "support/logging.h"
+#include "support/strings.h"
 #include "support/timer.h"
 
 namespace {
@@ -75,7 +76,11 @@ run(int argc, char **argv)
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--budget" && i + 1 < argc) {
-            budget = std::atoll(argv[++i]);
+            const auto value = qb::parseInt(
+                argv[++i], -1, std::numeric_limits<std::int64_t>::max());
+            if (!value)
+                return usage(argv[0]);
+            budget = *value;
         } else if (arg == "--dimacs" && i + 1 < argc &&
                    path.empty()) {
             path = argv[++i];
