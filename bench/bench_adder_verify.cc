@@ -98,16 +98,6 @@ reportCounters(benchmark::State &state,
         static_cast<double>(result.analysisTotals.discharged);
     state.counters["analysis_discharged_affine"] =
         static_cast<double>(result.analysisTotals.affine);
-    // Binary implication graph passes (--binary-analysis): what the
-    // SCC/probing/reduction sweeps actually did.
-    state.counters["scc_merged_vars"] =
-        static_cast<double>(result.solverTotals.sccMergedVars);
-    state.counters["probed_failed"] =
-        static_cast<double>(result.solverTotals.probedFailed);
-    state.counters["hyper_binaries"] =
-        static_cast<double>(result.solverTotals.hyperBinaries);
-    state.counters["transitive_reduced"] =
-        static_cast<double>(result.solverTotals.transitiveReduced);
 }
 
 void
@@ -187,21 +177,6 @@ AdderVerifyEngineLaneBNoAnalysis(benchmark::State &state)
     runAdderEngine(state, options);
 }
 
-void
-AdderVerifyEngineLaneBNoBinaryAnalysis(benchmark::State &state)
-{
-    // Binary-graph passes off.  The adder's carry chain is the
-    // natural habitat of the passes (nested, argument-sharing
-    // conjunctions), so the on/off pair with AdderVerifyEngineLaneB
-    // measures what SCC merging, probing and transitive reduction buy
-    // at each scratch solver's entry where they genuinely fire -
-    // verdicts are identical by construction.
-    qb::core::EngineOptions options = qb::core::EngineOptions::
-        singleLane(qb::core::VerifierOptions::laneB());
-    options.binaryAnalysis = false;
-    runAdderEngine(state, options);
-}
-
 } // namespace
 
 BENCHMARK(AdderVerifyOneShotLaneA)
@@ -221,10 +196,6 @@ BENCHMARK(AdderVerifyEngineLaneB)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 BENCHMARK(AdderVerifyEngineLaneBNoAnalysis)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEngineLaneBNoBinaryAnalysis)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

@@ -84,16 +84,6 @@ reportCounters(benchmark::State &state,
         static_cast<double>(result.analysisTotals.discharged);
     state.counters["analysis_discharged_affine"] =
         static_cast<double>(result.analysisTotals.affine);
-    // Binary implication graph passes (--binary-analysis): what the
-    // SCC/probing/reduction sweeps actually did.
-    state.counters["scc_merged_vars"] =
-        static_cast<double>(result.solverTotals.sccMergedVars);
-    state.counters["probed_failed"] =
-        static_cast<double>(result.solverTotals.probedFailed);
-    state.counters["hyper_binaries"] =
-        static_cast<double>(result.solverTotals.hyperBinaries);
-    state.counters["transitive_reduced"] =
-        static_cast<double>(result.solverTotals.transitiveReduced);
 }
 
 /** Which benchmark program a family runs. */
@@ -189,57 +179,16 @@ McxVerifyEngineLaneBNoAnalysis(benchmark::State &state)
 }
 
 void
-McxVerifyEngineLaneANoBinaryAnalysis(benchmark::State &state)
-{
-    // Binary-graph passes off on lane A's preset: the on/off pair
-    // bounds what SCC merging, probing and transitive reduction buy
-    // on this family, and pins the arena_peak_kw comparison (verdicts
-    // are identical by construction).
-    qb::core::EngineOptions options = qb::core::EngineOptions::
-        singleLane(qb::core::VerifierOptions::laneA());
-    options.binaryAnalysis = false;
-    runMcxVerify(state, options, false);
-}
-
-void
-McxVerifyEngineLaneABinaryAnalysis(benchmark::State &state)
-{
-    // The matching analysis-ON twin of the NoBinaryAnalysis variant:
-    // the pair bounds cost and arena_peak_kw with the graph passes on
-    // vs off.  The plain
-    // ladder's implication graph is a tree, so the SCC / reduction
-    // counters legitimately stay 0 here - the counter smoke test
-    // lives on the BinaryHeavy family below.
-    runMcxVerify(state,
-                 qb::core::EngineOptions::singleLane(
-                     qb::core::VerifierOptions::laneA()),
-                 false);
-}
-
-void
 McxVerifyEngineBinaryHeavy(benchmark::State &state)
 {
     // The dressed mcx program (circuits::binaryHeavyMcxQbrSource) on
-    // the preprocessing lane, whose per-condition scratch solver runs
-    // the root binary-graph pass on every solve: CI bench-smoke
-    // asserts scc_merged_vars >= 1 and transitive_reduced >= 1 here.
+    // the preprocessing lane: equivalence cycles and redundant binary
+    // implications keep the solver's binary watch lists busy, and the
+    // CI crash gate runs it.
     runMcxVerify(state,
                  qb::core::EngineOptions::singleLane(
                      qb::core::VerifierOptions::laneB()),
                  false, McxProgram::BinaryHeavy);
-}
-
-void
-McxVerifyEngineBinaryHeavyNoBinaryAnalysis(benchmark::State &state)
-{
-    // Passes-off twin of McxVerifyEngineBinaryHeavy: all four
-    // binary-graph counters must read 0, and the solve-time /
-    // arena_peak_kw deltas show what the passes buy on a formula
-    // shape they actually fire on.
-    qb::core::EngineOptions options = qb::core::EngineOptions::
-        singleLane(qb::core::VerifierOptions::laneB());
-    options.binaryAnalysis = false;
-    runMcxVerify(state, options, false, McxProgram::BinaryHeavy);
 }
 
 void
@@ -306,19 +255,7 @@ BENCHMARK(McxVerifyEngineLaneBNoAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(McxVerifyEngineLaneANoBinaryAnalysis)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEngineLaneABinaryAnalysis)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
 BENCHMARK(McxVerifyEngineBinaryHeavy)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEngineBinaryHeavyNoBinaryAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

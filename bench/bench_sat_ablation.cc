@@ -192,8 +192,7 @@ SatVerifierFormula(benchmark::State &state)
 
 /**
  * What the default verification path does per condition: a fresh
- * simplify-preset solver (binary-graph pass, bounded variable
- * elimination, search) proving a safe dirty qubit's (6.2) UNSAT.
+ * simplify-preset solver (bounded variable elimination, then search) proving a safe dirty qubit's (6.2) UNSAT.
  */
 void
 SatPreprocessSafeAdder(benchmark::State &state)

@@ -39,9 +39,8 @@ std::string mcxQbrSource(std::uint32_t m);
  * mcxQbrSource(m) - the dressing undoes itself - but the Tseitin
  * encoding of the dressed conditions gains nested, argument-sharing
  * conjunctions, so its binary implication graph carries equivalence
- * cycles and transitively redundant edges: the shapes the
- * binary-graph inprocessing passes exist for.  The bench-smoke CI
- * step asserts nonzero scc_merged_vars/transitive_reduced on this
+ * cycles and transitively redundant edges, which keeps the solver's
+ * binary watch lists busy.  The bench-smoke CI crash gate runs this
  * program.
  * @throws std::invalid_argument when m < 4 (see mcxQbrSource()).
  */
@@ -98,7 +97,7 @@ std::string wideLinearMirrorQbrSource(std::uint32_t n);
  * time, and a 0-2 gate suffix, gate kinds drawn uniformly.  The fuzz
  * harness (support/fuzz.h) raises cnotWeight to push the generated
  * programs into the binary-implication-heavy region the solver's
- * graph passes (SCC, probing, transitive reduction) exist for.
+ * binary watch lists handle.
  */
 struct RandomQbrOptions
 {

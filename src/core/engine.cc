@@ -22,14 +22,12 @@ EngineOptions::singleLane(const VerifierOptions &options)
 
 namespace {
 
-/** @p options with the engine-level binary-analysis switch and the
- *  per-call conflict budget folded into its solver configuration,
- *  which every solver of the session is built from. */
+/** @p options with the per-call conflict budget folded into its
+ *  solver configuration, which every solver of the session is built
+ *  from. */
 VerifierOptions
-laneOptions(VerifierOptions options, bool binary_analysis)
+laneOptions(VerifierOptions options)
 {
-    options.solver.binaryAnalysis =
-        options.solver.binaryAnalysis && binary_analysis;
     options.solver.conflictBudget = options.conflictBudget;
     return options;
 }
@@ -97,9 +95,11 @@ struct VerificationEngine::Outcome
     std::optional<std::vector<bool>> model;
     double encodeSeconds = 0.0;
     double solveSeconds = 0.0;
-    std::int64_t conflicts = 0;
     std::size_t vars = 0;
     std::size_t clauses = 0;
+    /** Counters of the solver that decided the condition; folded
+     *  into the session totals only when the outcome is collected. */
+    sat::SolverStats stats;
 };
 
 /**
@@ -140,7 +140,7 @@ VerificationEngine::VerificationEngine(
     std::shared_ptr<CancelSource> cancel)
     : options_(std::move(options)), circuit_(circuit),
       scheduler_(std::move(scheduler)), cancel_(std::move(cancel)),
-      lane_(laneOptions(options_.lane, options_.binaryAnalysis))
+      lane_(laneOptions(options_.lane))
 {
     if (!scheduler_) {
         // Auto-sizing (jobs == 0) caps the private pool at what this
@@ -233,10 +233,8 @@ VerificationEngine::rearm(std::shared_ptr<CancelSource> cancel)
 }
 
 sat::SolverStats
-VerificationEngine::aggregateSolverStats()
+VerificationEngine::aggregateSolverStats() const
 {
-    waitIdle();
-    const std::lock_guard<std::mutex> guard(solverStatsMutex);
     return solverTotals_;
 }
 
@@ -434,16 +432,20 @@ VerificationEngine::decide(Query &query)
     sat::Solver solver(lane_.solver);
     solver.addCnf(enc.cnf);
     solver.setStopFlag(&query.stop);
-    const std::int64_t conflicts_before = solver.stats().conflicts;
     Timer solve_timer;
     out.result = solver.solve();
     out.solveSeconds = solve_timer.seconds();
-    out.conflicts = solver.stats().conflicts - conflicts_before;
 #ifdef QB_DEBUG_CHECKS
     solver.checkInvariants();
 #endif
-    const std::lock_guard<std::mutex> guard(solverStatsMutex);
-    solverTotals_.accumulate(solver.stats());
+    // The solver is deterministic and sees nothing but the condition's
+    // CNF; the stop flag can only turn an answer into Unknown.  So a
+    // Sat model depends on the condition alone, and counterexamples
+    // are identical across --jobs counts and schedules.
+    if (out.result == sat::SolveResult::Sat && lane_.wantCounterexample)
+        out.model =
+            extractModel(enc.inputVar, solver, circuit_.numQubits());
+    out.stats = solver.stats();
     return out;
 }
 
@@ -456,20 +458,19 @@ VerificationEngine::collectQuery(Query &query, QubitResult &out)
     }
     // The worker has reported; the outcome is immutable from here on.
     // Its work is charged to the result even when the query was
-    // cancelled or ran out of budget.
+    // cancelled or ran out of budget.  Only collected queries reach
+    // the session's solver totals: a speculative (6.2) query abandoned
+    // after an Unsafe (6.1) is never counted, however far it ran, so
+    // the totals do not depend on the schedule.
     const Outcome &o = query.outcome;
     out.encodeSeconds += o.encodeSeconds;
     out.solveSeconds += o.solveSeconds;
-    out.conflicts += o.conflicts;
+    out.conflicts += o.stats.conflicts;
     out.cnfVars += o.vars;
     out.cnfClauses += o.clauses;
     out.lane = 0;
-    Outcome result;
-    result.result = o.result;
-    if (result.result == sat::SolveResult::Sat &&
-        lane_.wantCounterexample)
-        result.model = deterministicModel(query.condition);
-    return result;
+    solverTotals_.accumulate(o.stats);
+    return std::move(query.outcome);
 }
 
 VerificationEngine::Outcome
@@ -487,35 +488,6 @@ VerificationEngine::structuralOutcome(bexp::NodeRef condition)
         outcome.model =
             std::vector<bool>(circuit_.numQubits(), false);
     return outcome;
-}
-
-std::optional<std::vector<bool>>
-VerificationEngine::deterministicModel(bexp::NodeRef condition)
-{
-    // Replay the satisfiable condition in a fresh lane-configured
-    // solver with no stop flag: the resulting model depends only on
-    // the condition, never on the stop flag or on the scheduler's
-    // timing, so counterexamples are identical between --jobs 1 and
-    // --jobs N runs.  The replay honors the lane's per-call conflict
-    // budget (it is one more SAT call); if the budget is too tight to
-    // re-find a model, the Unsafe verdict stands and the
-    // counterexample is simply omitted.
-    sat::TseitinResult enc = sat::encodeAssertTrue(
-        arena, condition, lane_.encoding, lane_.xorChunk);
-    qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
-    sat::SolverConfig config = lane_.solver;
-    // The binary-graph passes steer the search, and with it the model
-    // found: the replay runs without them whatever the engine switch
-    // says, so counterexamples do not depend on --binary-analysis.
-    config.binaryAnalysis = false;
-    sat::Solver solver(config);
-    solver.addCnf(enc.cnf);
-    const sat::SolveResult res = solver.solve();
-    qbAssert(res != sat::SolveResult::Unsat,
-             "replay of a satisfiable condition cannot be Unsat");
-    if (res != sat::SolveResult::Sat)
-        return std::nullopt;
-    return extractModel(enc.inputVar, solver, circuit_.numQubits());
 }
 
 void

@@ -70,19 +70,6 @@ struct EngineOptions
     unsigned jobs = 0;
 
     /**
-     * Binary implication graph analysis at each solver's solve entry
-     * (sat::SolverConfig::binaryAnalysis): SCC equivalence
-     * reduction, failed-literal probing with hyper-binary resolution,
-     * and transitive reduction over the binary clauses.  Every pass
-     * preserves the model set over the original variables, so
-     * verdicts and counterexamples are bit-identical with the switch
-     * on or off; only the solving work (and the binary-graph
-     * counters) differ.  On by default; --no-binary-analysis
-     * restores the PR 5 behavior.
-     */
-    bool binaryAnalysis = true;
-
-    /**
      * Scheduler fairness band of this session's condition tasks.
      * Sessions sharing one pool but belonging to different request
      * streams - distinct programs in qborrow server mode - should use
@@ -163,10 +150,10 @@ class CancelSource
  * from the caller's point of view (scheduler parallelism is internal):
  * all prepare/finish/verify calls must come from one thread.
  *
- * Counterexamples are extracted by a deterministic replay solve of the
- * satisfiable condition in a fresh solver with the binary-graph passes
- * off, so verdicts AND counterexamples are identical across jobs
- * counts, schedules and binary-analysis settings.
+ * Counterexamples are read from the model of the solver that decided
+ * the condition.  That solver is deterministic and sees only the
+ * condition's CNF, so verdicts AND counterexamples are identical
+ * across jobs counts and schedules.
  */
 class VerificationEngine
 {
@@ -259,16 +246,16 @@ class VerificationEngine
     }
 
     /**
-     * The summed counters of every solver this session has retired
-     * (peak fields sum per-solver peaks): each condition is decided in
-     * a throwaway solver, and without the harvest its preprocessing
-     * and binary-graph work would vanish with it.  Quiesces this
-     * session's scheduler work first, so it is safe - but blocking -
-     * mid-batch.  The batch drivers copy this into
-     * ProgramResult::solverTotals so reports and benchmarks can show
-     * learnt-DB size, GC and inprocessing activity.
+     * The summed counters of the solvers behind every outcome this
+     * session has collected (peak fields sum per-solver peaks): each
+     * condition is decided in a throwaway solver, and without the
+     * harvest its work would vanish with it.  A query abandoned before
+     * collection (the speculative (6.2) query of an unsafe qubit) is
+     * never counted, so the totals are the same at any --jobs.  The
+     * batch drivers copy this into ProgramResult::solverTotals so
+     * reports and benchmarks can show learnt-DB size and GC activity.
      */
-    sat::SolverStats aggregateSolverStats();
+    sat::SolverStats aggregateSolverStats() const;
 
     /**
      * Re-arm a WARM session for a new request (serving tier): wait
@@ -298,8 +285,6 @@ class VerificationEngine
     Outcome collectQuery(Query &query, QubitResult &out);
     Outcome structuralOutcome(bexp::NodeRef condition);
     Outcome decide(Query &query);
-    std::optional<std::vector<bool>>
-    deterministicModel(bexp::NodeRef condition);
     void finishUnsafe(QubitResult &out, const Outcome &outcome,
                       FailedCondition which);
     static void abandon(const std::shared_ptr<Query> &query);
@@ -314,8 +299,8 @@ class VerificationEngine
     std::shared_ptr<Scheduler> scheduler_;
     std::shared_ptr<CancelSource> cancel_;
     std::atomic<bool> cancelled_{false};
-    /** options_.lane with the engine-level binary-analysis switch and
-     *  the conflict budget folded into its solver configuration. */
+    /** options_.lane with the conflict budget folded into its solver
+     *  configuration. */
     VerifierOptions lane_;
     /** Static dischargers over circuit_; created on first use. */
     std::unique_ptr<analysis::Analyzer> analyzer_;
@@ -323,10 +308,10 @@ class VerificationEngine
     std::vector<std::optional<bexp::NodeRef>> cleanCache;
     Stats engineStats;
 
-    /** Solver counters of every solver retired so far; guarded by
-     *  solverStatsMutex (harvests run on pool workers). */
+    /** Solver counters of every collected outcome so far.  Touched
+     *  only from the session's own thread (collectQuery() and
+     *  aggregateSolverStats()), never from pool workers. */
     sat::SolverStats solverTotals_;
-    std::mutex solverStatsMutex;
 
     /** @name Destruction fence over in-flight scheduler tasks. @{ */
     std::mutex fenceMutex;

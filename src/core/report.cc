@@ -58,8 +58,8 @@ emitProgram(const ProgramResult &result,
                   "\"undecided\": %zu},",
                   safe, unsafe, other);
     out += nl;
-    // Aggregated counters of every per-condition solver: clause-DB
-    // health and the inprocessing/GC activity of this run's sessions.
+    // Aggregated counters of every collected per-condition solver:
+    // clause-DB health and the GC activity of this run's sessions.
     const sat::SolverStats &s = result.solverTotals;
     const auto count = [](std::int64_t v) {
         return format("%lld", static_cast<long long>(v));
@@ -72,25 +72,13 @@ emitProgram(const ProgramResult &result,
     out += "\"bin_propagations\": " + count(s.binPropagations) + ", ";
     out += "\"otf_strengthened\": " +
            count(s.otfStrengthenedClauses) + ", ";
-    out += "\"otf_deferred_applied\": " +
-           count(s.otfDeferredApplied) + ", ";
+    // Always 0; perfbench reads it until a bench-only change drops it.
     out += "\"inprocess_runs\": " + count(s.inprocessRuns) + ", ";
-    out += "\"vivified_clauses\": " + count(s.vivifiedClauses) + ", ";
-    out += "\"vivified_literals\": " + count(s.vivifiedLiterals) + ", ";
-    out += "\"subsumed_clauses\": " + count(s.subsumedClauses) + ", ";
-    out += "\"strengthened_clauses\": " +
-           count(s.strengthenedClauses) + ", ";
     out += "\"gc_runs\": " + count(s.gcRuns) + ", ";
     out += "\"gc_words_reclaimed\": " + count(s.gcWordsReclaimed) +
            ", ";
     out += "\"arena_peak_words\": " + count(s.arenaPeakWords) + ", ";
-    out += "\"peak_learnts\": " + count(s.peakLearnts) + ", ";
-    // Binary implication graph passes (--binary-analysis).
-    out += "\"scc_merged_vars\": " + count(s.sccMergedVars) + ", ";
-    out += "\"probed_failed\": " + count(s.probedFailed) + ", ";
-    out += "\"hyper_binaries\": " + count(s.hyperBinaries) + ", ";
-    out += "\"transitive_reduced\": " +
-           count(s.transitiveReduced);
+    out += "\"peak_learnts\": " + count(s.peakLearnts);
     out += "},";
     out += nl;
     // Static-analysis dischargers: conditions proven UNSAT without a

@@ -30,10 +30,9 @@ std::string toJson(const QubitResult &result);
  *   "total_seconds": <double>,
  *   "counts": {"safe": n, "unsafe": n, "undecided": n},
  *   "solver": { aggregated ProgramResult::solverTotals counters:
- *               conflicts, learnt/removed clauses, inprocessing (vivified,
- *               subsumed, strengthened), arena GC runs and peaks,
- *               binary-graph passes (scc_merged_vars, probed_failed,
- *               hyper_binaries, transitive_reduced) },
+ *               conflicts, learnt/removed clauses, binary
+ *               propagations, OTF strengthenings, arena GC runs and
+ *               peaks },
  *   "analysis": { "analysis_discharged": n, "support": n,
  *                 "mirror": n, "affine": n, "permutation": n },
  *   "qubits": [ <QubitResult objects> ]

@@ -76,10 +76,6 @@ class Clause
     }
     void setActivity(float a) { std::memcpy(&act, &a, sizeof a); }
 
-    /** Strip the learnt mark (subsumption promotes a learnt clause
-     *  that subsumed a problem clause to problem status). */
-    void clearLearnt() { header &= ~kLearntBit; }
-
     Lit &operator[](std::size_t i) { return lits()[i]; }
     const Lit &operator[](std::size_t i) const { return lits()[i]; }
     Lit *begin() { return lits(); }

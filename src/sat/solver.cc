@@ -51,17 +51,8 @@ SolverStats::accumulate(const SolverStats &other)
     removedClauses += other.removedClauses;
     eliminatedVars += other.eliminatedVars;
     inprocessRuns += other.inprocessRuns;
-    vivifiedClauses += other.vivifiedClauses;
-    vivifiedLiterals += other.vivifiedLiterals;
-    subsumedClauses += other.subsumedClauses;
-    strengthenedClauses += other.strengthenedClauses;
     otfStrengthenedClauses += other.otfStrengthenedClauses;
     otfSkipped += other.otfSkipped;
-    otfDeferredApplied += other.otfDeferredApplied;
-    sccMergedVars += other.sccMergedVars;
-    probedFailed += other.probedFailed;
-    hyperBinaries += other.hyperBinaries;
-    transitiveReduced += other.transitiveReduced;
     gcRuns += other.gcRuns;
     gcWordsReclaimed += other.gcWordsReclaimed;
     arenaPeakWords += other.arenaPeakWords;
@@ -104,8 +95,7 @@ struct Solver::Watcher
  * clauses exist ONLY as their two mirrored entries (no arena clause at
  * all): an implication carries the other literal in the Reason word,
  * a conflict is reported through Solver::binConflict, and the learnt
- * flag rides here so shrink-style passes can tell redundant binaries
- * from problem structure.
+ * flag rides here so the two entries of a clause agree on its status.
  */
 struct Solver::BinWatcher
 {
@@ -220,8 +210,6 @@ Solver::newVar()
     polarity.push_back(cfg.initialPhaseTrue);
     activity.push_back(0.0);
     seen.push_back(0);
-    substituted.push_back(0);
-    subst.push_back(mkLit(v, false));
     watches.emplace_back();
     watches.emplace_back();
     binWatches.emplace_back();
@@ -271,12 +259,6 @@ Solver::addClause(LitVec lits)
         while (l.var() >= numVars())
             newVar();
     }
-    // Merged variables are fully retired: route every literal to its
-    // equivalence-class representative before simplification.
-    if (!eqStack.empty()) {
-        for (Lit &l : lits)
-            l = representativeOf(l);
-    }
     std::sort(lits.begin(), lits.end());
     LitVec kept;
     Lit prev = kUndefLit;
@@ -291,7 +273,6 @@ Solver::addClause(LitVec lits)
         okay = false;
         return false;
     }
-    binaryAnalysisPending = true;
     if (kept.size() == 1) {
         uncheckedEnqueue(kept[0], Reason());
         okay = propagate() == kRefUndef;
@@ -352,12 +333,10 @@ bool
 Solver::attachBinary(Lit a, Lit b, bool learnt)
 {
     qbAssert(a.var() != b.var(), "degenerate binary clause");
-    // Duplicate-aware: the graph passes keep the lists set-like, so a
-    // re-derived binary (hyper-binary resolution, equivalence
-    // rewriting, subsumption shrinks) must not file a second edge
-    // pair.  A problem-status duplicate of a learnt binary upgrades
-    // both existing entries instead, so no pass can ever retire what
-    // is really problem structure.
+    // Duplicate-aware: the lists stay set-like, so a re-added or
+    // re-derived binary (an OTF shrink to two literals) files no second
+    // edge pair.  A problem-status duplicate of a learnt binary
+    // upgrades both existing entries instead.
     auto &fwd = binWatches[(~a).index()];
     for (BinWatcher &w : fwd) {
         if (w.other != b)
@@ -382,8 +361,7 @@ Solver::checkInvariants() const
     // Live set + exact arena accounting: everything problemClauses
     // and learntClauses reference, and nothing else, occupies the
     // non-wasted part of the arena.  Binary clauses live only in the
-    // binary watch lists, so every arena clause has size >= 3, and no
-    // clause may name a variable the SCC pass retired.
+    // binary watch lists, so every arena clause has size >= 3.
     std::unordered_set<ClauseRef> live;
     std::size_t live_words = 0;
     for (const auto *list : {&problemClauses, &learntClauses}) {
@@ -393,10 +371,6 @@ Solver::checkInvariants() const
             const Clause &c = ca[cr];
             qbAssert(c.size() >= 3,
                      "invariant: short clause in the arena");
-            for (const Lit l : c)
-                qbAssert(!substituted[l.var()],
-                         "invariant: substituted variable in an "
-                         "arena clause");
             live_words += ClauseAllocator::kHeaderWords + c.size();
         }
     }
@@ -435,7 +409,7 @@ Solver::checkInvariants() const
 
     // The binary implication graph: every directed edge a→b (filed
     // under a's index with b inlined) appears once, never self-loops,
-    // never touches a substituted variable, and has its mirror edge
+    // and has its mirror edge
     // ¬b→¬a filed with the SAME learnt flag - the two entries of one
     // clause must agree on everything.
     std::unordered_map<std::uint64_t, bool> edges;
@@ -444,10 +418,6 @@ Solver::checkInvariants() const
         for (const BinWatcher &w : binWatches[idx]) {
             qbAssert(w.other.var() != trigger.var(),
                      "invariant: self or tautological binary");
-            qbAssert(!substituted[trigger.var()] &&
-                         !substituted[w.other.var()],
-                     "invariant: substituted variable in a binary "
-                     "watch list");
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(idx) << 32) |
                 static_cast<std::uint64_t>(w.other.index());
@@ -477,8 +447,6 @@ Solver::checkInvariants() const
     for (const Lit l : trail) {
         qbAssert(value(l) == LBool::True,
                  "invariant: false literal on the trail");
-        qbAssert(!substituted[l.var()],
-                 "invariant: substituted variable on the trail");
         const Reason r = reasons[l.var()];
         if (r.isUndef())
             continue;
@@ -495,33 +463,12 @@ Solver::checkInvariants() const
                  "invariant: reason clause does not imply its "
                  "literal");
     }
-
-    // Substituted variables are fully retired: unassigned,
-    // reason-less, and absent from every watch list (their clauses
-    // were rewritten onto the representatives).
-    for (Var v = 0; v < numVars(); ++v) {
-        if (!substituted[v])
-            continue;
-        qbAssert(assigns[v] == LBool::Undef,
-                 "invariant: substituted variable is assigned");
-        qbAssert(reasons[v].isUndef(),
-                 "invariant: substituted variable has a reason");
-        for (const bool s : {false, true}) {
-            const Lit l = mkLit(v, s);
-            qbAssert(watches[l.index()].empty(),
-                     "invariant: substituted variable still watched");
-            qbAssert(binWatches[l.index()].empty(),
-                     "invariant: substituted variable still in the "
-                     "binary graph");
-        }
-    }
 }
 
 void
 Solver::removeClause(ClauseRef cr)
 {
     detachClause(cr);
-    purgeDeferredOtf(cr);
     ca.free(cr);
     ++statistics.removedClauses;
 }
@@ -835,24 +782,6 @@ Solver::analyzeFinal(Lit failed)
         }
         seen[failed.var()] = 0;
     }
-    // The search runs over class representatives; the caller reasons
-    // in its own (original) literals.  Translate the core back: an
-    // original assumption belongs whenever its representative is in
-    // the representative-level core.  This can only widen the core
-    // (several originals may share a representative), never miss -
-    // every core literal was an assumption, and every assumption is
-    // some original's image.
-    if (!eqStack.empty() && !originalAssumptions.empty()) {
-        std::unordered_set<std::int32_t> core;
-        for (const Lit l : conflictCore)
-            core.insert(l.x);
-        LitVec translated;
-        for (const Lit orig : originalAssumptions) {
-            if (core.count(representativeOf(orig).x) != 0)
-                translated.push_back(orig);
-        }
-        conflictCore = std::move(translated);
-    }
 }
 
 bool
@@ -907,9 +836,7 @@ Solver::litRedundant(Lit l, std::uint32_t ab_levels)
  * On-the-fly self-subsumption (learn-time clause improvement): apply
  * the strengthenings analyze() discovered - during resolution, the
  * running resolvent turned out to equal an antecedent minus its
- * pivot, so that antecedent can lose the pivot literal, in the arena,
- * NOW, instead of waiting for the query-boundary subsumption pass to
- * rediscover the pair.
+ * pivot, so that antecedent can lose the pivot literal, in the arena.
  *
  * Called from search() AFTER backtracking to the assertion level:
  * every candidate was the reason of a conflict-level variable, so
@@ -918,8 +845,7 @@ Solver::litRedundant(Lit l, std::uint32_t ab_levels)
  * watches are re-picked among literals not false under the current
  * assignment - a shrink to binary simply re-attaches through the
  * specialized binary lists.  When fewer than two non-false literals
- * would remain the clause is left untouched (counted as otfSkipped);
- * vivification will catch it at the root.
+ * would remain the clause is left untouched (counted as otfSkipped).
  */
 void
 Solver::otfStrengthen()
@@ -936,12 +862,6 @@ Solver::otfStrengthen()
                 ++nonfalse;
         if (nonfalse < 2) {
             ++statistics.otfSkipped;
-            // Remember the pair for the next root boundary, where the
-            // edit is always safe, instead of waiting for the
-            // query-boundary vivification pass (see applyDeferredOtf).
-            if (cfg.otfDefer &&
-                otfDeferred.size() < cfg.otfDeferredMax)
-                otfDeferred.push_back({cr, pivot});
             continue;
         }
         strengthenInPlace(cr, pivot);
@@ -950,98 +870,16 @@ Solver::otfStrengthen()
     otfCandidates.clear();
 }
 
-/** Drop queued deferred strengthenings of the clause behind @p cr;
- *  called from every clause-free site so otfDeferred never holds a
- *  dangling ClauseRef. */
-void
-Solver::purgeDeferredOtf(ClauseRef cr)
-{
-    if (otfDeferred.empty())
-        return;
-    std::erase_if(otfDeferred, [cr](const OtfCandidate &d) {
-        return d.cref == cr;
-    });
-}
-
-/**
- * Apply the strengthenings otfStrengthen() had to skip mid-search.
- * Called at root boundaries only - solve() entry and restarts that
- * return to decision level 0 - where strengthenInPlace() is
- * unconditionally safe: a result that goes unit is enqueued on the
- * root trail, an empty result latches Unsat (mirroring the
- * backwardSubsume() strengthening path).  Every queued cref is live
- * (see purgeDeferredOtf), but the clause may have changed since the
- * skip - the pivot is re-checked before editing.
- */
-void
-Solver::applyDeferredOtf()
-{
-    qbAssert(decisionLevel() == 0, "deferred OTF above root level");
-    std::vector<OtfCandidate> pending;
-    pending.swap(otfDeferred);
-    for (std::size_t k = 0; k < pending.size() && okay; ++k) {
-        const ClauseRef cr = pending[k].cref;
-        const Lit pivot = pending[k].pivot;
-        if (cr == kRefUndef || locked(cr))
-            continue;
-        const Clause &c = ca[cr];
-        // Vivification/subsumption may have rewritten the clause since
-        // the skip; only edit if the pivot is still present and the
-        // clause can lose a literal.
-        bool has_pivot = false;
-        for (const Lit y : c)
-            has_pivot |= (y == pivot);
-        if (!has_pivot || c.size() < 2)
-            continue;
-        const bool learnt = c.learnt();
-        const Strengthened s = strengthenInPlace(cr, pivot);
-        ++statistics.otfDeferredApplied;
-        if (s.becameBinary) {
-            // The clause dissolved into the binary watch lists
-            // (strengthenInPlace freed the ref and unlisted it);
-            // invalidate later queue entries that still name it.
-            for (std::size_t j = k + 1; j < pending.size(); ++j)
-                if (pending[j].cref == cr)
-                    pending[j].cref = kRefUndef;
-            continue;
-        }
-        if (s.nonfalse >= 2)
-            continue;
-        // Unit (or empty) at the root: dissolve into the trail, free
-        // the clause, and invalidate any later queue entries (and the
-        // clause-list slot) that still name it.
-        const Clause &d = ca[cr];
-        const Lit unit = d.size() > 0 ? d[0] : kUndefLit;
-        auto &list = learnt ? learntClauses : problemClauses;
-        std::erase(list, cr);
-        ca.free(cr);
-        for (std::size_t j = k + 1; j < pending.size(); ++j)
-            if (pending[j].cref == cr)
-                pending[j].cref = kRefUndef;
-        if (s.nonfalse == 0) {
-            okay = false;
-            break;
-        }
-        if (value(unit) == LBool::Undef) {
-            uncheckedEnqueue(unit, Reason());
-            okay = propagate() == kRefUndef;
-        }
-    }
-}
-
 /**
  * Remove @p l from the clause behind @p cr in place: detach, drop the
  * literal (accounting the shaved word), tighten the LBD, re-pick
  * watches among literals not false under the CURRENT assignment and
  * re-attach.  A shrink to TWO literals dissolves the clause out of
  * the arena entirely - it is freed, unlisted and re-filed as a
- * mirrored pair in the binary watch lists (becameBinary reports the
- * dead cref to the caller).  With fewer than two non-false literals
- * the clause is left DETACHED (unit or conflicting under the current
- * assignment) and the caller decides its fate.  Shared by the
- * learn-time OTF pass and the query-boundary subsumption pass.
+ * mirrored pair in the binary watch lists.  The caller guarantees at
+ * least two literals stay non-false.
  */
-Solver::Strengthened
+void
 Solver::strengthenInPlace(ClauseRef cr, Lit l)
 {
     detachClause(cr);
@@ -1054,21 +892,18 @@ Solver::strengthenInPlace(ClauseRef cr, Lit l)
         if (value(c[i]) != LBool::False)
             std::swap(c[nonfalse++], c[i]);
     }
-    if (nonfalse < 2)
-        return {nonfalse, false};
+    qbAssert(nonfalse == 2, "strengthening leaves no two watches");
     if (c.size() == 2) {
         const Lit a = c[0];
         const Lit b = c[1];
         const bool learnt = c.learnt();
         auto &list = learnt ? learntClauses : problemClauses;
         std::erase(list, cr);
-        purgeDeferredOtf(cr);
         ca.free(cr);
         attachBinary(a, b, learnt);
-        return {nonfalse, true};
+        return;
     }
     attachClause(cr);
-    return {nonfalse, false};
 }
 
 void
@@ -1091,20 +926,17 @@ Solver::cancelUntil(int target_level)
 Lit
 Solver::pickBranchLit()
 {
-    // Substituted variables are retired from the search space: their
-    // value is a function of their representative's, reconstructed
-    // only for the model.
     if (cfg.useVsids) {
         while (!order->empty()) {
             // Peek by removing; re-inserted on backtrack.
             const Var v = order->removeMax();
-            if (assigns[v] == LBool::Undef && !substituted[v])
+            if (assigns[v] == LBool::Undef)
                 return mkLit(v, !polarity[v]);
         }
         return kUndefLit;
     }
     for (Var v = 0; v < numVars(); ++v) {
-        if (assigns[v] == LBool::Undef && !substituted[v])
+        if (assigns[v] == LBool::Undef)
             return mkLit(v, !polarity[v]);
     }
     return kUndefLit;
@@ -1215,23 +1047,6 @@ Solver::restoreEliminated()
     statistics.eliminatedVars = 0;
 }
 
-void
-Solver::shrinkLearnts(unsigned max_lbd)
-{
-    qbAssert(decisionLevel() == 0, "shrinkLearnts above root level");
-    std::vector<ClauseRef> kept;
-    kept.reserve(learntClauses.size());
-    for (const ClauseRef cr : learntClauses) {
-        if (locked(cr) || ca[cr].lbd() <= max_lbd) {
-            kept.push_back(cr);
-            continue;
-        }
-        removeClause(cr);
-    }
-    learntClauses = std::move(kept);
-    maybeGarbageCollect();
-}
-
 std::int64_t
 Solver::luby(std::int64_t i)
 {
@@ -1317,30 +1132,10 @@ Solver::search(std::int64_t conflict_limit)
                 cancelUntil(static_cast<int>(assumptions.size()));
                 return SolveResult::Unknown;
             }
-            // The legacy one-shot trigger scales with the problem
-            // size, which in a long-lived incremental solver lets the
-            // learnt database grow with session age and tax every
-            // later query.  learntLimitBase selects an absolute limit
-            // instead, rate-limited by conflict count so a floor of
-            // protected (locked / lbd<=2) clauses cannot force a
-            // database sort on every decision.
-            if (cfg.reduceDb) {
-                if (cfg.learntLimitBase >= 0) {
-                    if (learntClauses.size() >
-                            static_cast<std::size_t>(
-                                cfg.learntLimitBase) +
-                                trail.size() &&
-                        statistics.conflicts >= nextReduceConflicts) {
-                        reduceDb();
-                        nextReduceConflicts =
-                            statistics.conflicts + 1000;
-                    }
-                } else if (learntClauses.size() >
-                           problemClauses.size() / 3 + 3000 +
-                               trail.size()) {
-                    reduceDb();
-                }
-            }
+            if (cfg.reduceDb &&
+                learntClauses.size() >
+                    problemClauses.size() / 3 + 3000 + trail.size())
+                reduceDb();
             // Extend the assumption prefix before free decisions: each
             // assumption gets its own decision level, so conflict
             // analysis can attribute an eventual Unsat to the precise
@@ -1384,7 +1179,6 @@ Solver::solve()
 SolveResult
 Solver::solve(const LitVec &assumps)
 {
-    originalAssumptions = assumps;
     assumptions = assumps;
     conflictCore.clear();
     conflictsAtCallStart = statistics.conflicts;
@@ -1393,13 +1187,6 @@ Solver::solve(const LitVec &assumps)
     for (Lit a : assumptions) {
         while (a.var() >= numVars())
             newVar();
-    }
-    // Assumptions over merged variables are redirected to their class
-    // representative; analyzeFinal() translates any core back to the
-    // caller's original literals.
-    if (!eqStack.empty()) {
-        for (Lit &a : assumptions)
-            a = representativeOf(a);
     }
     if (propagate() != kRefUndef) {
         okay = false;
@@ -1418,39 +1205,12 @@ Solver::solve(const LitVec &assumps)
         if (!okay)
             return SolveResult::Unsat;
     }
-    // Root-level binary-graph pass.  One-shot (assumption-free)
-    // solves rarely live long enough to reach the periodic
-    // inprocessing boundary, so the analysis also runs here - and it
-    // runs BEFORE bounded variable elimination: the equivalence
-    // cycles it merges (an XOR output fixed at root leaves its
-    // arguments binary-equivalent) are exactly the structures
-    // resolution would otherwise dissolve variable by variable.
-    // Assumption-based calls skip it - the passes assume a level-0
-    // trail that only contains facts.  The pending flag skips the
-    // pass when solve() is re-entered over the same problem formula,
-    // where re-probing every call would cost more than the search.
-    // Both passes together are SolverStats::preprocessSeconds.
-    const Timer preprocess_timer;
-    const bool binary_pass = cfg.binaryAnalysis &&
-        assumptions.empty() && binaryAnalysisPending;
-    if (binary_pass) {
-        binaryAnalysisPending = false;
-        analyzeBinaryGraph();
-    }
-    const bool eliminate = okay && cfg.preprocess &&
-        assumptions.empty() && !preprocessed && learntClauses.empty();
-    if (eliminate) {
+    if (cfg.preprocess && assumptions.empty() && !preprocessed &&
+        learntClauses.empty()) {
+        const Timer preprocess_timer;
         preprocessed = true;
         okay = preprocessEliminate();
-    }
-    if (binary_pass || eliminate)
         statistics.preprocessSeconds += preprocess_timer.seconds();
-    if (!okay)
-        return SolveResult::Unsat;
-    // Root boundary: land the strengthenings the last call's conflict
-    // analysis could not apply mid-search.
-    if (cfg.otfDefer && !otfDeferred.empty()) {
-        applyDeferredOtf();
         if (!okay)
             return SolveResult::Unsat;
     }
@@ -1463,21 +1223,6 @@ Solver::solve(const LitVec &assumps)
         const SolveResult result = search(limit);
         if (result != SolveResult::Unknown) {
             if (result == SolveResult::Sat) {
-                // Extend the model over merged variables first: each
-                // one copies (or negates) its representative's value.
-                // Newest-first resolves cross-pass chains (v merged
-                // into u, u merged later still), and runs BEFORE the
-                // eliminated-variable reconstruction because clauses
-                // saved by an elimination that predates a merge can
-                // mention merged variables - whose values must exist
-                // by then.
-                for (auto it = eqStack.rbegin(); it != eqStack.rend();
-                     ++it) {
-                    const Lit rep = it->second;
-                    model[it->first] = rep.sign()
-                        ? lboolNeg(model[rep.var()])
-                        : model[rep.var()];
-                }
                 // Extend the model over eliminated variables.
                 for (auto it = elimStack.rbegin(); it != elimStack.rend();
                      ++it) {
@@ -1515,17 +1260,6 @@ Solver::solve(const LitVec &assumps)
             stopFlag->load(std::memory_order_relaxed)) {
             cancelUntil(0);
             return SolveResult::Unknown;
-        }
-        // A restart that lands at the root is also a safe point for
-        // the deferred strengthenings (assumption-based calls keep
-        // their assumption prefix and defer to the next solve()).
-        if (cfg.otfDefer && !otfDeferred.empty() &&
-            decisionLevel() == 0) {
-            applyDeferredOtf();
-            if (!okay) {
-                cancelUntil(0);
-                return SolveResult::Unsat;
-            }
         }
         ++statistics.restarts;
         ++restart;
@@ -1568,9 +1302,9 @@ Solver::preprocessEliminate()
         reasons[l.var()] = Reason();
 
     // The working clause set, back to back in one literal vector.  No
-    // clause names a variable twice (addClause() and the graph passes
-    // drop tautologies and duplicates), which is what makes the
-    // mark-based tautology test below exact.
+    // clause names a variable twice (addClause() drops tautologies and
+    // duplicates), which is what makes the mark-based tautology test
+    // below exact.
     ClauseList pool;
     auto add_root_reduced = [&](std::span<const Lit> lits) {
         for (const Lit l : lits) {
@@ -1601,7 +1335,6 @@ Solver::preprocessEliminate()
         list.clear();
     ca.clear();
     problemClauses.clear();
-    otfDeferred.clear();
     // Binary clauses live only in the watch lists: fold the canonical
     // direction of every pair into the working set and clear the
     // lists (survivors are re-filed by the re-add loop below).
@@ -1657,15 +1390,6 @@ Solver::preprocessEliminate()
     };
 
     std::vector<char> frozen(numVars(), 0);
-    // An SCC representative must survive elimination: the model
-    // reconstruction in solve() extends each merged variable from its
-    // representative's value BEFORE replaying eliminated variables,
-    // so a representative eliminated here would be read while still
-    // unset.  (Merged variables themselves need no freezing - they
-    // no longer occur in any clause, so the zero-occurrence skip
-    // below never touches them.)
-    for (const auto &entry : eqStack)
-        frozen[entry.second.var()] = 1;
     // Marks the literals of the positive antecedent, minus the pivot:
     // the resolvent with a negative one is a tautology exactly when
     // that clause holds the complement of a marked literal.
@@ -1793,8 +1517,8 @@ Solver::relocAll(ClauseAllocator &to)
     // Patch every live reference through the forwarding words: watcher
     // lists first (order and blockers preserved verbatim), then the
     // reasons of all assigned variables (root-level assignments keep
-    // their reason clauses forever; reduceDb/shrinkLearnts never free
-    // locked clauses, so every such reference is live), then the
+    // their reason clauses forever; reduceDb never frees locked
+    // clauses, so every such reference is live), then the
     // clause lists themselves.
     for (auto &list : watches)
         for (Watcher &w : list)
@@ -1810,8 +1534,6 @@ Solver::relocAll(ClauseAllocator &to)
         cr = ca.reloc(cr, to);
     for (ClauseRef &cr : learntClauses)
         cr = ca.reloc(cr, to);
-    for (OtfCandidate &d : otfDeferred)
-        d.cref = ca.reloc(d.cref, to);
 }
 
 void
@@ -1834,928 +1556,6 @@ Solver::maybeGarbageCollect()
     // copy restores allocation order = traversal order.
     if (ca.wasted() > ca.words() / 5)
         garbageCollect();
-}
-
-bool
-Solver::inprocess()
-{
-    qbAssert(decisionLevel() == 0, "inprocess above root level");
-    if (!okay || !cfg.inprocessing)
-        return okay;
-    ++statistics.inprocessRuns;
-    if (cfg.binaryAnalysis)
-        analyzeBinaryGraph();
-    if (okay)
-        vivifyLearnts();
-    if (okay)
-        backwardSubsume();
-    maybeGarbageCollect();
-    return okay;
-}
-
-void
-Solver::vivifyLearnts()
-{
-    // Clause vivification (distillation): for a learnt clause
-    // l1..lk, enqueue ~l1..~li in turn at a throwaway decision level.
-    // A propagation conflict proves the prefix l1..li is implied (the
-    // clause shrinks to it); an implied lj proves prefix+lj subsumes
-    // the clause; an implied ~lj removes lj by resolution.  The clause
-    // under test is detached first so it cannot justify itself.
-    std::int64_t budget = cfg.vivifyPropBudget;
-    for (std::size_t idx = 0; idx < learntClauses.size(); ++idx) {
-        if (budget <= 0 || !okay)
-            break;
-        const ClauseRef cr = learntClauses[idx];
-        if (locked(cr))
-            continue;
-        const Clause &c = ca[cr];
-        if (c.size() < 3)
-            continue;
-        const LitVec lits(c.begin(), c.end());
-        const unsigned old_lbd = c.lbd();
-        const float act = c.activity();
-        // Clauses satisfied at the root are pure ballast.
-        bool root_sat = false;
-        for (Lit l : lits) {
-            if (value(l) == LBool::True) {
-                root_sat = true;
-                break;
-            }
-        }
-        if (root_sat) {
-            removeClause(cr);
-            learntClauses[idx--] = learntClauses.back();
-            learntClauses.pop_back();
-            continue;
-        }
-        detachClause(cr);
-        const std::int64_t props_before = statistics.propagations;
-        trailLim.push_back(static_cast<int>(trail.size()));
-        LitVec kept;
-        bool shortened = false;
-        for (Lit l : lits) {
-            const LBool v = value(l);
-            if (v == LBool::True) {
-                // Implied by the negated prefix: prefix + l subsumes.
-                kept.push_back(l);
-                shortened = true;
-                break;
-            }
-            if (v == LBool::False) {
-                // ~l implied: drop l by self-subsuming resolution.
-                shortened = true;
-                continue;
-            }
-            kept.push_back(l);
-            uncheckedEnqueue(~l, Reason());
-            if (propagate() != kRefUndef) {
-                // The negated prefix is contradictory: it suffices.
-                shortened = true;
-                break;
-            }
-        }
-        cancelUntil(0);
-        budget -= statistics.propagations - props_before;
-        if (!shortened || kept.size() >= lits.size()) {
-            attachClause(cr); // unchanged; watch positions intact
-            continue;
-        }
-        ++statistics.vivifiedClauses;
-        statistics.vivifiedLiterals +=
-            static_cast<std::int64_t>(lits.size() - kept.size());
-        purgeDeferredOtf(cr);
-        ca.free(cr);
-        if (kept.size() >= 3) {
-            // All kept literals are unassigned at the root (false ones
-            // were dropped, a true one ends the root_sat scan), so any
-            // two of them are valid watches.
-            const unsigned lbd = std::min(
-                old_lbd, static_cast<unsigned>(kept.size()));
-            const ClauseRef nr =
-                ca.alloc(kept, /*learnt=*/true, lbd, act);
-            learntClauses[idx] = nr;
-            attachClause(nr);
-            notePeaks(); // replacements grow the arena tail
-            continue;
-        }
-        learntClauses[idx--] = learntClauses.back();
-        learntClauses.pop_back();
-        if (kept.size() == 2) {
-            // Shrank to a binary: it moves out of the arena into the
-            // mirrored watch-list pair.
-            attachBinary(kept[0], kept[1], /*learnt=*/true);
-            continue;
-        }
-        if (kept.empty()) {
-            okay = false; // every literal false at the root
-            return;
-        }
-        if (value(kept[0]) == LBool::False) {
-            okay = false;
-        } else if (value(kept[0]) == LBool::Undef) {
-            uncheckedEnqueue(kept[0], Reason());
-            okay = propagate() == kRefUndef;
-        }
-    }
-}
-
-void
-Solver::backwardSubsume()
-{
-    // Backward subsumption with self-subsuming resolution over the
-    // whole database (krox/dawn-style, bounded): for each clause C up
-    // to subsumeMaxSize literals, scan the occurrence lists of its
-    // least-frequent literal (both polarities) for clauses D with
-    // C subset D (drop D) or C \ {l} + {~l} subset D (remove ~l from
-    // D).  Signatures prune most candidate pairs to one 64-bit test.
-    qbAssert(decisionLevel() == 0, "subsume above root level");
-    struct Entry
-    {
-        ClauseRef cr;
-        std::uint64_t sig;
-        bool learnt;
-        bool dead;
-    };
-    std::vector<Entry> entries;
-    entries.reserve(problemClauses.size() + learntClauses.size());
-    for (const ClauseRef cr : problemClauses)
-        entries.push_back({cr, 0, false, false});
-    for (const ClauseRef cr : learntClauses)
-        entries.push_back({cr, 0, true, false});
-
-    std::vector<std::vector<std::uint32_t>> occ(watches.size());
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(entries.size()); ++i) {
-        const Clause &c = ca[entries[i].cr];
-        std::uint64_t sig = 0;
-        for (Lit l : c) {
-            sig |= std::uint64_t{1} << (l.var() & 63);
-            occ[l.index()].push_back(i);
-        }
-        entries[i].sig = sig;
-    }
-
-    std::vector<char> inSubsumer(watches.size(), 0);
-
-    // Remove @p l from @p d in place (self-subsuming resolution):
-    // strengthenInPlace() re-picks watches among non-false literals -
-    // the swapped-in tail literal may be root-false, and watching a
-    // falsified literal whose negation was already propagated would
-    // silence the clause forever.
-    const auto strengthen = [this, &entries](std::uint32_t j, Lit l) {
-        Entry &d = entries[j];
-        ++statistics.strengthenedClauses;
-        const Strengthened s = strengthenInPlace(d.cr, l);
-        if (s.becameBinary) {
-            // Dissolved into the binary watch lists; the ref is
-            // already freed and unlisted.
-            d.dead = true;
-            return;
-        }
-        if (s.nonfalse >= 2)
-            return; // re-attached
-        // Unit (or empty) at the root: dissolve into the trail.
-        d.dead = true;
-        const Clause &c = ca[d.cr];
-        purgeDeferredOtf(d.cr);
-        ca.free(d.cr);
-        if (s.nonfalse == 0) {
-            okay = false;
-            return;
-        }
-        if (value(c[0]) == LBool::Undef) {
-            uncheckedEnqueue(c[0], Reason());
-            okay = propagate() == kRefUndef;
-        }
-    };
-
-    // Least-frequent literal, counting both polarities (the negated
-    // list feeds the strengthening case).
-    const auto pairCount = [&occ](Lit l) {
-        return occ[l.index()].size() + occ[(~l).index()].size();
-    };
-
-    // Binary clauses live outside the arena and therefore outside
-    // `entries`; run them as SUBSUMERS in a prepass.  Index-based
-    // loops: strengthen() can append to binary watch lists (a long
-    // clause shrinking to two literals), which may reallocate them,
-    // but never appends to `occ`.
-    for (std::size_t idx = 0; idx < binWatches.size() && okay; ++idx) {
-        for (std::size_t k = 0; k < binWatches[idx].size() && okay;
-             ++k) {
-            const BinWatcher w = binWatches[idx][k]; // value copy
-            const Lit a = ~litFromIndex(idx);
-            if (!(a < w.other))
-                continue; // visit each pair once, canonically
-            const Lit b = w.other;
-            const Lit best = pairCount(a) <= pairCount(b) ? a : b;
-            if (pairCount(best) > cfg.subsumeOccLimit)
-                continue;
-            inSubsumer[a.index()] = 1;
-            inSubsumer[b.index()] = 1;
-            const std::uint64_t sig =
-                (std::uint64_t{1} << (a.var() & 63)) |
-                (std::uint64_t{1} << (b.var() & 63));
-            for (const Lit probe : {best, ~best}) {
-                for (const std::uint32_t j : occ[probe.index()]) {
-                    Entry &d = entries[j];
-                    if (d.dead || (sig & ~d.sig) != 0 || locked(d.cr))
-                        continue;
-                    const Clause &cd = ca[d.cr];
-                    unsigned matched = 0, negations = 0;
-                    Lit neg = kUndefLit;
-                    for (Lit y : cd) {
-                        if (inSubsumer[y.index()]) {
-                            ++matched;
-                        } else if (inSubsumer[(~y).index()]) {
-                            ++negations;
-                            neg = y;
-                        }
-                    }
-                    if (matched == 2) {
-                        // (a | b) subsumes D.  A learnt binary
-                        // standing in for a problem clause is promoted
-                        // (both mirrored entries), same rationale as
-                        // the long-clause case below.
-                        if (w.learnt && !d.learnt) {
-                            binWatches[idx][k].learnt = false;
-                            for (BinWatcher &m :
-                                 binWatches[(~b).index()])
-                                if (m.other == a)
-                                    m.learnt = false;
-                        }
-                        d.dead = true;
-                        detachClause(d.cr);
-                        purgeDeferredOtf(d.cr);
-                        ca.free(d.cr);
-                        ++statistics.subsumedClauses;
-                    } else if (matched == 1 && negations == 1) {
-                        strengthen(j, neg);
-                        if (!okay)
-                            break;
-                    }
-                }
-                if (!okay)
-                    break;
-            }
-            inSubsumer[a.index()] = 0;
-            inSubsumer[b.index()] = 0;
-        }
-    }
-
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(entries.size()) && okay; ++i) {
-        Entry &e = entries[i];
-        if (e.dead)
-            continue;
-        const Clause &c = ca[e.cr];
-        if (c.size() < 2 || c.size() > cfg.subsumeMaxSize)
-            continue;
-        Lit best = c[0];
-        for (Lit l : c)
-            if (pairCount(l) < pairCount(best))
-                best = l;
-        if (pairCount(best) > cfg.subsumeOccLimit)
-            continue;
-        for (Lit l : c)
-            inSubsumer[l.index()] = 1;
-        const unsigned csize = c.size();
-        for (const Lit probe : {best, ~best}) {
-            for (const std::uint32_t j : occ[probe.index()]) {
-                if (j == i || entries[j].dead)
-                    continue;
-                Entry &d = entries[j];
-                const Clause &cd = ca[d.cr];
-                if (cd.size() < csize || (e.sig & ~d.sig) != 0)
-                    continue;
-                if (locked(d.cr))
-                    continue;
-                unsigned matched = 0, negations = 0;
-                Lit neg = kUndefLit;
-                for (Lit y : cd) {
-                    if (inSubsumer[y.index()]) {
-                        ++matched;
-                    } else if (inSubsumer[(~y).index()]) {
-                        ++negations;
-                        neg = y;
-                    }
-                }
-                if (matched == csize) {
-                    // C subsumes D.  A learnt subsumer standing in for
-                    // a problem clause is promoted to problem status,
-                    // otherwise a later shrinkLearnts() could silently
-                    // lose the constraint.
-                    if (e.learnt && !d.learnt) {
-                        e.learnt = false;
-                        ca[e.cr].clearLearnt();
-                    }
-                    d.dead = true;
-                    detachClause(d.cr);
-                    purgeDeferredOtf(d.cr);
-                    ca.free(d.cr);
-                    ++statistics.subsumedClauses;
-                } else if (matched + 1 == csize && negations == 1) {
-                    strengthen(j, neg);
-                    if (!okay)
-                        break;
-                }
-            }
-            if (!okay)
-                break;
-        }
-        for (Lit l : c)
-            inSubsumer[l.index()] = 0;
-    }
-
-    problemClauses.clear();
-    learntClauses.clear();
-    for (const Entry &e : entries) {
-        if (e.dead)
-            continue;
-        (e.learnt ? learntClauses : problemClauses).push_back(e.cr);
-    }
-}
-
-Lit
-Solver::representativeOf(Lit l) const
-{
-    // Chase the substitution chain (SCC merges from successive
-    // inprocessing rounds may stack) to the un-substituted class
-    // representative, flipping polarity along negated links.
-    while (substituted[l.var()] != 0) {
-        const Lit rep = subst[l.var()];
-        l = l.sign() ? ~rep : rep;
-    }
-    return l;
-}
-
-/**
- * Query-boundary analysis of the binary implication graph, run from
- * inprocess() under cfg.binaryAnalysis.  Order matters: the sweep
- * clears satisfied edges so the graph passes see only live 2-clauses;
- * SCC merging shrinks the variable space before probing spends its
- * budget; probing's new units and hyper-binaries are swept/fed into
- * transitive reduction last.  Every pass preserves satisfiability AND
- * the model set over the original variables (substitution is undone
- * in solve()'s model reconstruction), so verdicts and counterexamples
- * are bit-identical with the analysis on or off.
- */
-/**
- * Rewrite the long-clause database against the root trail before the
- * graph passes run: a root-satisfied clause drops, a root-false
- * literal drops from its clause, and a clause left with exactly two
- * free literals re-files as a REAL binary in the watch lists.  This
- * is what connects root units to the binary graph - an XOR gate whose
- * output is a root fact leaves its two ternaries as the equivalence
- * pair (x | y), (~x | ~y), but SCC reduction can only see that pair
- * once it lives in the binary lists.
- */
-void
-Solver::cleanRootClauses()
-{
-    qbAssert(decisionLevel() == 0, "root cleaning above root level");
-    // Reason references into the long-clause arena may be freed
-    // below; root facts need no justification (see
-    // preprocessEliminate()).
-    for (const Lit l : trail)
-        reasons[l.var()] = Reason();
-    for (auto *list : {&problemClauses, &learntClauses}) {
-        for (std::size_t i = 0; i < list->size();) {
-            const ClauseRef cr = (*list)[i];
-            Clause &c = ca[cr];
-            bool satisfied = false;
-            bool touched = false;
-            for (const Lit l : c) {
-                if (value(l) == LBool::True) {
-                    satisfied = true;
-                    break;
-                }
-                touched |= value(l) == LBool::False;
-            }
-            if (!satisfied && !touched) {
-                ++i;
-                continue;
-            }
-            LitVec kept;
-            if (!satisfied) {
-                for (const Lit l : c)
-                    if (value(l) == LBool::Undef)
-                        kept.push_back(l);
-                ++statistics.strengthenedClauses;
-            }
-            const bool learnt = c.learnt();
-            const unsigned lbd = c.lbd();
-            const float act = c.activity();
-            detachClause(cr);
-            purgeDeferredOtf(cr);
-            ca.free(cr);
-            if (!satisfied && kept.size() >= 3) {
-                const ClauseRef nr = ca.alloc(
-                    kept, learnt,
-                    std::min(lbd,
-                             static_cast<unsigned>(kept.size())),
-                    act);
-                (*list)[i] = nr;
-                attachClause(nr);
-                ++i;
-                continue;
-            }
-            std::swap((*list)[i], list->back());
-            list->pop_back();
-            if (satisfied)
-                continue;
-            // At the root propagation fixpoint a live clause keeps at
-            // least two free literals: one survivor would have been
-            // propagated (satisfying the clause), zero would have
-            // conflicted in the propagate() call just above.
-            qbAssert(kept.size() == 2,
-                     "root fixpoint leaves >= 2 free literals");
-            attachBinary(kept[0], kept[1], learnt);
-        }
-    }
-}
-
-void
-Solver::analyzeBinaryGraph()
-{
-    qbAssert(decisionLevel() == 0, "binary analysis above root level");
-    if (propagate() != kRefUndef) {
-        okay = false;
-        return;
-    }
-    cleanRootClauses();
-    sweepSatisfiedBinaries();
-    if (sccEquivalenceReduce()) {
-        if (!okay)
-            return;
-        applyEquivalences();
-        if (!okay)
-            return;
-        sweepSatisfiedBinaries();
-    }
-    if (!okay)
-        return;
-    probeFailedLiterals();
-    if (!okay)
-        return;
-    sweepSatisfiedBinaries();
-    transitiveReduce();
-}
-
-void
-Solver::sweepSatisfiedBinaries()
-{
-    // At the root propagation fixpoint every binary with an assigned
-    // endpoint is satisfied (a false endpoint would have propagated
-    // the other literal true), so dropping the edge loses nothing.
-    // Not counted as clause removals: the constraint is absorbed by
-    // the trail, exactly like the root-satisfied long-clause sweeps.
-    for (std::size_t idx = 0; idx < binWatches.size(); ++idx) {
-        auto &list = binWatches[idx];
-        if (list.empty())
-            continue;
-        if (assigns[litFromIndex(idx).var()] != LBool::Undef) {
-            list.clear();
-            continue;
-        }
-        std::erase_if(list, [this](const BinWatcher &w) {
-            return assigns[w.other.var()] != LBool::Undef;
-        });
-    }
-}
-
-/**
- * Tarjan SCC over the binary implication graph.  A strongly connected
- * component is a class of pairwise-equivalent literals: the
- * lowest-index member becomes the representative and the others are
- * substituted away (committed to substituted/subst/eqStack; the
- * clause database is rewritten by applyEquivalences()).  The graph is
- * skew-symmetric (u->v iff ~v->~u), so the complement of a component
- * is a component and min(~C) == ~min(C): both polarities of a merged
- * variable agree on their representative, and a variable is merged at
- * most once.  A component holding both polarities of one variable is
- * a root contradiction: latch Unsat and commit nothing.  Returns true
- * when at least one variable was merged.
- */
-bool
-Solver::sccEquivalenceReduce()
-{
-    const std::size_t n = binWatches.size();
-    std::vector<std::uint32_t> index(n, 0);
-    std::vector<std::uint32_t> low(n, 0);
-    std::vector<char> onStack(n, 0);
-    std::vector<std::uint32_t> sccStack;
-    std::uint32_t nextIndex = 0;
-    struct Frame
-    {
-        std::uint32_t node;
-        std::uint32_t child;
-    };
-    std::vector<Frame> dfs;
-    std::vector<char> memberSeen(numVars(), 0);
-    std::vector<char> mergedNow(numVars(), 0);
-    std::vector<std::uint32_t> comp;
-    std::vector<std::pair<Var, Lit>> pending;
-
-    for (std::size_t root = 0; root < n; ++root) {
-        if (index[root] != 0 || binWatches[root].empty())
-            continue;
-        if (assigns[litFromIndex(root).var()] != LBool::Undef)
-            continue;
-        index[root] = low[root] = ++nextIndex;
-        onStack[root] = 1;
-        sccStack.push_back(static_cast<std::uint32_t>(root));
-        dfs.push_back({static_cast<std::uint32_t>(root), 0});
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            if (f.child < binWatches[f.node].size()) {
-                const auto v = static_cast<std::uint32_t>(
-                    binWatches[f.node][f.child++].other.index());
-                if (index[v] == 0) {
-                    index[v] = low[v] = ++nextIndex;
-                    onStack[v] = 1;
-                    sccStack.push_back(v);
-                    dfs.push_back({v, 0});
-                } else if (onStack[v] != 0) {
-                    low[f.node] = std::min(low[f.node], index[v]);
-                }
-                continue;
-            }
-            const std::uint32_t u = f.node;
-            dfs.pop_back();
-            if (!dfs.empty())
-                low[dfs.back().node] =
-                    std::min(low[dfs.back().node], low[u]);
-            if (low[u] != index[u])
-                continue;
-            comp.clear();
-            for (;;) {
-                const std::uint32_t m = sccStack.back();
-                sccStack.pop_back();
-                onStack[m] = 0;
-                comp.push_back(m);
-                if (m == u)
-                    break;
-            }
-            if (comp.size() < 2)
-                continue;
-            bool contradiction = false;
-            for (const std::uint32_t mi : comp) {
-                const Var mv = litFromIndex(mi).var();
-                if (memberSeen[mv] != 0) {
-                    contradiction = true;
-                    break;
-                }
-                memberSeen[mv] = 1;
-            }
-            for (const std::uint32_t mi : comp)
-                memberSeen[litFromIndex(mi).var()] = 0;
-            if (contradiction) {
-                okay = false;
-                return false;
-            }
-            std::uint32_t minIdx = comp[0];
-            for (const std::uint32_t mi : comp)
-                minIdx = std::min(minIdx, mi);
-            const Lit rep = litFromIndex(minIdx);
-            for (const std::uint32_t mi : comp) {
-                if (mi == minIdx)
-                    continue;
-                const Lit ml = litFromIndex(mi);
-                if (mergedNow[ml.var()] != 0)
-                    continue; // complement class already merged it
-                mergedNow[ml.var()] = 1;
-                pending.emplace_back(ml.var(),
-                                     ml.sign() ? ~rep : rep);
-            }
-        }
-    }
-    if (pending.empty())
-        return false;
-    for (const auto &[v, repLit] : pending) {
-        substituted[v] = 1;
-        subst[v] = repLit;
-        eqStack.emplace_back(v, repLit);
-    }
-    statistics.sccMergedVars +=
-        static_cast<std::int64_t>(pending.size());
-    return true;
-}
-
-/**
- * Rewrite the whole clause database through the substitution just
- * committed by sccEquivalenceReduce(): every literal is replaced by
- * its representative, then each clause is re-normalized exactly like
- * addClause() (satisfied/tautological clauses drop, duplicate and
- * root-false literals drop, units go to the root trail).  Long
- * clauses are re-allocated only when touched; the binary lists are
- * rebuilt wholesale, which also restores watcher-pair symmetry.
- * Afterwards no substituted variable appears anywhere in the solver -
- * the extended checkInvariants() asserts exactly that.
- */
-void
-Solver::applyEquivalences()
-{
-    qbAssert(decisionLevel() == 0, "substitution above root level");
-    // Root assignments keep their values, but their reason clauses
-    // may be rewritten or dissolved below - drop the references (root
-    // facts need no justification; see preprocessEliminate()).
-    for (const Lit l : trail)
-        reasons[l.var()] = Reason();
-    for (auto *list : {&problemClauses, &learntClauses}) {
-        for (std::size_t i = 0; i < list->size();) {
-            const ClauseRef cr = (*list)[i];
-            Clause &c = ca[cr];
-            bool touched = false;
-            for (const Lit l : c)
-                touched |= substituted[l.var()] != 0;
-            if (!touched) {
-                ++i;
-                continue;
-            }
-            LitVec lits;
-            lits.reserve(c.size());
-            for (const Lit l : c)
-                lits.push_back(representativeOf(l));
-            const bool learnt = c.learnt();
-            const unsigned lbd = c.lbd();
-            const float act = c.activity();
-            std::sort(lits.begin(), lits.end());
-            LitVec kept;
-            bool dropClause = false;
-            Lit prev = kUndefLit;
-            for (const Lit l : lits) {
-                if (value(l) == LBool::True ||
-                    (prev != kUndefLit && l == ~prev)) {
-                    dropClause = true; // satisfied or tautological
-                    break;
-                }
-                if (value(l) == LBool::False || l == prev)
-                    continue;
-                kept.push_back(l);
-                prev = l;
-            }
-            detachClause(cr);
-            purgeDeferredOtf(cr);
-            ca.free(cr);
-            if (!dropClause && kept.size() >= 3) {
-                const ClauseRef nr = ca.alloc(
-                    kept, learnt,
-                    std::min(lbd,
-                             static_cast<unsigned>(kept.size())),
-                    act);
-                (*list)[i] = nr;
-                attachClause(nr);
-                ++i;
-                continue;
-            }
-            (*list)[i] = list->back();
-            list->pop_back();
-            if (dropClause)
-                continue;
-            if (kept.size() == 2) {
-                attachBinary(kept[0], kept[1], learnt);
-                continue;
-            }
-            if (kept.size() == 1) {
-                // kept holds only root-unassigned literals.
-                uncheckedEnqueue(kept[0], Reason());
-                continue;
-            }
-            // Every literal false at the root.  Finish the rewrite
-            // anyway: no substituted variable may survive, in an
-            // unsatisfiable solver too.
-            okay = false;
-        }
-    }
-    // Rebuild the binary lists through the substitution.
-    struct BinClause
-    {
-        Lit a, b;
-        bool learnt;
-    };
-    std::vector<BinClause> bins;
-    for (std::size_t idx = 0; idx < binWatches.size(); ++idx) {
-        const Lit a = ~litFromIndex(idx);
-        for (const BinWatcher &w : binWatches[idx])
-            if (a < w.other)
-                bins.push_back({a, w.other, w.learnt});
-    }
-    for (auto &list : binWatches)
-        list.clear();
-    for (const BinClause &bc : bins) {
-        const Lit a = representativeOf(bc.a);
-        const Lit b = representativeOf(bc.b);
-        if (a == ~b)
-            continue; // tautology
-        if (value(a) == LBool::True || value(b) == LBool::True)
-            continue;
-        Lit unit = kUndefLit;
-        if (a == b || value(b) == LBool::False)
-            unit = a;
-        else if (value(a) == LBool::False)
-            unit = b;
-        if (unit != kUndefLit) {
-            if (value(unit) == LBool::False)
-                okay = false;
-            else if (value(unit) == LBool::Undef)
-                uncheckedEnqueue(unit, Reason());
-            continue;
-        }
-        attachBinary(a, b, bc.learnt);
-    }
-    notePeaks();
-    okay = okay && propagate() == kRefUndef;
-}
-
-/**
- * Failed-literal probing at the roots of the binary implication
- * graph: literals with binary successors but no binary predecessor
- * (anything a non-root implies is probed transitively for free when
- * its root fails, so roots give the best coverage per propagation).
- * A probe that conflicts proves the negation as a root unit, learnt
- * through the regular first-UIP analysis; a quiet probe is mined for
- * lazy hyper-binary resolvents: every trail literal x justified by a
- * LONG clause gains the edge probe -> x (binary-justified literals
- * already have a graph path, the new edge would only feed transitive
- * reduction).  Budgeted in propagations like vivification.
- */
-void
-Solver::probeFailedLiterals()
-{
-    std::int64_t budget = cfg.probePropBudget;
-    LitVec learnt;
-    int btlevel = 0;
-    unsigned lbd = 0;
-    // Probing assigns and retracts whole propagation cones, and
-    // uncheckedEnqueue records each assignment as the variable's
-    // saved phase.  Left alone that would replace the configured
-    // initial polarity of every probed cone with probe-derived
-    // values and measurably degrade the subsequent search (the probe
-    // order has nothing to do with good phases).  Restore the saved
-    // phases when the pass is done.
-    const std::vector<bool> savedPolarity = polarity;
-    struct PhaseGuard
-    {
-        std::vector<bool> &live;
-        const std::vector<bool> &saved;
-        ~PhaseGuard() { live = saved; }
-    } phaseGuard{polarity, savedPolarity};
-    for (std::size_t idx = 0;
-         idx < binWatches.size() && okay && budget > 0; ++idx) {
-        if (binWatches[idx].empty())
-            continue;
-        const Lit l = litFromIndex(idx);
-        if (assigns[l.var()] != LBool::Undef)
-            continue;
-        if (!binWatches[(~l).index()].empty())
-            continue; // not a root: something implies l
-        trailLim.push_back(static_cast<int>(trail.size()));
-        uncheckedEnqueue(l, Reason());
-        const std::int64_t before = statistics.propagations;
-        const ClauseRef confl = propagate();
-        budget -= statistics.propagations - before;
-        if (confl != kRefUndef) {
-            ++statistics.probedFailed;
-            analyze(confl, learnt, btlevel, lbd);
-            otfCandidates.clear(); // no search() to apply them
-            cancelUntil(0);
-            // All other literals in a level-1 conflict sit at level 0
-            // and analyze() excludes those: the learnt clause is the
-            // asserting unit ~(failed prefix) alone.
-            qbAssert(learnt.size() == 1,
-                     "probe conflict must yield a unit");
-            const Lit unit = learnt[0];
-            if (value(unit) == LBool::False) {
-                okay = false;
-                return;
-            }
-            if (value(unit) == LBool::Undef) {
-                uncheckedEnqueue(unit, Reason());
-                if (propagate() != kRefUndef) {
-                    okay = false;
-                    return;
-                }
-            }
-            continue;
-        }
-        const auto base = static_cast<std::size_t>(trailLim.back());
-        for (std::size_t t = base + 1; t < trail.size(); ++t) {
-            const Lit x = trail[t];
-            if (reasons[x.var()].isClause() &&
-                attachBinary(~l, x, /*learnt=*/true))
-                ++statistics.hyperBinaries;
-        }
-        cancelUntil(0);
-    }
-}
-
-/**
- * Transitive reduction of the binary implication graph.  One DFS
- * forest assigns discovery/finish stamps; its tree edges are the
- * WITNESS set, keyed per CLAUSE (unordered literal pair) so a clause
- * that is a tree edge in either direction is never removed - every
- * removal below is therefore justified by a path of permanently-kept
- * clauses, with no circular "A covered by B, B covered by A" risk.
- * Within each watch list, sorted by successor discovery stamp, a
- * running cover horizon (max finish stamp over witness successors
- * seen so far) identifies covered edges in one pass: disc[s] <
- * disc[v] < fin[s] puts v inside witness-successor s's DFS subtree,
- * i.e. reachable from s through tree edges alone.  The stamp order
- * and the sort are deterministic, so reduction is identical across
- * --jobs configurations.
- */
-void
-Solver::transitiveReduce()
-{
-    const std::size_t n = binWatches.size();
-    std::vector<std::uint32_t> disc(n, 0);
-    std::vector<std::uint32_t> fin(n, 0);
-    std::uint32_t stamp = 0;
-    std::unordered_set<std::uint64_t> witness;
-    const auto clauseKey = [](Lit x, Lit y) {
-        auto xi = static_cast<std::uint64_t>(x.index());
-        auto yi = static_cast<std::uint64_t>(y.index());
-        if (xi > yi)
-            std::swap(xi, yi);
-        return (xi << 32) | yi;
-    };
-    struct Frame
-    {
-        std::uint32_t node;
-        std::uint32_t child;
-    };
-    std::vector<Frame> dfs;
-    for (std::size_t root = 0; root < n; ++root) {
-        if (disc[root] != 0 || binWatches[root].empty())
-            continue;
-        if (assigns[litFromIndex(root).var()] != LBool::Undef)
-            continue;
-        disc[root] = ++stamp;
-        dfs.push_back({static_cast<std::uint32_t>(root), 0});
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            if (f.child < binWatches[f.node].size()) {
-                const Lit to = binWatches[f.node][f.child++].other;
-                const auto v =
-                    static_cast<std::uint32_t>(to.index());
-                if (disc[v] == 0) {
-                    disc[v] = ++stamp;
-                    witness.insert(
-                        clauseKey(~litFromIndex(f.node), to));
-                    dfs.push_back({v, 0});
-                }
-                continue;
-            }
-            fin[f.node] = ++stamp;
-            dfs.pop_back();
-        }
-    }
-    for (std::size_t u = 0; u < n; ++u) {
-        auto &list = binWatches[u];
-        if (list.size() < 2)
-            continue;
-        if (assigns[litFromIndex(u).var()] != LBool::Undef)
-            continue;
-        const Lit back = ~litFromIndex(u);
-        std::sort(list.begin(), list.end(),
-                  [&disc](const BinWatcher &x, const BinWatcher &y) {
-                      return disc[x.other.index()] <
-                             disc[y.other.index()];
-                  });
-        std::uint32_t coverEnd = 0;
-        std::vector<BinWatcher> keptList;
-        keptList.reserve(list.size());
-        for (const BinWatcher &w : list) {
-            const auto v =
-                static_cast<std::uint32_t>(w.other.index());
-            if (witness.count(clauseKey(back, w.other)) != 0) {
-                keptList.push_back(w);
-                coverEnd = std::max(coverEnd, fin[v]);
-                continue;
-            }
-            if (disc[v] < coverEnd) {
-                // Covered: drop the clause - this entry plus its
-                // mirror (never in this same list: a self-mirroring
-                // entry would be the degenerate clause (l | l),
-                // which attachBinary() rejects).
-                auto &mirror = binWatches[(~w.other).index()];
-                for (std::size_t k = 0; k < mirror.size(); ++k) {
-                    if (mirror[k].other == back) {
-                        mirror[k] = mirror.back();
-                        mirror.pop_back();
-                        break;
-                    }
-                }
-                ++statistics.transitiveReduced;
-                ++statistics.removedClauses;
-                continue;
-            }
-            keptList.push_back(w);
-        }
-        list.swap(keptList);
-    }
 }
 
 SolveResult

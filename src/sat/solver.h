@@ -24,16 +24,11 @@
  * without a single arena read (SolverStats::propagationArenaReads
  * proves it), then falls through to the long clauses under the
  * blocker scheme.
- * Long-lived incremental solvers additionally support inprocessing -
- * binary-implication-graph analysis (Tarjan SCC equivalence
- * reduction, failed-literal probing with hyper-binary resolution,
- * stamp-based transitive reduction; see analyzeBinaryGraph()), clause
- * vivification and backward subsumption - which the verification
- * engine runs at query boundaries, and ON-THE-FLY
- * self-subsumption during conflict analysis: when the freshly learnt
- * clause self-subsumes one of its antecedents, the antecedent is
- * strengthened in place at learn time instead of waiting for the
- * query-boundary pass.
+ * Two clause improvements run on top of the search: bounded variable
+ * elimination at solve entry (SolverConfig::preprocess) and
+ * ON-THE-FLY self-subsumption during conflict analysis: when the
+ * freshly learnt clause self-subsumes one of its antecedents, the
+ * antecedent is strengthened in place at learn time.
  *
  * Two configuration presets (see SolverConfig::baseline() and
  * SolverConfig::simplify()) stand in for the two external solvers in the
@@ -130,41 +125,10 @@ struct SolverConfig
     bool lubyRestarts = true;
     /** Reduce the learnt clause database periodically. */
     bool reduceDb = true;
-    /**
-     * Learnt-clause count that triggers a database reduction (plus
-     * the current trail size).  -1 selects the legacy one-shot
-     * policy, which additionally scales with the problem size; for
-     * long-lived incremental solvers an absolute base keeps the
-     * propagation cost of old queries from taxing new ones.
-     */
-    std::int64_t learntLimitBase = -1;
     /** Apply bounded variable elimination before solving. */
     bool preprocess = false;
     /** Abort with Unknown after this many conflicts (-1 = unlimited). */
     std::int64_t conflictBudget = -1;
-
-    /** @name Inprocessing knobs (see Solver::inprocess()). @{ */
-    /** Master switch: inprocess() is a no-op when false. */
-    bool inprocessing = true;
-    /**
-     * Binary-implication-graph analysis at inprocess() time: Tarjan
-     * SCC equivalence reduction, failed-literal probing with
-     * hyper-binary resolution, and stamp-based transitive reduction
-     * (see Solver::analyzeBinaryGraph()).  Every transformation is
-     * satisfiability- and model-preserving (models are reconstructed
-     * over merged variables), so verdicts and counterexamples are
-     * identical with the pass on or off.
-     */
-    bool binaryAnalysis = true;
-    /** Propagation budget per vivification pass. */
-    std::int64_t vivifyPropBudget = 100000;
-    /** Propagation budget per failed-literal probing pass. */
-    std::int64_t probePropBudget = 20000;
-    /** Clauses longer than this are never used as subsumers. */
-    unsigned subsumeMaxSize = 12;
-    /** Occurrence-list length cap per candidate subsumer literal. */
-    unsigned subsumeOccLimit = 40;
-    /** @} */
 
     /** @name Learn-time clause improvement. @{ */
     /**
@@ -172,24 +136,11 @@ struct SolverConfig
      * the running resolvent turns out to equal an antecedent minus
      * its pivot literal (a constant-time size check per resolution
      * step), that antecedent is strengthened in the arena right
-     * after backtracking (see Solver::otfStrengthen()) instead of
-     * waiting for the query-boundary subsumption pass.
+     * after backtracking (see Solver::otfStrengthen()).
      */
     bool otfSubsume = true;
     /** Strengthening candidates remembered per conflict. */
     unsigned otfMaxAntecedents = 32;
-    /**
-     * Candidates otfStrengthen() cannot apply mid-search (fewer than
-     * two non-false literals would remain at the backtrack level) are
-     * QUEUED instead of dropped, and applied at the next root
-     * boundary - solve() entry, or a restart that returns to level 0 -
-     * where the edit is always safe.  Without deferral those
-     * strengthenings wait for the next query-boundary vivification
-     * pass, which may be many queries away.
-     */
-    bool otfDefer = true;
-    /** Bound on queued deferred strengthenings (oldest kept). */
-    unsigned otfDeferredMax = 64;
     /** @} */
 
     bool operator==(const SolverConfig &) const = default;
@@ -220,41 +171,23 @@ struct SolverStats
     std::int64_t removedClauses = 0;
     std::int64_t eliminatedVars = 0;
 
-    /** @name Inprocessing / arena counters. @{ */
+    /** @name Clause-improvement / arena counters. @{ */
+    /** Always 0; perfbench reads it until a bench-only change drops it. */
     std::int64_t inprocessRuns = 0;
-    std::int64_t vivifiedClauses = 0;   ///< clauses shortened
-    std::int64_t vivifiedLiterals = 0;  ///< literals removed
-    std::int64_t subsumedClauses = 0;   ///< removed by subsumption
-    std::int64_t strengthenedClauses = 0; ///< self-subsuming resolution
     /** Antecedents strengthened at learn time (on-the-fly
      *  self-subsumption during analyze(); one literal each). */
     std::int64_t otfStrengthenedClauses = 0;
     /** OTF candidates that matched but could not be edited safely
      *  mid-search (fewer than two non-false literals would remain). */
     std::int64_t otfSkipped = 0;
-    /** Skipped OTF candidates applied later at a root boundary (see
-     *  SolverConfig::otfDefer). */
-    std::int64_t otfDeferredApplied = 0;
-    /** Variables merged into an equivalence-class representative by
-     *  the SCC pass (each one permanently leaves the search space). */
-    std::int64_t sccMergedVars = 0;
-    /** Probed literals that propagated a conflict, each learning its
-     *  negation as a root unit. */
-    std::int64_t probedFailed = 0;
-    /** Hyper-binary resolvents harvested during probing: binaries
-     *  (~probe ∨ implied) recorded for implications that only existed
-     *  through long clauses. */
-    std::int64_t hyperBinaries = 0;
-    /** Redundant binary clauses dropped by transitive reduction. */
-    std::int64_t transitiveReduced = 0;
     std::int64_t gcRuns = 0;            ///< arena compactions
     std::int64_t gcWordsReclaimed = 0;  ///< 32-bit words freed by GC
     std::int64_t arenaPeakWords = 0;    ///< peak clause-arena size
     std::int64_t peakLearnts = 0;       ///< peak live learnt clauses
     /** @} */
 
-    /** Wall seconds solve() spent at entry on the root binary-graph
-     *  pass and bounded variable elimination, before any search. */
+    /** Wall seconds solve() spent at entry on bounded variable
+     *  elimination, before any search. */
     double preprocessSeconds = 0.0;
 
     /** Add every counter of @p other (lane/session aggregation; the
@@ -325,43 +258,6 @@ class Solver
     void setStopFlag(const std::atomic<bool> *flag) { stopFlag = flag; }
 
     /**
-     * Replace the conflict budget (counted per solve() call, -1 for
-     * unlimited).  Exists so a session can re-tune an incremental
-     * solver between calls without rebuilding it.
-     */
-    void setConflictBudget(std::int64_t budget)
-    {
-        cfg.conflictBudget = budget;
-    }
-
-    /**
-     * Drop learnt clauses with LBD above @p max_lbd.  Root-locked
-     * clauses are always kept.  Incremental sessions call this
-     * between queries: low-LBD
-     * clauses carry the cross-query reuse, while the bulk of the
-     * learnt database only taxes later propagation.  Must be called
-     * at decision level 0.  Triggers an arena garbage collection when
-     * enough garbage has accumulated.
-     */
-    void shrinkLearnts(unsigned max_lbd);
-
-    /**
-     * Between-queries inprocessing for long-lived incremental solvers:
-     * clause VIVIFICATION (shorten learnt clauses whose literal prefix
-     * already propagates a conflict or an implied literal) followed by
-     * backward SUBSUMPTION with self-subsuming resolution over the
-     * whole database, then an arena GC if warranted.  Bounded by the
-     * SolverConfig vivify/subsume knobs; a no-op when
-     * SolverConfig::inprocessing is false.  Must be called at decision
-     * level 0, outside solve(); the verification engine runs it at
-     * query boundaries.
-     *
-     * @return false when inprocessing derived root unsatisfiability
-     *         (subsequent solve() calls return Unsat).
-     */
-    bool inprocess();
-
-    /**
      * Compact the clause arena NOW, relocating every live clause and
      * patching all watchers (blockers preserved), reasons and clause
      * lists.  Runs automatically after database reductions once >20%
@@ -381,9 +277,7 @@ class Solver
      * blocker drawn from the clause, every watcher points at a live
      * clause, the binary implication graph is well formed (each edge
      * a→b has its mirror ¬b→¬a filed with the same learnt flag, no
-     * self- or duplicate binaries, no substituted or assigned-at-root
-     * endpoints at a quiesced root), substituted variables are absent
-     * from the trail and every watch list, every assigned variable's
+     * self- or duplicate binaries), every assigned variable's
      * reason is consistent (long reasons live with the implied
      * literal in slot 0, binary reasons with a false other literal),
      * and the arena's waste accounting is exact (live words + wasted
@@ -428,44 +322,7 @@ class Solver
     void analyzeFinal(Lit failed);
     bool litRedundant(Lit l, std::uint32_t ab_levels);
     void otfStrengthen();
-    void applyDeferredOtf();
-    void purgeDeferredOtf(ClauseRef cr);
-    /** Outcome of strengthenInPlace(). */
-    struct Strengthened
-    {
-        /** Literals of the clause not false at the current level
-         *  after removal. */
-        std::size_t nonfalse = 0;
-        /** The shrink reached size 2: the clause was FREED from the
-         *  arena and re-filed in the binary watch lists; the caller's
-         *  cref is dead. */
-        bool becameBinary = false;
-    };
-    Strengthened strengthenInPlace(ClauseRef cr, Lit l);
-    /** Resolve @p l through the accumulated equivalence
-     *  substitutions to its class representative (identity for
-     *  unmerged variables). */
-    Lit representativeOf(Lit l) const;
-    /**
-     * The query-boundary binary-implication-graph analysis
-     * (SolverConfig::binaryAnalysis): sweep satisfied binaries, then
-     * Tarjan SCC equivalence reduction with representative
-     * substitution through the whole solver, then failed-literal
-     * probing at graph roots with hyper-binary resolution, then
-     * stamp-based transitive reduction.  Root level only.  Sets
-     * okay = false when the analysis derives unsatisfiability.
-     */
-    void analyzeBinaryGraph();
-    /** Rewrite the long-clause database against the root trail:
-     *  satisfied clauses drop, root-false literals drop, and a
-     *  clause left with two literals re-files as a true binary -
-     *  exactly the edges the graph passes below consume. */
-    void cleanRootClauses();
-    void sweepSatisfiedBinaries();
-    bool sccEquivalenceReduce();
-    void applyEquivalences();
-    void probeFailedLiterals();
-    void transitiveReduce();
+    void strengthenInPlace(ClauseRef cr, Lit l);
     void restoreEliminated();
     void cancelUntil(int target_level);
     Lit pickBranchLit();
@@ -477,8 +334,6 @@ class Solver
     void claDecayActivity();
     unsigned computeLbd(const LitVec &lits);
     bool preprocessEliminate();
-    void vivifyLearnts();
-    void backwardSubsume();
     void maybeGarbageCollect();
     void relocAll(ClauseAllocator &to);
     void notePeaks();
@@ -517,11 +372,6 @@ class Solver
     /** Candidates of the conflict being analyzed; applied by
      *  otfStrengthen() after backtracking, cleared every conflict. */
     std::vector<OtfCandidate> otfCandidates;
-    /** Candidates otfStrengthen() skipped mid-search, waiting for the
-     *  next root boundary (SolverConfig::otfDefer).  Every entry's
-     *  cref is LIVE: all clause-free sites purge matching entries,
-     *  and relocAll() relocates the refs with the arena. */
-    std::vector<OtfCandidate> otfDeferred;
     std::size_t qhead = 0;
 
     std::unique_ptr<VarOrder> order;
@@ -529,12 +379,6 @@ class Solver
     double claInc = 1.0;
     bool okay = true;
     bool preprocessed = false;
-    /** The solve-entry binary-graph pass is due: set whenever new
-     *  problem clauses arrive, cleared after a pass.  Keeps repeated
-     *  solve() calls over an unchanged formula (only new LEARNT
-     *  clauses since the last call) from re-running
-     *  SCC/probing/reduction. */
-    bool binaryAnalysisPending = true;
 
     /** The two literals of a conflicting binary clause found by
      *  propagate(), which has no arena clause to return: propagate()
@@ -542,33 +386,11 @@ class Solver
      *  read the conflict literals from here. */
     Lit binConflict[2] = {kUndefLit, kUndefLit};
 
-    /** @name Equivalence-literal substitution (SCC pass). @{ */
-    /** Per-variable: merged into another class representative by
-     *  sccEquivalenceReduce()?  Substituted variables are fully
-     *  retired: no watches, no assignments, never branched on. */
-    std::vector<char> substituted;
-    /** For substituted v: the literal mkLit(v, false) maps to (one
-     *  hop; chains only arise across separate passes and are
-     *  resolved by representativeOf()). */
-    std::vector<Lit> subst;
-    /** Merge log, oldest first: (variable, literal it was merged
-     *  into), replayed newest-first by solve() to extend a model
-     *  over substituted variables before elimStack reconstruction. */
-    std::vector<std::pair<Var, Lit>> eqStack;
-    /** The caller's literals for the current solve(assumptions)
-     *  call, pre-substitution: failedAssumptions() cores are
-     *  translated back to these. */
-    LitVec originalAssumptions;
-    /** @} */
-
     LitVec assumptions;  ///< active assumptions of the current call
     LitVec conflictCore; ///< failed assumptions of the last Unsat
     /** statistics.conflicts at entry of the current solve() call;
      *  makes the conflict budget per-call for incremental use. */
     std::int64_t conflictsAtCallStart = 0;
-    /** Conflict count gating the next learnt-database reduction in
-     *  the learntLimitBase >= 0 regime. */
-    std::int64_t nextReduceConflicts = 0;
     const std::atomic<bool> *stopFlag = nullptr;
 
     std::vector<LBool> model;

@@ -396,21 +396,15 @@ parseOptions(const JsonValue *node)
     return options;
 }
 
-} // namespace
-
-Request
-parseRequest(const std::string &line)
+/** The fields of request object @p doc after its id (already in
+ *  @p request).  @throws FatalError on the first bad field. */
+void
+parseFields(const JsonValue &doc, Request &request)
 {
-    const JsonValue doc = JsonValue::parse(line);
-    if (doc.kind() != JsonValue::Kind::Object)
-        fatal("request must be a JSON object");
     const JsonValue *op = doc.find("op");
     if (!op || op->kind() != JsonValue::Kind::String)
         fatal("request is missing string field 'op'");
-    Request request;
     request.op = parseOp(op->asString());
-    if (const JsonValue *id = doc.find("id"))
-        request.id = id->asInt(-1);
     if (request.id < 0)
         fatal("request is missing non-negative field 'id'");
     switch (request.op) {
@@ -442,6 +436,25 @@ parseRequest(const std::string &line)
       case RequestOp::Stats:
       case RequestOp::Shutdown:
         break;
+    }
+}
+
+} // namespace
+
+Request
+parseRequest(const std::string &line)
+{
+    Request request;
+    try {
+        const JsonValue doc = JsonValue::parse(line);
+        if (doc.kind() != JsonValue::Kind::Object)
+            fatal("request must be a JSON object");
+        // The id is read first so every later error can carry it.
+        if (const JsonValue *id = doc.find("id"))
+            request.id = id->asInt(-1);
+        parseFields(doc, request);
+    } catch (const FatalError &e) {
+        throw RequestError(e.what(), request.id);
     }
     return request;
 }
@@ -571,14 +584,6 @@ statsResponse(std::int64_t id, const StatsSnapshot &snapshot)
         ", \"analysis\": {\"discharged\": %llu, \"affine\": %llu}",
         static_cast<unsigned long long>(snapshot.analysisDischarged),
         static_cast<unsigned long long>(snapshot.analysisAffine));
-    out += format(
-        ", \"binary_graph\": {\"scc_merged_vars\": %llu, "
-        "\"probed_failed\": %llu, \"hyper_binaries\": %llu, "
-        "\"transitive_reduced\": %llu}",
-        static_cast<unsigned long long>(snapshot.sccMergedVars),
-        static_cast<unsigned long long>(snapshot.probedFailed),
-        static_cast<unsigned long long>(snapshot.hyperBinaries),
-        static_cast<unsigned long long>(snapshot.transitiveReduced));
     out += '}';
     return out;
 }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/verifier.h"
+#include "support/logging.h"
 
 namespace qb::server {
 
@@ -153,15 +154,6 @@ struct StatsSnapshot
     /** Of those, conditions the GF(2)-affine dataflow pass proved
      *  (it additionally skips building the condition formula). */
     std::uint64_t analysisAffine = 0;
-    /** Binary implication graph pass totals (solver inprocessing),
-     *  summed over every non-cache-hit verify served: variables
-     *  merged by SCC equivalence reduction, failed literals proven,
-     *  hyper-binary resolvents harvested, and transitively redundant
-     *  binaries removed. */
-    std::uint64_t sccMergedVars = 0;
-    std::uint64_t probedFailed = 0;
-    std::uint64_t hyperBinaries = 0;
-    std::uint64_t transitiveReduced = 0;
     /** @} */
 };
 
@@ -203,9 +195,22 @@ struct Request
     RequestOptions options;
 };
 
+/** A rejected request frame, with the frame's own `id` when that
+ *  field was a valid one (-1 otherwise) so the error reply can name
+ *  the request it answers. */
+class RequestError : public FatalError
+{
+  public:
+    RequestError(const std::string &msg, std::int64_t id)
+        : FatalError(msg), id(id)
+    {}
+
+    std::int64_t id;
+};
+
 /**
  * Parse one request line.
- * @throws FatalError on malformed JSON, unknown `op`, missing or
+ * @throws RequestError on malformed JSON, unknown `op`, missing or
  *         ill-typed fields.
  */
 Request parseRequest(const std::string &line);

@@ -177,12 +177,6 @@ struct Server::Impl
     /** Of those, discharges the GF(2)-affine dataflow pass proved
      *  (the only pass that also skips building the condition). */
     std::atomic<std::uint64_t> statAnalysisAffine{0};
-    /** Binary implication graph pass totals, same accumulation
-     *  contract as statAnalysisDischarged (fresh runs only). */
-    std::atomic<std::uint64_t> statSccMergedVars{0};
-    std::atomic<std::uint64_t> statProbedFailed{0};
-    std::atomic<std::uint64_t> statHyperBinaries{0};
-    std::atomic<std::uint64_t> statTransitiveReduced{0};
 
     explicit Impl(ServerOptions opts)
         : options(std::move(opts)), queue(options.queueCapacity),
@@ -383,7 +377,8 @@ Server::Impl::handleLine(
         request = parseRequest(line);
     } catch (const std::exception &e) {
         ++statErrors;
-        connection->sendLine(errorResponse(-1, e.what()));
+        const auto *bad = dynamic_cast<const RequestError *>(&e);
+        connection->sendLine(errorResponse(bad ? bad->id : -1, e.what()));
         return; // a bad frame never stops the service
     }
     switch (request.op) {
@@ -473,10 +468,6 @@ Server::Impl::handleLine(
         snapshot.authRejected = statAuthRejected.load();
         snapshot.analysisDischarged = statAnalysisDischarged.load();
         snapshot.analysisAffine = statAnalysisAffine.load();
-        snapshot.sccMergedVars = statSccMergedVars.load();
-        snapshot.probedFailed = statProbedFailed.load();
-        snapshot.hyperBinaries = statHyperBinaries.load();
-        snapshot.transitiveReduced = statTransitiveReduced.load();
         connection->sendLine(statsResponse(request.id, snapshot));
         return;
       }
@@ -701,17 +692,6 @@ Server::Impl::serveRequest(QueuedRequest item)
         outcome.result.analysisTotals.affine > 0)
         statAnalysisAffine += static_cast<std::uint64_t>(
             outcome.result.analysisTotals.affine);
-    if (!outcome.fromResultCache) {
-        const sat::SolverStats &st = outcome.result.solverTotals;
-        statSccMergedVars +=
-            static_cast<std::uint64_t>(st.sccMergedVars);
-        statProbedFailed +=
-            static_cast<std::uint64_t>(st.probedFailed);
-        statHyperBinaries +=
-            static_cast<std::uint64_t>(st.hyperBinaries);
-        statTransitiveReduced +=
-            static_cast<std::uint64_t>(st.transitiveReduced);
-    }
     const bool was_cancelled = item.cancel->cancelRequested();
     if (was_cancelled)
         ++statCancelled;

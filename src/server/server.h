@@ -32,8 +32,8 @@
  * Determinism: verdicts and counterexamples of a request are the same
  * as a one-shot `qborrow` run of the same program with the same
  * options, regardless of what else is queued - counterexamples come
- * from the engine's deterministic replay solve, and admission order
- * only affects timing fields.
+ * from the model of the deterministic solver that decided the
+ * condition, and admission order only affects timing fields.
  */
 
 #ifndef QB_SERVER_SERVER_H

@@ -152,11 +152,6 @@ solveLane(const sat::Cnf &cnf, const sat::SolverConfig &config,
         if (!solver.addClause(clauses[i]))
             break;
     }
-    // Exercise the whole between-queries machinery on the way in:
-    // vivification, backward subsumption, SCC/probing/transitive
-    // reduction - exactly the passes whose interactions the harness
-    // exists to distrust.
-    solver.inprocess();
     const sat::SolveResult result = solver.solve();
     if (result == sat::SolveResult::Sat && model_out != nullptr) {
         model_out->resize(cnf.numVars());

@@ -3,23 +3,22 @@
  * Differential fuzzing harness: seeded workload generators,
  * cross-checked verdicts, delta-debugging reproducer shrinking.
  *
- * The harness buys trust in the solver's aggressive fast paths (OTF
- * subsumption, relocating GC, clause import/aging, the binary-graph
- * inprocessing passes) the cheap way: generate thousands of random
+ * The harness buys trust in the solver's fast paths (OTF
+ * subsumption, bounded variable elimination, relocating GC, the
+ * binary watch lists) the cheap way: generate thousands of random
  * inputs, decide each one along INDEPENDENT paths, and treat any
  * disagreement as a bug.  Two case families:
  *
  *  - CNF cases: a random formula (tunable size/density knobs, biased
  *    toward binary-heavy and near-UNSAT regions) is decided by both
- *    SolverConfig presets - the full pipeline, inprocessing and
- *    binary-graph passes active.  The verdicts must agree with each
+ *    SolverConfig presets - the full pipeline active.  The verdicts must agree with each
  *    other, every Sat model must pass sat::validateModel() against
  *    the original clauses, and small instances are additionally
  *    settled by brute-force enumeration.
  *
  *  - qbr cases: a random QBorrow program (circuits::randomQbrSource)
  *    runs through the full parse -> elaborate -> verify pipeline on
- *    both verification lanes with per-query inprocessing, and every
+ *    both verification lanes, and every
  *    per-qubit verdict is cross-checked against the classical
  *    brute-force oracle on the lifetime slice.
  *
@@ -65,13 +64,12 @@ struct CnfKnobs
      * Clauses ~= ratio * vars.  The default sits just below the
      * random-3-SAT satisfiability threshold (~4.26), so the corpus
      * straddles the SAT/UNSAT boundary - the near-UNSAT region where
-     * unit propagation, conflict analysis and the graph passes all
-     * do real work instead of finding a model in zero conflicts.
+     * unit propagation and conflict analysis do real work instead
+     * of finding a model in zero conflicts.
      */
     double clauseVarRatio = 4.2;
-    /** Probability a clause is binary (graph-pass pressure: SCC
-     *  cycles, failed literals and transitive edges all live in the
-     *  binary implication graph). */
+    /** Probability a clause is binary (pressure on the binary watch
+     *  lists and binary reasons). */
     double binaryProb = 0.45;
     /** Probability a clause is unit (root propagation seeds). */
     double unitProb = 0.05;

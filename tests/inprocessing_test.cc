@@ -1,16 +1,15 @@
 /**
  * @file
  * Tests for the arena clause allocator, the relocating garbage
- * collector and the query-boundary inprocessing passes (vivification
- * and backward subsumption).
+ * collector, the learn-time (OTF) in-place clause edits and bounded
+ * variable elimination on binary-heavy formulas.
  *
  * Built as the ctest-labelled `inprocessing` group: the ASan/TSan CI
  * jobs run it explicitly so GC relocation and the in-place clause
  * edits are exercised under both sanitizers.  Coverage follows the
  * reduceDb/GC interaction contract: locked (reason) clauses survive
- * relocation with valid references, inprocessing never changes
- * verdicts, and a
- * solver that GCs mid-session returns identical verdicts AND
+ * relocation with valid references, a solver that GCs mid-session
+ * keeps its verdicts, and the engine returns identical verdicts AND
  * counterexamples under --jobs 1 and --jobs N.
  */
 
@@ -126,13 +125,11 @@ TEST(ClauseGc, LockedReasonsSurviveRelocation)
 
 TEST(ClauseGc, AutomaticGcTriggersUnderReduction)
 {
-    // A tiny learnt limit forces frequent reduceDb() on a hard
-    // instance; the freed clauses must eventually trip the 20%-waste
-    // GC threshold without help.
-    SolverConfig cfg;
-    cfg.learntLimitBase = 20;
-    Solver s(cfg);
-    s.addCnf(pigeonhole(7));
+    // A hard instance learns past the reduction limit; the clauses
+    // reduceDb() frees must eventually trip the 20%-waste GC
+    // threshold without help.
+    Solver s;
+    s.addCnf(pigeonhole(8));
     EXPECT_EQ(SolveResult::Unsat, s.solve());
     EXPECT_GT(s.stats().removedClauses, 0);
     EXPECT_GT(s.stats().gcRuns, 0);
@@ -145,14 +142,11 @@ class InprocessingProperty : public ::testing::TestWithParam<int>
 
 TEST_P(InprocessingProperty, GcMidSessionKeepsIncrementalVerdicts)
 {
-    // Incremental rounds against one solver with reduction pressure,
-    // an explicit GC and an inprocessing pass between rounds: every
-    // verdict must match brute force, and models must be genuine.
+    // Incremental rounds against one solver with an explicit GC
+    // between rounds: every verdict must match brute force.
     Rng rng(GetParam() + 91000);
     const Cnf cnf = randomCnf(rng, 8, 30, 3);
-    SolverConfig cfg;
-    cfg.learntLimitBase = 10;
-    Solver solver(cfg);
+    Solver solver;
     solver.addCnf(cnf);
     for (int round = 0; round < 4; ++round) {
         LitVec assumptions;
@@ -170,108 +164,18 @@ TEST_P(InprocessingProperty, GcMidSessionKeepsIncrementalVerdicts)
             << "round " << round;
         if (solver.solve() != SolveResult::Sat)
             break; // base formula unsat: solver is done
-        solver.shrinkLearnts(3);
-        if (round % 2 == 0)
-            solver.garbageCollect();
-        else
-            solver.inprocess();
-    }
-}
-
-TEST_P(InprocessingProperty, InprocessNeverChangesVerdicts)
-{
-    // Learn (full solve), inprocess, then re-decide under random
-    // assumptions: vivification and subsumption must only shrink the
-    // database, never change any answer.
-    Rng rng(GetParam() + 17000);
-    const Cnf cnf = randomCnf(rng, 8, 34, 3);
-    Solver solver;
-    solver.addCnf(cnf);
-    const bool base = bruteForceSat(cnf);
-    EXPECT_EQ(base ? SolveResult::Sat : SolveResult::Unsat,
-              solver.solve());
-    if (!base)
-        return;
-    EXPECT_TRUE(solver.inprocess());
-    for (int round = 0; round < 3; ++round) {
-        LitVec assumptions;
-        for (Var v = 0; v < 8; ++v) {
-            const auto choice = rng.nextBelow(4);
-            if (choice == 0)
-                assumptions.push_back(mkLit(v));
-            else if (choice == 1)
-                assumptions.push_back(mkLit(v, true));
-        }
-        const bool expected =
-            bruteForceSatWithAssumptions(cnf, assumptions);
-        EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
-                  solver.solve(assumptions))
-            << "round " << round;
-        solver.inprocess();
+        solver.garbageCollect();
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InprocessingProperty,
                          ::testing::Range(0, 25));
 
-TEST(Inprocessing, VivificationShortensPaddedClauses)
-{
-    // x0 is forced at the root AFTER a clause padded with ~x0 exists;
-    // inprocessing must strip the dead literal.
-    Solver s;
-    EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1), mkLit(2)}));
-    EXPECT_TRUE(s.addClause({mkLit(1), mkLit(3), mkLit(4)}));
-    EXPECT_TRUE(s.addClause({~mkLit(0), mkLit(3), mkLit(4)}));
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-    // Now force x0 at the root: the padded clause's ~x0 is dead.
-    // Either the binary-graph root cleaning strips it (counted as a
-    // strengthening; the remainder re-files as a real binary) or,
-    // with that pass off, vivification strips it.
-    EXPECT_TRUE(s.addClause({mkLit(0)}));
-    EXPECT_TRUE(s.inprocess());
-    EXPECT_GE(s.stats().vivifiedClauses + s.stats().removedClauses +
-                  s.stats().strengthenedClauses,
-              1)
-        << "the clause must be shortened or dropped as satisfied";
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-}
-
-TEST(Inprocessing, SubsumptionRemovesAndStrengthens)
-{
-    Solver s;
-    // {x0, x1} subsumes {x0, x1, x2} and self-subsumes
-    // {~x0, x1, x3} down to {x1, x3}.
-    EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1)}));
-    EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1), mkLit(2)}));
-    EXPECT_TRUE(s.addClause({~mkLit(0), mkLit(1), mkLit(3)}));
-    EXPECT_TRUE(s.inprocess());
-    EXPECT_EQ(1, s.stats().subsumedClauses);
-    EXPECT_EQ(1, s.stats().strengthenedClauses);
-    // Semantics unchanged: ~x1 now implies x3 via the strengthened
-    // clause together with {x0, x1} - check the implication holds.
-    EXPECT_EQ(SolveResult::Unsat,
-              s.solve({~mkLit(1), ~mkLit(3)}));
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-}
-
-TEST(Inprocessing, CanBeDisabledByConfig)
-{
-    SolverConfig cfg;
-    cfg.inprocessing = false;
-    Solver s(cfg);
-    EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1)}));
-    EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1), mkLit(2)}));
-    EXPECT_TRUE(s.inprocess());
-    EXPECT_EQ(0, s.stats().inprocessRuns);
-    EXPECT_EQ(0, s.stats().subsumedClauses);
-}
-
 TEST(ClauseGc, BinaryWatchListsSurviveRelocation)
 {
-    // Binary clauses live in the arena but are watched through the
-    // specialized binary lists; a GC must patch those watchers too,
-    // and root-level BINARY reasons must still support final-conflict
-    // analysis afterwards.
+    // Binary clauses live only in the specialized binary lists; a GC
+    // must leave those watchers intact, and root-level BINARY reasons
+    // must still support final-conflict analysis afterwards.
     // Positive initial phase: the all-positive filler clauses are
     // satisfied by every decision, so propagation stays on the
     // binary path and the zero-arena-reads assertion below is exact.
@@ -297,10 +201,10 @@ TEST(ClauseGc, BinaryWatchListsSurviveRelocation)
 
 TEST_P(InprocessingProperty, GcKeepsBinaryHeavyVerdicts)
 {
-    // Random binary-heavy formulas under reduction pressure,
-    // explicit GCs and inprocessing between incremental rounds: the
-    // non-empty binary watch lists must survive every relocation
-    // with verdicts identical to brute force.
+    // Random binary-heavy formulas with explicit GCs between
+    // incremental rounds: the non-empty binary watch lists must
+    // survive every relocation with verdicts identical to brute
+    // force.
     Rng rng(GetParam() + 53000);
     Cnf cnf;
     cnf.ensureVars(8);
@@ -319,9 +223,7 @@ TEST_P(InprocessingProperty, GcKeepsBinaryHeavyVerdicts)
                               rng.nextBool()));
         cnf.addClause(c);
     }
-    SolverConfig cfg;
-    cfg.learntLimitBase = 10;
-    Solver solver(cfg);
+    Solver solver;
     solver.addCnf(cnf);
     for (int round = 0; round < 4; ++round) {
         LitVec assumptions;
@@ -339,11 +241,7 @@ TEST_P(InprocessingProperty, GcKeepsBinaryHeavyVerdicts)
             << "round " << round;
         if (solver.solve() != SolveResult::Sat)
             break;
-        solver.shrinkLearnts(3);
-        if (round % 2 == 0)
-            solver.garbageCollect();
-        else
-            solver.inprocess();
+        solver.garbageCollect();
     }
 }
 
@@ -351,10 +249,8 @@ TEST_P(InprocessingProperty, OtfStrengtheningAgreesWithBruteForce)
 {
     // The learn-time strengthenings must keep the database equivalent
     // round after round: decide random assumption queries against
-    // brute force on one long-lived solver, interleaved with the
-    // epoch shrink + inprocessing the engine performs - exactly the
-    // environment the in-place arena edits have to survive.  The
-    // seeds collectively exercise the pass (asserted below).
+    // brute force on one long-lived solver, whose in-place arena
+    // edits carry over from query to query.
     Rng rng(GetParam() + 67000);
     const Cnf cnf = randomCnf(rng, 9, 40, 3);
     Solver solver;
@@ -376,76 +272,7 @@ TEST_P(InprocessingProperty, OtfStrengtheningAgreesWithBruteForce)
         EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
                   solver.solve(assumptions))
             << "round " << round;
-        solver.shrinkLearnts(3);
-        solver.inprocess();
     }
-}
-
-TEST_P(InprocessingProperty, DeferredOtfAgreesWithBruteForce)
-{
-    // PR 6: candidates the mid-search pass must skip (deep assertion
-    // levels, locked antecedents) are queued and applied at the next
-    // root boundary.  A solver with deferral on and one with it off
-    // must agree with brute force on every incremental query - the
-    // deferred in-place shrink edits live arena clauses at level 0.
-    Rng rng(GetParam() + 91000);
-    const Cnf cnf = randomCnf(rng, 9, 38, 3);
-    SolverConfig deferred;
-    deferred.otfDefer = true;
-    SolverConfig immediate;
-    immediate.otfDefer = false;
-    Solver with(deferred);
-    Solver without(immediate);
-    with.addCnf(cnf);
-    without.addCnf(cnf);
-    const bool base = bruteForceSat(cnf);
-    EXPECT_EQ(base ? SolveResult::Sat : SolveResult::Unsat,
-              with.solve());
-    EXPECT_EQ(base ? SolveResult::Sat : SolveResult::Unsat,
-              without.solve());
-    for (int round = 0; round < 3 && base; ++round) {
-        LitVec assumptions;
-        for (Var v = 0; v < 9; ++v) {
-            const auto choice = rng.nextBelow(4);
-            if (choice == 0)
-                assumptions.push_back(mkLit(v));
-            else if (choice == 1)
-                assumptions.push_back(mkLit(v, true));
-        }
-        const bool expected =
-            bruteForceSatWithAssumptions(cnf, assumptions);
-        const auto verdict =
-            expected ? SolveResult::Sat : SolveResult::Unsat;
-        EXPECT_EQ(verdict, with.solve(assumptions))
-            << "deferred, round " << round;
-        EXPECT_EQ(verdict, without.solve(assumptions))
-            << "immediate, round " << round;
-        // Same epoch maintenance the engine performs: deferred
-        // candidates must survive (or be purged across) both.
-        with.shrinkLearnts(3);
-        with.inprocess();
-        without.shrinkLearnts(3);
-        without.inprocess();
-    }
-}
-
-TEST(Inprocessing, DeferredOtfAppliesAtRootBoundaries)
-{
-    // On a conflict-heavy instance the mid-search pass skips real
-    // candidates and the root-boundary drain applies them: both
-    // counters must move, and the verdict is unaffected.
-    Solver deferred; // otfDefer defaults on
-    deferred.addCnf(pigeonhole(7));
-    EXPECT_EQ(SolveResult::Unsat, deferred.solve());
-    EXPECT_GT(deferred.stats().otfSkipped, 0);
-    EXPECT_GT(deferred.stats().otfDeferredApplied, 0);
-    // With deferral off the skip path stays a pure skip.
-    SolverConfig config;
-    config.otfDefer = false;
-    Solver immediate(config);
-    immediate.addCnf(pigeonhole(7));
-    EXPECT_EQ(SolveResult::Unsat, immediate.solve());
-    EXPECT_EQ(0, immediate.stats().otfDeferredApplied);
 }
 
 TEST(Inprocessing, AddClauseAfterRestoreChecksOkay)
@@ -471,86 +298,11 @@ TEST(Inprocessing, AddClauseAfterRestoreChecksOkay)
     EXPECT_FALSE(s.addClause({mkLit(1), mkLit(2)}));
 }
 
-TEST(BinaryGraph, GadgetsFireEveryPass)
-{
-    // One formula with a disjoint gadget per binary-graph pass, so a
-    // single assumption-free solve must move all four counters:
-    //   SCC cycle      a -> b -> c -> a        (merges b and c into a)
-    //   transitive     d -> e -> f  plus d -> f (one redundant edge)
-    //   failed literal g -> h, g -> ~h          (probing learns ~g)
-    //   hyper-binary   p -> q, p -> r, (~q|~r|x) (resolvent ~p | x)
-    const Lit a = mkLit(0), b = mkLit(1), c = mkLit(2);
-    const Lit d = mkLit(3), e = mkLit(4), f = mkLit(5);
-    const Lit g = mkLit(6), h = mkLit(7);
-    const Lit p = mkLit(8), q = mkLit(9), r = mkLit(10),
-              x = mkLit(11);
-    Cnf cnf;
-    cnf.ensureVars(12);
-    cnf.addClause({~a, b});
-    cnf.addClause({~b, c});
-    cnf.addClause({~c, a});
-    cnf.addClause({~d, e});
-    cnf.addClause({~e, f});
-    cnf.addClause({~d, f});
-    cnf.addClause({~g, h});
-    cnf.addClause({~g, ~h});
-    cnf.addClause({~p, q});
-    cnf.addClause({~p, r});
-    cnf.addClause({~q, ~r, x});
-    Solver solver;
-    solver.addCnf(cnf);
-    ASSERT_EQ(SolveResult::Sat, solver.solve());
-    EXPECT_EQ(2, solver.stats().sccMergedVars);
-    EXPECT_GE(solver.stats().probedFailed, 1);
-    EXPECT_GE(solver.stats().hyperBinaries, 1);
-    EXPECT_GE(solver.stats().transitiveReduced, 1);
-    // The model must be reported over the ORIGINAL variables: the
-    // merged b and c were substituted away inside the solver, yet the
-    // reconstructed model still has to satisfy every input clause.
-    std::vector<LBool> model(12);
-    for (Var v = 0; v < 12; ++v)
-        model[static_cast<std::size_t>(v)] = solver.modelValue(v);
-    EXPECT_TRUE(cnf.satisfiedBy(model));
-    EXPECT_EQ(solver.modelValue(0), solver.modelValue(1));
-    EXPECT_EQ(solver.modelValue(0), solver.modelValue(2));
-    EXPECT_EQ(LBool::False, solver.modelValue(6)); // the failed g
-}
-
-TEST(BinaryGraph, UnsatSubstitutionStillRetiresMergedVariables)
-{
-    // The binaries make x0 -> ~x1 -> x2 -> x0 and x0 <-> ~x3 cycles,
-    // so x1, x2 and x3 all merge into x0's class.  Rewriting the long
-    // clauses through that substitution turns (~x0 | ~x2 | x3) into
-    // the unit ~x0, and the rewrite proves the formula UNSAT before
-    // it has visited every clause.  It must still finish: no merged
-    // variable may stay behind, in an unsatisfiable solver too.
-    auto pos = [](Var v) { return mkLit(v); };
-    auto neg = [](Var v) { return ~mkLit(v); };
-    Cnf cnf;
-    cnf.ensureVars(7);
-    cnf.addClause({neg(2), neg(3), neg(6)});
-    cnf.addClause({pos(2), neg(4), neg(6)});
-    cnf.addClause({neg(1), neg(3), pos(6)});
-    cnf.addClause({neg(0), neg(1)});
-    cnf.addClause({pos(1), pos(2)});
-    cnf.addClause({pos(0), neg(2)});
-    cnf.addClause({pos(0), pos(3)});
-    cnf.addClause({neg(1), pos(2), pos(4)});
-    cnf.addClause({neg(0), neg(3)});
-    cnf.addClause({neg(0), neg(2), pos(3)});
-    Solver solver(SolverConfig::simplify());
-    solver.addCnf(cnf);
-    EXPECT_EQ(SolveResult::Unsat, solver.solve());
-    EXPECT_EQ(3, solver.stats().sccMergedVars);
-    solver.checkInvariants();
-}
-
 TEST_P(InprocessingProperty, BinaryAnalysisAgreesWithBruteForce)
 {
-    // Random binary-heavy formulas with the graph passes on: verdicts
-    // must match brute force round for round, and every Sat round's
-    // reconstructed model must satisfy the ORIGINAL clauses - the
-    // strongest observable statement of substitution soundness.
+    // Random binary-heavy formulas: verdicts must match brute force
+    // round for round, and every Sat round's model must satisfy the
+    // clauses and the assumptions.
     Rng rng(GetParam() + 91000);
     Cnf cnf;
     cnf.ensureVars(9);
@@ -599,20 +351,15 @@ TEST_P(InprocessingProperty, BinaryAnalysisAgreesWithBruteForce)
                                    : model[l.var()])
                     << "assumption violated in round " << round;
         }
-        // The assumption-free solve between rounds is what runs the
-        // root binary-graph pass (assumption calls skip it).
         if (solver.solve() != SolveResult::Sat)
             break;
-        solver.inprocess();
     }
 }
 
 TEST_P(InprocessingProperty, BinaryAnalysisComposesWithImportsAndGc)
 {
-    // Equivalence substitution against clauses added between rounds
-    // and relocating GC: an added clause may name variables this
-    // solver has merged away (addClause() routes them through
-    // representativeOf), and the relocation sweep must keep binary
+    // Binary-heavy formulas with clauses added between rounds and a
+    // relocating GC after each: the relocation sweep must keep binary
     // reasons - which carry literals, not arena refs - intact across
     // rounds.
     Rng rng(GetParam() + 97000);
@@ -636,19 +383,13 @@ TEST_P(InprocessingProperty, BinaryAnalysisComposesWithImportsAndGc)
     }
     for (const LitVec &clause : pool)
         cnf.addClause(clause);
-    SolverConfig cfg;
-    cfg.learntLimitBase = 10;
-    Solver solver(cfg);
+    Solver solver;
     solver.addCnf(cnf);
     for (int round = 0; round < 4; ++round) {
-        // The assumption-free solve runs the root graph pass (merging
-        // variables on binary-heavy formulas); skip out once Unsat.
         if (solver.solve() != SolveResult::Sat)
             break;
         // Add a consequence: a widened copy of a real clause is
-        // subsumed by it, so the verdicts below stay those of cnf,
-        // and its literals may name variables this solver has merged
-        // away.
+        // subsumed by it, so the verdicts below stay those of cnf.
         LitVec implied =
             pool[rng.nextBelow(static_cast<std::uint32_t>(
                 pool.size()))];
@@ -668,21 +409,16 @@ TEST_P(InprocessingProperty, BinaryAnalysisComposesWithImportsAndGc)
         EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
                   solver.solve(assumptions))
             << "round " << round;
-        solver.shrinkLearnts(3);
-        if (round % 2 == 0)
-            solver.garbageCollect();
-        else
-            solver.inprocess();
+        solver.garbageCollect();
     }
 }
 
 TEST_P(InprocessingProperty, BinaryAnalysisComposesWithElimination)
 {
-    // The full preprocessing stack: root binary-graph pass, then
-    // bounded variable elimination, then assumption rounds (which
-    // restore eliminated variables).  Model reconstruction has to
-    // unwind BOTH stacks - merges from eqStack, eliminations from
-    // elimStack - and verdicts must still match brute force.
+    // Bounded variable elimination on binary-heavy formulas, then
+    // assumption rounds (which restore eliminated variables): the
+    // first model is reconstructed over eliminated variables, and
+    // verdicts must still match brute force.
     Rng rng(GetParam() + 101000);
     Cnf cnf;
     cnf.ensureVars(10);
@@ -730,61 +466,21 @@ TEST_P(InprocessingProperty, BinaryAnalysisComposesWithElimination)
     }
 }
 
-TEST_P(InprocessingProperty, BinaryAnalysisOnOffVerdictsIdentical)
-{
-    // The acceptance contract at the solver level: the graph passes
-    // are pure simplification, so an analysis-on solver and an
-    // analysis-off solver walk the same formula to the same verdict
-    // in every round.
-    Rng rng(GetParam() + 103000);
-    const Cnf cnf = randomCnf(rng, 9, 30, 2);
-    SolverConfig off;
-    off.binaryAnalysis = false;
-    Solver with;
-    Solver without(off);
-    with.addCnf(cnf);
-    without.addCnf(cnf);
-    for (int round = 0; round < 4; ++round) {
-        LitVec assumptions;
-        for (Var v = 0; v < 9; ++v) {
-            const auto choice = rng.nextBelow(4);
-            if (choice == 0)
-                assumptions.push_back(mkLit(v));
-            else if (choice == 1)
-                assumptions.push_back(mkLit(v, true));
-        }
-        EXPECT_EQ(without.solve(assumptions),
-                  with.solve(assumptions))
-            << "round " << round;
-        with.solve();
-        without.solve();
-        with.inprocess();
-        without.inprocess();
-    }
-    EXPECT_EQ(0, without.stats().sccMergedVars +
-                     without.stats().probedFailed +
-                     without.stats().hyperBinaries +
-                     without.stats().transitiveReduced)
-        << "analysis-off solver must not run any graph pass";
-}
-
 } // namespace
 } // namespace qb::sat
 
 namespace qb::core {
 namespace {
 
-TEST(EngineInprocessing, JobsDeterminismWithGcAndInprocessing)
+TEST(EngineInprocessing, JobsDeterminismOnLaneA)
 {
-    // The scheduler acceptance contract must hold under heavy
-    // reduction pressure (GC runs mid-solve): --jobs 1 and --jobs N
-    // give identical verdicts AND counterexamples.  Lane A's preset
-    // does not preprocess, so its solvers search longest.
+    // The scheduler acceptance contract on lane A's preset, which
+    // does not preprocess, so its solvers search longest: --jobs 1
+    // and --jobs N give identical verdicts AND counterexamples.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(10));
-    EngineOptions base =
+    const EngineOptions base =
         EngineOptions::singleLane(VerifierOptions::laneA());
-    base.lane.solver.learntLimitBase = 16;
     EngineOptions serial = base;
     serial.jobs = 1;
     EngineOptions parallel = base;
@@ -803,58 +499,6 @@ TEST(EngineInprocessing, JobsDeterminismWithGcAndInprocessing)
     }
     for (const QubitResult &r : r1.qubits)
         EXPECT_EQ(Verdict::Safe, r.verdict) << r.name;
-}
-
-TEST(EngineInprocessing, BinaryAnalysisOnOffIdenticalAcrossJobs)
-{
-    // The headline acceptance contract: with the binary-graph passes
-    // on, verdicts AND counterexamples are bit-identical to the
-    // passes-off run, at --jobs 1 and --jobs N alike.  The adder
-    // program exercises the passes for real (its carry chain is where
-    // SCC merging and transitive reduction actually fire).
-    // Both lane presets: each runs the passes at every solver's entry.
-    const auto program =
-        lang::elaborateSource(circuits::adderQbrSource(8));
-    for (const std::string lane : {"A", "B"}) {
-        const EngineOptions base = EngineOptions::singleLane(
-            lane == "A" ? VerifierOptions::laneA()
-                        : VerifierOptions::laneB());
-        std::vector<ProgramResult> results;
-        for (const bool analysis : {true, false}) {
-            for (const int jobs : {1, 4}) {
-                EngineOptions options = base;
-                options.binaryAnalysis = analysis;
-                options.jobs = jobs;
-                results.push_back(verifyAll(program, options));
-            }
-        }
-        const ProgramResult &reference = results.front();
-        for (std::size_t k = 1; k < results.size(); ++k) {
-            ASSERT_EQ(reference.qubits.size(),
-                      results[k].qubits.size());
-            for (std::size_t i = 0; i < reference.qubits.size(); ++i) {
-                EXPECT_EQ(reference.qubits[i].verdict,
-                          results[k].qubits[i].verdict)
-                    << "lane " << lane << " config " << k << " qubit "
-                    << i;
-                EXPECT_EQ(reference.qubits[i].failed,
-                          results[k].qubits[i].failed)
-                    << "lane " << lane << " config " << k << " qubit "
-                    << i;
-                EXPECT_EQ(reference.qubits[i].counterexample,
-                          results[k].qubits[i].counterexample)
-                    << "lane " << lane << " config " << k << " qubit "
-                    << i;
-            }
-        }
-        // The off runs must leave all four counters at zero: the
-        // engine-level switch must reach either kind of lane.
-        EXPECT_EQ(0, results[2].solverTotals.sccMergedVars +
-                         results[2].solverTotals.probedFailed +
-                         results[2].solverTotals.hyperBinaries +
-                         results[2].solverTotals.transitiveReduced)
-            << "lane " << lane;
-    }
 }
 
 /**
@@ -877,35 +521,30 @@ unsafeProneRandomPrograms(std::uint64_t seed, int count)
     return programs;
 }
 
-TEST(EngineInprocessing, UnsafeCounterexamplesIgnoreBinaryAnalysisAndJobs)
+TEST(EngineInprocessing, UnsafeCounterexamplesIgnoreJobs)
 {
-    // Counterexamples come from a replay solve, and the binary-graph
-    // passes steer a solver's search: a replay that inherited the
-    // engine's switch found other models with it on than off.  Over
-    // unsafe random programs, for the default lane set and for lane
-    // A, binary analysis on/off x --jobs 1/4 must agree on every
-    // verdict, failed condition and counterexample.
+    // Counterexamples are the model of the solver that decided the
+    // condition, which runs on whichever worker is free.  Over unsafe
+    // random programs, for the default lane and for lane A, --jobs 1
+    // and --jobs 4 must agree on every verdict, failed condition and
+    // counterexample.
     const auto programs = unsafeProneRandomPrograms(0xCE3, 400);
     for (const std::string lane : {"", "A"}) {
         std::vector<std::vector<QubitResult>> runs;
-        for (const bool analysis : {true, false}) {
-            for (const unsigned jobs : {1u, 4u}) {
-                EngineOptions options = lane.empty()
-                    ? EngineOptions{}
-                    : EngineOptions::singleLane(VerifierOptions::laneA());
-                options.binaryAnalysis = analysis;
-                options.jobs = jobs;
-                const auto scheduler = std::make_shared<Scheduler>(jobs);
-                std::vector<QubitResult> qubits;
-                for (const auto &program : programs) {
-                    ProgramResult r = verifyAll(program, options, {},
-                                                false, scheduler,
-                                                nullptr);
-                    for (QubitResult &q : r.qubits)
-                        qubits.push_back(std::move(q));
-                }
-                runs.push_back(std::move(qubits));
+        for (const unsigned jobs : {1u, 4u}) {
+            EngineOptions options = lane.empty()
+                ? EngineOptions{}
+                : EngineOptions::singleLane(VerifierOptions::laneA());
+            options.jobs = jobs;
+            const auto scheduler = std::make_shared<Scheduler>(jobs);
+            std::vector<QubitResult> qubits;
+            for (const auto &program : programs) {
+                ProgramResult r = verifyAll(program, options, {}, false,
+                                            scheduler, nullptr);
+                for (QubitResult &q : r.qubits)
+                    qubits.push_back(std::move(q));
             }
+            runs.push_back(std::move(qubits));
         }
         const std::vector<QubitResult> &reference = runs.front();
         std::size_t counterexamples = 0;
@@ -969,10 +608,9 @@ TEST(EngineDefaults, JobsOneAndFourBitIdentical)
 
 TEST(EngineInprocessing, BinaryHeavyMcxCountersReachReport)
 {
-    // The CI bench-smoke contract in unit-test form: the dressed mcx
-    // program on the preprocessing lane must move the SCC and
-    // transitive-reduction counters, and they must flow through
-    // ProgramResult into the JSON report.
+    // The dressed mcx program on the preprocessing lane keeps the
+    // binary watch lists busy: its binary propagations must flow
+    // through ProgramResult into the JSON report.
     const auto program = lang::elaborateSource(
         circuits::binaryHeavyMcxQbrSource(20));
     EngineOptions options =
@@ -980,14 +618,9 @@ TEST(EngineInprocessing, BinaryHeavyMcxCountersReachReport)
     const ProgramResult result = verifyAll(program, options);
     for (const QubitResult &r : result.qubits)
         EXPECT_EQ(Verdict::Safe, r.verdict) << r.name;
-    EXPECT_GE(result.solverTotals.sccMergedVars, 1);
-    EXPECT_GE(result.solverTotals.transitiveReduced, 1);
+    EXPECT_GE(result.solverTotals.binPropagations, 1);
     const std::string json = toJson(result, "binary-heavy-mcx");
-    EXPECT_NE(std::string::npos, json.find("\"scc_merged_vars\": "));
-    EXPECT_NE(std::string::npos, json.find("\"probed_failed\": "));
-    EXPECT_NE(std::string::npos, json.find("\"hyper_binaries\": "));
-    EXPECT_NE(std::string::npos,
-              json.find("\"transitive_reduced\": "));
+    EXPECT_NE(std::string::npos, json.find("\"bin_propagations\": "));
 }
 
 TEST(EngineInprocessing, SolverTotalsReachJsonReport)
@@ -1007,9 +640,14 @@ TEST(EngineInprocessing, SolverTotalsReachJsonReport)
     EXPECT_NE(std::string::npos, json.find("\"inprocess_runs\": "));
     EXPECT_NE(std::string::npos, json.find("\"gc_runs\": "));
     EXPECT_NE(std::string::npos, json.find("\"arena_peak_words\": "));
-    // Sessions share no clauses, so there are no exchange counters.
-    EXPECT_EQ(std::string::npos, json.find("imported"));
-    EXPECT_EQ(std::string::npos, json.find("exported"));
+    // Sessions share no clauses, so there are no exchange counters,
+    // and the solver has no vivification, subsumption, deferred OTF
+    // or binary-graph passes to count.
+    for (const char *gone :
+         {"imported", "exported", "vivified", "subsumed",
+          "strengthened_clauses", "otf_deferred", "scc_merged",
+          "probed_failed", "hyper_binaries", "transitive_reduced"})
+        EXPECT_EQ(std::string::npos, json.find(gone)) << gone;
 }
 
 } // namespace

@@ -628,10 +628,8 @@ TEST(BinaryWatch, BinaryOnlyFormulaAllocatesNoArena)
     // The binary-free-arena contract: a formula of nothing but binary
     // clauses lives entirely in the watcher lists, so the clause
     // arena never grows at all - arena_peak_kw genuinely measures
-    // long clauses only.  The equivalence ladder below also drives
-    // the SCC pass through full-circle merging, so the model
-    // reconstruction in original variables is exercised on a formula
-    // where every variable but the representative is substituted.
+    // long clauses only.  The equivalence ladder below forces every
+    // variable to share one value, all through binary implications.
     Solver s;
     constexpr Var n = 24;
     for (Var v = 0; v + 1 < n; ++v) {
@@ -905,10 +903,12 @@ TEST(SolverBve, EliminationTrajectoryIsPinned)
     // downstream of all of it, so any change to the elimination
     // trajectory (queue order, occurrence limit, resolvent bound,
     // freezing, resolvent literal order) moves at least one of them.
-    // The values were recorded at commit 4622e15, with the
-    // build-every-resolvent implementation, before the count-first
-    // rewrite touched the solver; a rewrite that changes only speed
-    // keeps them exact.
+    // The values are what commit c12c29b (the last one with the
+    // binary-graph passes) produces for solveCnf(cnf, simplify())
+    // with SolverConfig::binaryAnalysis = false, i.e. with elimination
+    // running on the formula exactly as addClause() leaves it, which
+    // is what the solver does now that those passes are gone.  A
+    // change that touches only speed keeps them exact.
     struct Expected
     {
         const char *name;
@@ -921,18 +921,18 @@ TEST(SolverBve, EliminationTrajectoryIsPinned)
     // condition is UNSAT.  a[n-1]'s condition folds to a constant in
     // the formula arena and never reaches a solver.
     const std::int64_t adder12[][4] = {
-        {22, 90, 216, 997}, {22, 90, 203, 978}, {24, 79, 169, 787},
-        {25, 68, 154, 720}, {26, 57, 122, 592}, {27, 42, 89, 443},
-        {28, 35, 72, 364},  {29, 21, 45, 261},  {30, 8, 33, 184},
-        {30, 5, 34, 176}};
+        {24, 92, 195, 736}, {24, 98, 205, 767}, {26, 82, 161, 606},
+        {27, 75, 145, 537}, {28, 60, 110, 375}, {29, 50, 90, 303},
+        {30, 37, 63, 204}, {31, 20, 32, 83}, {32, 8, 23, 39},
+        {31, 5, 19, 31}};
     const std::int64_t adder16[][4] = {
-        {30, 136, 377, 1660}, {30, 136, 360, 1645},
-        {32, 126, 328, 1445}, {33, 114, 309, 1364},
-        {34, 106, 292, 1198}, {35, 90, 259, 1086},
-        {36, 79, 225, 895},   {37, 68, 202, 820},
-        {38, 57, 162, 684},   {39, 42, 121, 527},
-        {40, 35, 96, 440},    {41, 21, 61, 329},
-        {42, 8, 49, 252},     {42, 5, 50, 244}};
+        {32, 149, 379, 1434}, {32, 144, 354, 1337},
+        {34, 139, 329, 1231}, {35, 120, 301, 1064},
+        {36, 105, 262, 900}, {37, 98, 254, 816},
+        {38, 82, 209, 654}, {39, 75, 185, 577},
+        {40, 60, 142, 407}, {41, 50, 114, 327},
+        {42, 37, 79, 220}, {43, 20, 40, 91},
+        {44, 8, 31, 47}, {43, 5, 27, 39}};
     auto add_adder = [&](std::uint32_t n, const std::int64_t (*rows)[4],
                          std::size_t count) {
         for (std::uint32_t i = 0; i < count; ++i) {
@@ -945,7 +945,7 @@ TEST(SolverBve, EliminationTrajectoryIsPinned)
     add_adder(12, adder12, std::size(adder12));
     add_adder(16, adder16, std::size(adder16));
     corpus.push_back({"pigeonhole(6)", pigeonhole(6),
-                      SolveResult::Unsat, 7, 500, 551, 4346});
+                      SolveResult::Unsat, 7, 500, 551, 4052});
     corpus.push_back({"occurrence limit", occurrenceLimitCnf(),
                       SolveResult::Sat, 14, 0, 36, 36});
     // Random 3-SAT near the threshold: 60 variables, 256 clauses.
@@ -954,16 +954,16 @@ TEST(SolverBve, EliminationTrajectoryIsPinned)
         SolveResult result;
         std::int64_t eliminated, conflicts, decisions, propagations;
     } random[] = {
-        {SolveResult::Sat, 2, 46, 54, 949},
-        {SolveResult::Sat, 1, 67, 85, 1118},
-        {SolveResult::Sat, 4, 97, 138, 1473},
-        {SolveResult::Sat, 1, 35, 49, 744},
-        {SolveResult::Sat, 2, 51, 76, 836},
-        {SolveResult::Unsat, 0, 54, 59, 934},
-        {SolveResult::Sat, 1, 46, 61, 772},
-        {SolveResult::Sat, 1, 29, 47, 502},
-        {SolveResult::Sat, 1, 31, 44, 547},
-        {SolveResult::Unsat, 0, 33, 36, 614}};
+        {SolveResult::Sat, 2, 46, 54, 941},
+        {SolveResult::Sat, 1, 57, 85, 975},
+        {SolveResult::Sat, 4, 71, 92, 1109},
+        {SolveResult::Sat, 1, 26, 39, 506},
+        {SolveResult::Sat, 2, 47, 63, 839},
+        {SolveResult::Unsat, 0, 49, 62, 818},
+        {SolveResult::Sat, 1, 35, 52, 617},
+        {SolveResult::Sat, 1, 36, 55, 565},
+        {SolveResult::Sat, 1, 31, 44, 526},
+        {SolveResult::Unsat, 0, 34, 40, 608}};
     for (int seed = 0; seed < 10; ++seed) {
         Rng rng(900 + seed);
         const auto &r = random[seed];
@@ -987,11 +987,9 @@ TEST(SolverBve, EliminationTrajectoryIsPinned)
 
 TEST(SolverBve, PreprocessSecondsCoverOnlyTheSolveEntryPasses)
 {
-    // No binary-graph pass and no elimination: nothing to time.
-    SolverConfig plain_cfg = SolverConfig::baseline();
-    plain_cfg.binaryAnalysis = false;
+    // No elimination: nothing to time.
     SolverStats plain;
-    solveCnf(pigeonhole(5), plain_cfg, &plain);
+    solveCnf(pigeonhole(5), SolverConfig::baseline(), &plain);
     EXPECT_EQ(0.0, plain.preprocessSeconds);
 
     SolverStats pre;
@@ -1018,16 +1016,14 @@ TEST(SolverBve, PreprocessSecondsCoverOnlyTheSolveEntryPasses)
  *  - n-3, n-4 and n-5 form a chain whose resolvents shrink to a unit;
  *  - n-6 occurs once on each side, once next to n-1: its resolvent
  *    touches n-1 again after n-1 has been frozen;
- *  - 0, 1 and 2 form a binary equivalence cycle that the binary-graph
- *    pass merges into representative 0, which elimination must leave
- *    alone;
+ *  - 0, 1 and 2 form a binary equivalence cycle, so elimination meets
+ *    variables whose binary occurrences resolve into one another;
  *  - the remaining "body" variables, and 0, fill the other literals,
  *    and random ternaries over them skew their occurrence counts and
  *    make tautological resolvents.
  *
- * Every clause but the cycle is a ternary, so probing finds no failed
- * literal and every role reaches elimination intact.  Three seeds in
- * four plant a model (each clause is made true under a random
+ * Every clause but the cycle is a ternary.  Three seeds in four plant
+ * a model (each clause is made true under a random
  * assignment), the rest are left to chance and are often UNSAT.
  */
 Cnf
@@ -1036,7 +1032,7 @@ skewedEliminationCnf(Rng &rng)
     const auto n = static_cast<Var>(10 + rng.nextBelow(3));
     const Var top = n - 1, over = n - 2, w = n - 3, u = n - 4, v = n - 5;
     const Var toucher = n - 6;
-    // Representative 0 and the body variables [3, n - 6).
+    // Cycle member 0 and the body variables [3, n - 6).
     std::vector<Var> others{0};
     for (Var b = 3; b < toucher; ++b)
         others.push_back(b);
@@ -1132,14 +1128,12 @@ TEST_P(SatProperty, EliminationEdgeCasesAgreeWithBruteForce)
         << "failed clause " << failed;
 }
 
-TEST(SolverBve, EdgeCaseFamilyReachesEliminationAndMerging)
+TEST(SolverBve, EdgeCaseFamilyReachesElimination)
 {
     // Coverage guard for the family above, on the counters the
     // solver reports: across its seeds, elimination must commit
-    // somewhere, the binary-graph pass must merge an equivalence
-    // class somewhere (its representative is then frozen), and both
-    // verdicts must occur.
-    int eliminating = 0, merging = 0, sat = 0, unsat = 0;
+    // somewhere, and both verdicts must occur.
+    int eliminating = 0, sat = 0, unsat = 0;
     for (int seed = 0; seed < 40; ++seed) {
         Rng rng(seed + 71000);
         const Cnf cnf = skewedEliminationCnf(rng);
@@ -1148,10 +1142,8 @@ TEST(SolverBve, EdgeCaseFamilyReachesEliminationAndMerging)
         const SolveResult got = solver.solve();
         (got == SolveResult::Sat ? sat : unsat) += 1;
         eliminating += solver.stats().eliminatedVars > 0;
-        merging += solver.stats().sccMergedVars > 0;
     }
     EXPECT_GT(eliminating, 0);
-    EXPECT_GT(merging, 0);
     EXPECT_GT(sat, 0);
     EXPECT_GT(unsat, 0);
 }

@@ -170,6 +170,16 @@ expectJobsDeterminism(const Circuit &c)
                       rn.qubits[i].counterexample)
                 << "qubit " << i << " lane " << lane;
         }
+        // Only collected outcomes are counted, so the solver totals
+        // do not depend on whether a speculative (6.2) query ran
+        // before an Unsafe (6.1) answer abandoned it.
+        const sat::SolverStats &s1 = r1.solverTotals;
+        const sat::SolverStats &sn = rn.solverTotals;
+        EXPECT_EQ(s1.conflicts, sn.conflicts) << "lane " << lane;
+        EXPECT_EQ(s1.decisions, sn.decisions) << "lane " << lane;
+        EXPECT_EQ(s1.propagations, sn.propagations) << "lane " << lane;
+        EXPECT_EQ(s1.binPropagations, sn.binPropagations)
+            << "lane " << lane;
     }
 }
 
@@ -178,7 +188,8 @@ TEST_P(JobsDeterminism, OneAndManyJobsIdenticalVerdictsAndCex)
     // The acceptance contract of the scheduler: --jobs 1 and --jobs N
     // produce identical verdicts AND identical counterexamples, on
     // both lanes.  (Counterexamples come from the deterministic
-    // replay solve, so worker timing cannot leak in.)
+    // solver that decided the condition, so worker timing cannot leak
+    // in.)
     Rng rng(GetParam() + 77000);
     expectJobsDeterminism(randomCircuit(rng, 6, 14));
 }

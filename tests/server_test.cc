@@ -1286,6 +1286,42 @@ TEST(Server, LaneOptionIsRejectedAndServiceContinues)
     EXPECT_EQ(1u, server.counters().served);
 }
 
+TEST(Server, ProtocolErrorKeepsTheRequestId)
+{
+    // A frame rejected after its valid id was read gets one error
+    // frame carrying that id, so a pipelining client can tell which
+    // request failed; a frame whose id itself is malformed gets null.
+    ServerOptions options;
+    options.socketPath = testSocketPath("errid");
+    options.jobs = 1;
+    Server server(std::move(options));
+    server.start();
+
+    TestClient client(server.socketPath());
+    client.send(verifyRequestLine(3, circuits::adderQbrSource(4),
+                                  R"("budget": "x")"));
+    const auto error = client.next();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ("error", error->find("type")->asString());
+    EXPECT_EQ(3, error->find("id")->asInt());
+    EXPECT_NE(std::string::npos,
+              error->find("message")->asString().find("options.budget"));
+
+    client.send(R"({"op": "ping", "id": "seven"})");
+    const auto bad_id = client.next();
+    ASSERT_TRUE(bad_id.has_value());
+    EXPECT_EQ("error", bad_id->find("type")->asString());
+    EXPECT_EQ(JsonValue::Kind::Null, bad_id->find("id")->kind());
+
+    client.send(R"({"op": "ping", "id": 4})");
+    const auto pong = client.next();
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ("pong", pong->find("type")->asString());
+    EXPECT_EQ(4, pong->find("id")->asInt());
+    server.shutdown();
+    EXPECT_EQ(2u, server.counters().errors);
+}
+
 TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)
 {
     ServerOptions options;

@@ -19,11 +19,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "support/fuzz.h"
 #include "support/logging.h"
+#include "support/strings.h"
 
 namespace {
 
@@ -38,8 +40,8 @@ usage(const char *argv0)
         "  --cnf N                random CNF cases (default 250)\n"
         "  --analysis N           analysis-on/off differential "
         "cases (default 250)\n"
-        "  --jobs N               worker threads; 0 = hardware "
-        "(default 1)\n"
+        "  --jobs N               worker threads, at most 1024; "
+        "0 = hardware (default 1)\n"
         "  --out DIR              write shrunk reproducers here "
         "(must exist)\n"
         "  --max-vars N           CNF generator variable cap "
@@ -73,25 +75,36 @@ main(int argc, char **argv)
                         "missing value for " + arg);
                 return argv[++i];
             };
+            // Every integer flag goes through qb::parseInt: a malformed
+            // or out-of-range value is a usage error, never a silent 0.
+            const auto integer = [&](std::int64_t max) {
+                const std::string text = next();
+                const auto value = qb::parseInt(text, 0, max);
+                if (!value)
+                    throw std::invalid_argument(
+                        "bad value '" + text + "' for " + arg);
+                return *value;
+            };
+            constexpr std::int64_t kMax =
+                std::numeric_limits<std::int64_t>::max();
+            constexpr std::int64_t kMaxVar =
+                std::numeric_limits<qb::sat::Var>::max();
             if (arg == "--seed")
-                options.seed = std::strtoull(next(), nullptr, 10);
+                options.seed = static_cast<std::uint64_t>(integer(kMax));
             else if (arg == "--qbr")
-                options.qbrCases =
-                    std::strtoull(next(), nullptr, 10);
+                options.qbrCases = static_cast<std::size_t>(integer(kMax));
             else if (arg == "--cnf")
-                options.cnfCases =
-                    std::strtoull(next(), nullptr, 10);
+                options.cnfCases = static_cast<std::size_t>(integer(kMax));
             else if (arg == "--analysis")
                 options.analysisCases =
-                    std::strtoull(next(), nullptr, 10);
+                    static_cast<std::size_t>(integer(kMax));
             else if (arg == "--jobs")
-                options.jobs = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
+                options.jobs = static_cast<unsigned>(integer(1024));
             else if (arg == "--out")
                 options.reproducerDir = next();
             else if (arg == "--max-vars")
-                options.cnf.maxVars = static_cast<qb::sat::Var>(
-                    std::strtol(next(), nullptr, 10));
+                options.cnf.maxVars =
+                    static_cast<qb::sat::Var>(integer(kMaxVar));
             else if (arg == "--ratio")
                 options.cnf.clauseVarRatio =
                     std::strtod(next(), nullptr);
@@ -100,11 +113,10 @@ main(int argc, char **argv)
                     std::strtod(next(), nullptr);
             else if (arg == "--brute-max")
                 options.bruteForceMaxVars =
-                    static_cast<qb::sat::Var>(
-                        std::strtol(next(), nullptr, 10));
+                    static_cast<qb::sat::Var>(integer(kMaxVar));
             else if (arg == "--max-disagreements")
                 options.maxDisagreements =
-                    std::strtoull(next(), nullptr, 10);
+                    static_cast<std::size_t>(integer(kMax));
             else if (arg == "--inject-cnf-bug")
                 options.injectCnfBug = true;
             else

@@ -86,13 +86,6 @@ usage(const char *argv0)
         "  --no-cex          skip counterexample extraction\n"
         "  --budget N        conflict budget per SAT call (-1 =\n"
         "                    unlimited, the default)\n"
-        "  --binary-analysis / --no-binary-analysis\n"
-        "                    binary implication graph passes at each\n"
-        "                    solver's entry: SCC equivalence merging,\n"
-        "                    failed-literal probing, transitive\n"
-        "                    reduction (default on; verdicts and\n"
-        "                    counterexamples are unchanged either\n"
-        "                    way)\n"
         "\n"
         "server mode (--serve / --serve-tcp):\n"
         "  --serve PATH      run as a daemon on Unix socket PATH;\n"
@@ -167,7 +160,6 @@ struct CliOptions
     bool stats = false;
     std::int64_t budget = -1;
     std::int64_t jobs = 0;
-    bool binaryAnalysis = true;
     std::int64_t parallel = 2;
     std::int64_t queue = 16;
     std::int64_t maxConnections = 0;
@@ -230,7 +222,6 @@ engineOptionsFor(const CliOptions &cli)
 {
     qb::core::EngineOptions options;
     options.jobs = static_cast<unsigned>(cli.jobs);
-    options.binaryAnalysis = cli.binaryAnalysis;
     options.analysis = analysisOptionsFor(cli);
     options.lane.wantCounterexample = cli.want_cex;
     options.lane.conflictBudget = cli.budget;
@@ -618,13 +609,10 @@ runClient(const CliOptions &cli)
                   "acknowledged");
     }
 
-    // Pool size and binary analysis are fixed when the daemon starts;
-    // passing them here would silently do nothing, so say so.
+    // The pool size is fixed when the daemon starts; passing it here
+    // would silently do nothing, so say so.
     if (cli.jobs != 0)
         qb::warn("--jobs is server-wide; ignored in client mode");
-    if (!cli.binaryAnalysis)
-        qb::warn("--no-binary-analysis is server-wide; ignored in "
-                 "client mode");
 
     const std::string source = readFile(cli.path);
     std::string request = "{\"op\": \"verify\", \"id\": 1";
@@ -759,10 +747,6 @@ run(int argc, char **argv)
             cli.dump = true;
         } else if (arg == "--no-cex") {
             cli.want_cex = false;
-        } else if (arg == "--binary-analysis") {
-            cli.binaryAnalysis = true;
-        } else if (arg == "--no-binary-analysis") {
-            cli.binaryAnalysis = false;
         } else if (arg == "--clean") {
             cli.clean = true;
         } else if (arg == "--lint") {

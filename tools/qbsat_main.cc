@@ -4,10 +4,9 @@
  *
  * `qbsat --dimacs file.cnf` (or a bare positional path; "-" reads
  * stdin) streams the file through the strict located DIMACS reader
- * (sat/dimacs.h), decides it with the full sat::Solver - solve-entry
- * binary-implication-graph analysis, vivification/subsumption
- * inprocessing, OTF subsumption, the works - and prints the result
- * SAT-competition style: "s SATISFIABLE" plus "v" model lines, or
+ * (sat/dimacs.h), decides it with sat::Solver - learn-time OTF
+ * subsumption, plus bounded variable elimination under --simplify -
+ * and prints the result SAT-competition style: "s SATISFIABLE" plus "v" model lines, or
  * "s UNSATISFIABLE".  Exit codes follow the competition convention:
  * 10 = SAT, 20 = UNSAT, 0 = unknown (conflict budget exhausted), and
  * 2 for usage or input errors - a malformed file is one located line
@@ -128,11 +127,6 @@ run(int argc, char **argv)
     const qb::sat::Cnf &cnf = parsed.cnf;
     qb::sat::Solver solver(config);
     solver.addCnf(cnf);
-    // One explicit inprocessing pass before search puts the whole
-    // query-boundary machinery (vivification, backward subsumption,
-    // binary-graph passes) on the standalone-CNF path too; solve()
-    // entry then re-runs the binary-graph analysis as usual.
-    solver.inprocess();
     const qb::Timer solve_timer;
     const qb::sat::SolveResult result = solver.solve();
     const double solve_seconds = solve_timer.seconds();
@@ -146,20 +140,11 @@ run(int argc, char **argv)
                     static_cast<long long>(s.propagations),
                     static_cast<long long>(s.restarts),
                     static_cast<long long>(s.eliminatedVars));
-        std::printf("c otf-strengthened %lld otf-skipped %lld "
-                    "otf-deferred-applied %lld\n",
+        std::printf("c otf-strengthened %lld otf-skipped %lld\n",
                     static_cast<long long>(s.otfStrengthenedClauses),
-                    static_cast<long long>(s.otfSkipped),
-                    static_cast<long long>(s.otfDeferredApplied));
-        std::printf("c scc-merged %lld probed-failed %lld "
-                    "hyper-binaries %lld "
-                    "transitive-reduced %lld\n",
-                    static_cast<long long>(s.sccMergedVars),
-                    static_cast<long long>(s.probedFailed),
-                    static_cast<long long>(s.hyperBinaries),
-                    static_cast<long long>(s.transitiveReduced));
-        // solve() time split: root binary-graph pass plus bounded
-        // variable elimination at entry, and the search after it.
+                    static_cast<long long>(s.otfSkipped));
+        // solve() time split: bounded variable elimination at entry,
+        // and the search after it.
         std::printf("c preprocess-seconds %.6f search-seconds %.6f\n",
                     s.preprocessSeconds,
                     solve_seconds - s.preprocessSeconds);
