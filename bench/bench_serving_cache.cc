@@ -1,22 +1,22 @@
 /**
  * @file
- * Serving-tier cache benchmark (PR 6): what a repeat client actually
- * pays at each level of the warm-cache hierarchy, on the MCX family.
+ * Serving-tier cache benchmark: what a repeat client actually pays at
+ * each level of the cache hierarchy, on the MCX family.
  *
  * Three variants serve the same program N times through one
  * ServingTier over one process-wide scheduler:
  *
  *   - ServeCold: both caches disabled - every request pays parse,
- *     elaboration, session construction and every SAT query (the
- *     pre-PR 6 daemon, minus socket I/O);
- *   - ServeWarmSessions: program cache on, result cache off - repeats
- *     skip the frontend and verify through the entry's warm sessions
- *     (arena and built conditions);
+ *     elaboration, session construction and every SAT query (a
+ *     daemon without caches, minus socket I/O);
+ *   - ServeProgramHit: program cache on, result cache off - repeats
+ *     skip parsing and elaboration, then verify the cached program
+ *     in fresh sessions;
  *   - ServeResultHit: both caches on - repeats replay the memoized
  *     verdict and never touch the pool.
  *
  * The interesting counters are serve_s (mean per-request wall time
- * across the repeats) and the tier's hit/warm totals, which the stats
+ * across the repeats) and the tier's hit totals, which the stats
  * op exposes the same way in the live daemon.
  */
 
@@ -38,8 +38,7 @@ runServe(benchmark::State &state, std::size_t program_capacity,
     const auto n = static_cast<std::uint32_t>(state.range(0));
     const std::uint32_t m = (n + 1) / 2;
     const std::string source = qb::circuits::mcxQbrSource(m);
-    // The default lane: warm sessions keep the arena and the built
-    // conditions.
+    // The default lane, as the daemon runs it.
     qb::core::EngineOptions options;
     options.lane.wantCounterexample = false;
     const std::string key =
@@ -65,8 +64,8 @@ runServe(benchmark::State &state, std::size_t program_capacity,
         }
         state.counters["result_hits"] = static_cast<double>(
             tier.resultCounters().hits);
-        state.counters["warm_verifies"] =
-            static_cast<double>(tier.warmVerifies());
+        state.counters["program_hits"] = static_cast<double>(
+            tier.programCounters().hits);
         state.counters["serve_s"] =
             benchmark::Counter(kRepeats,
                                benchmark::Counter::kIsIterationInvariantRate |
@@ -82,7 +81,7 @@ ServeCold(benchmark::State &state)
 }
 
 void
-ServeWarmSessions(benchmark::State &state)
+ServeProgramHit(benchmark::State &state)
 {
     runServe(state, 64, 0);
 }
@@ -100,7 +99,7 @@ BENCHMARK(ServeCold)
     ->Arg(499)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(ServeWarmSessions)
+BENCHMARK(ServeProgramHit)
     ->Arg(199)
     ->Arg(499)
     ->Unit(benchmark::kSecond)

@@ -34,8 +34,9 @@ main()
                 qb::core::safeAsCleanQubit(circuit, a) ? "yes" : "no");
 
     // 2. The paper's verifier: formula (6.1) passes but (6.2) fails.
-    // An engine session keeps the circuit's formulas and solver warm,
-    // so asking about further qubits of the same circuit is cheap.
+    // An engine session builds the circuit's formulas once, so asking
+    // about further qubits of the same circuit skips that scan; each
+    // condition is decided in a fresh solver.
     qb::core::VerificationEngine engine(circuit);
     const qb::core::QubitResult r = engine.verify(a);
     std::printf("safe as a DIRTY qubit (Theorem 6.4): %s\n",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -211,25 +210,6 @@ VerificationEngine::waitIdle()
 {
     std::unique_lock<std::mutex> lock(fenceMutex);
     fenceIdle.wait(lock, [this] { return tasksInFlight == 0; });
-}
-
-void
-VerificationEngine::rearm(std::shared_ptr<CancelSource> cancel)
-{
-    // Quiesce stragglers of the previous request first: a task still
-    // in flight could observe the cancelled latch mid-flip.
-    waitIdle();
-    if (cancel_)
-        cancel_->detach(this);
-    cancel_ = std::move(cancel);
-    cancelled_.store(false, std::memory_order_release);
-    if (cancel_) {
-        cancel_->attach(this);
-        // Mirror the constructor: the new source may already have
-        // fired, and its requestCancel() sweep cannot have seen us.
-        if (cancel_->cancelRequested())
-            cancelled_.store(true, std::memory_order_release);
-    }
 }
 
 sat::SolverStats
@@ -711,77 +691,34 @@ VerificationEngine::verifyAllQubits(const ResultObserver &observer)
 ProgramResult
 verifyAll(const lang::ElaboratedProgram &program,
           const EngineOptions &options, const ResultObserver &observer,
-          bool check_clean_ancillas)
+          bool check_clean_ancillas, std::shared_ptr<Scheduler> scheduler,
+          const std::shared_ptr<CancelSource> &cancel)
 {
     // ONE worker pool for the whole program, shared by every session:
     // the process runs at most options.jobs solver threads no matter
-    // how many lifetimes the program has.  (The server entry point
-    // below amortizes even this across requests by passing its own
-    // long-lived pool.)
-    return verifyAll(program, options, observer, check_clean_ancillas,
-                     std::make_shared<Scheduler>(options.jobs),
-                     nullptr);
-}
-
-ProgramResult
-verifyAll(const lang::ElaboratedProgram &program,
-          const EngineOptions &options, const ResultObserver &observer,
-          bool check_clean_ancillas,
-          const std::shared_ptr<Scheduler> &scheduler,
-          const std::shared_ptr<CancelSource> &cancel)
-{
-    // Sessions are built, used and dropped within this one run.
-    SessionSet sessions;
-    return verifyAll(program, options, observer, check_clean_ancillas,
-                     scheduler, cancel, sessions);
-}
-
-ProgramResult
-verifyAll(const lang::ElaboratedProgram &program,
-          const EngineOptions &options, const ResultObserver &observer,
-          bool check_clean_ancillas,
-          const std::shared_ptr<Scheduler> &scheduler,
-          const std::shared_ptr<CancelSource> &cancel,
-          SessionSet &sessions)
-{
-    qbAssert(scheduler != nullptr, "verifyAll: null scheduler");
+    // how many lifetimes the program has.
+    if (!scheduler)
+        scheduler = std::make_shared<Scheduler>(options.jobs);
     ProgramResult result;
     Timer timer;
 
-    // Warm sessions carry cumulative analysis counters from earlier
-    // runs; snapshot them so this run reports only its own discharges
-    // (ProgramResult::analysisTotals is per-run).
-    std::map<std::pair<std::size_t, std::size_t>, AnalysisTotals>
-        analysisBaseline;
-    for (const auto &[key, session] : sessions.byScope)
-        analysisBaseline.emplace(key,
-                                 analysisTotalsOf(session->stats()));
-
     // One session per distinct borrow...release lifetime: qubits whose
     // scopes coincide (e.g. adder.qbr's a[1..n-1], all borrowed and
-    // released together) share one arena and one formula scan.
-    // Sessions already in @p sessions are WARM - built by an earlier
-    // run of the same program with the same options (the serving
-    // tier's warm cache) - and only need re-arming onto this run's
-    // CancelSource; their arenas and built conditions carry over.
-    std::set<std::pair<std::size_t, std::size_t>> rearmed;
+    // released together) share one arena and one formula scan.  The
+    // sessions live for this run only; destroying them at return
+    // waits for any abandoned speculative (6.2) task.
+    std::map<std::pair<std::size_t, std::size_t>,
+             std::unique_ptr<VerificationEngine>>
+        sessions;
     const auto sessionFor =
         [&](const lang::QubitInfo &info) -> VerificationEngine & {
-        const auto key = std::make_pair(info.scopeBegin, info.scopeEnd);
-        auto it = sessions.byScope.find(key);
-        if (it == sessions.byScope.end()) {
-            it = sessions.byScope
-                     .emplace(key,
-                              std::make_unique<VerificationEngine>(
-                                  program.circuit.slice(info.scopeBegin,
-                                                        info.scopeEnd),
-                                  options, scheduler, cancel))
-                     .first;
-            rearmed.insert(key);
-        } else if (rearmed.insert(key).second) {
-            it->second->rearm(cancel);
-        }
-        return *it->second;
+        std::unique_ptr<VerificationEngine> &session =
+            sessions[{info.scopeBegin, info.scopeEnd}];
+        if (!session)
+            session = std::make_unique<VerificationEngine>(
+                program.circuit.slice(info.scopeBegin, info.scopeEnd),
+                options, scheduler, cancel);
+        return *session;
     };
 
     // Pass 1 - pipeline: build and queue every qubit's queries, in
@@ -814,13 +751,10 @@ verifyAll(const lang::ElaboratedProgram &program,
         if (observer)
             observer(result.qubits.back());
     }
-    for (auto &[key, session] : sessions.byScope) {
+    for (const auto &[scope, session] : sessions) {
         result.solverTotals.accumulate(session->aggregateSolverStats());
-        AnalysisTotals delta = analysisTotalsOf(session->stats());
-        const auto baseline = analysisBaseline.find(key);
-        if (baseline != analysisBaseline.end())
-            delta.subtract(baseline->second);
-        result.analysisTotals.accumulate(delta);
+        result.analysisTotals.accumulate(
+            analysisTotalsOf(session->stats()));
     }
     result.totalSeconds = timer.seconds();
     return result;

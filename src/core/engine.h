@@ -31,11 +31,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -252,21 +250,12 @@ class VerificationEngine
      * harvest its work would vanish with it.  A query abandoned before
      * collection (the speculative (6.2) query of an unsafe qubit) is
      * never counted, so the totals are the same at any --jobs.  The
-     * batch drivers copy this into ProgramResult::solverTotals so
-     * reports and benchmarks can show learnt-DB size and GC activity.
+     * batch drivers sum this into ProgramResult::solverTotals so
+     * reports and benchmarks can show learnt-DB size and GC activity;
+     * verifyAll()'s sessions live for one run, so its totals are per
+     * run.
      */
     sat::SolverStats aggregateSolverStats() const;
-
-    /**
-     * Re-arm a WARM session for a new request (serving tier): wait
-     * for any straggler scheduler tasks, detach from the previous
-     * request's CancelSource, attach to @p cancel and reset the
-     * cancelled latch accordingly.  All session state that makes
-     * reuse profitable - the arena and the condition cache -
-     * survives.  Must be called between verifications, never while a
-     * prepare()/finish() is outstanding.
-     */
-    void rearm(std::shared_ptr<CancelSource> cancel);
 
   private:
     friend class CancelSource;
@@ -349,72 +338,29 @@ class VerificationEngine::Pending
  *
  * Qubits whose lifetimes span the same gate range share one session -
  * one arena and one formula-building scan - as on programs like
- * adder.qbr whose dirty qubits are borrowed together.  All sessions
- * share ONE scheduler pool sized by @p options.jobs, and the whole
- * program is pipelined through it: every qubit's queries are queued
- * before the first result is awaited.
- * Results stream through @p observer (when set) in qubit order as they
- * are produced.
+ * adder.qbr whose dirty qubits are borrowed together.  The sessions
+ * are built for this run and dropped before it returns, so the
+ * result's solver and analysis totals cover this run alone.  All
+ * sessions share ONE scheduler pool and the whole program is
+ * pipelined through it: every qubit's queries are queued before the
+ * first result is awaited.  Results stream through @p observer (when
+ * set) in qubit order as they are produced.
+ *
+ * @p scheduler is the pool to run on; null creates a private pool of
+ * @p options.jobs workers for this run.  The qborrow daemon passes
+ * its ONE process-wide pool, so pool startup is amortized across
+ * requests and concurrent requests' queries interleave fairly (give
+ * each request a distinct EngineOptions::fairnessBand).  @p cancel,
+ * when set, makes the run cancellable: a cancelled run's remaining
+ * qubits settle as Verdict::Unknown without blocking the pool.
  */
 ProgramResult verifyAll(const lang::ElaboratedProgram &program,
                         const EngineOptions &options = {},
                         const ResultObserver &observer = {},
-                        bool check_clean_ancillas = false);
-
-/**
- * verifyAll() over an externally-owned scheduler pool, optionally
- * cancellable: the serving entry point.  The qborrow daemon calls this
- * with the ONE process-wide pool it created at startup and a
- * per-request CancelSource, so pool startup is amortized across
- * requests, concurrent requests' queries interleave fairly (give each
- * request a distinct EngineOptions::fairnessBand), and a cancelled
- * request's remaining qubits settle as Verdict::Unknown without
- * blocking the pool.  @p scheduler must be non-null; @p cancel may be
- * null for uncancellable batch runs.
- */
-ProgramResult verifyAll(const lang::ElaboratedProgram &program,
-                        const EngineOptions &options,
-                        const ResultObserver &observer,
-                        bool check_clean_ancillas,
-                        const std::shared_ptr<Scheduler> &scheduler,
-                        const std::shared_ptr<CancelSource> &cancel);
-
-/**
- * The warm sessions of one (program, engine options) pair, keyed by
- * circuit slice (scopeBegin, scopeEnd): what a verifyAll() run builds
- * and what a later run of the SAME program with the SAME options can
- * reuse instead of rebuilding arenas and conditions (the
- * serving tier's warm cache stores one SessionSet per cached program
- * per options key).  Sessions are stateful single-threaded objects:
- * a SessionSet must never be fed to two concurrent verifyAll() calls.
- */
-struct SessionSet
-{
-    std::map<std::pair<std::size_t, std::size_t>,
-             std::unique_ptr<VerificationEngine>>
-        byScope;
-
-    bool empty() const { return byScope.empty(); }
-};
-
-/**
- * verifyAll() with WARM session reuse: like the scheduler+cancel
- * overload, but sessions are taken from (and returned to) @p sessions.
- * Existing sessions are rearm()ed onto @p cancel; missing ones are
- * created and left in the set for the next run.  The caller guarantees
- * @p options matches the options the set's sessions were created with
- * (the serving tier keys its session storage by an options fingerprint
- * for exactly this reason).  Note ProgramResult::solverTotals is
- * CUMULATIVE over a session's lifetime, so warm runs report counters
- * that include earlier runs' work.
- */
-ProgramResult verifyAll(const lang::ElaboratedProgram &program,
-                        const EngineOptions &options,
-                        const ResultObserver &observer,
-                        bool check_clean_ancillas,
-                        const std::shared_ptr<Scheduler> &scheduler,
-                        const std::shared_ptr<CancelSource> &cancel,
-                        SessionSet &sessions);
+                        bool check_clean_ancillas = false,
+                        std::shared_ptr<Scheduler> scheduler = nullptr,
+                        const std::shared_ptr<CancelSource> &cancel =
+                            nullptr);
 
 } // namespace qb::core
 

@@ -107,11 +107,9 @@ struct QubitResult
 
 /**
  * Conditions the static analyzer (analysis/analyzer.h) proved UNSAT
- * without a SAT call, total and per discharging pass.  Unlike
- * ProgramResult::solverTotals (cumulative over each session's
- * lifetime) these counters are PER RUN: a warm (serving-tier) rerun
- * reports only its own discharges, so summing reports never counts a
- * discharge twice.
+ * without a SAT call, total and per discharging pass.  Like
+ * ProgramResult::solverTotals these counters are PER RUN, so summing
+ * reports never counts a discharge twice.
  */
 struct AnalysisTotals
 {
@@ -147,12 +145,14 @@ struct ProgramResult
     double totalSeconds = 0.0;
 
     /**
-     * Aggregated solver counters, summed over sessions: every
-     * per-condition solver each session retired (the peak fields sum
-     * per-solver peaks).
-     * Filled by every batch path - VerificationEngine::
-     * verifyAllQubits(), core::verifyAll() and the verifyProgram()/
-     * verifySource() wrappers over it.
+     * Aggregated solver counters of THIS run, summed over its
+     * sessions: every per-condition solver the run collected (the
+     * peak fields sum per-solver peaks).  core::verifyAll() builds
+     * fresh sessions for every run, so a repeat of the same program
+     * reports the same counters.  Filled by every batch path -
+     * core::verifyAll(), the verifyProgram()/verifySource() wrappers
+     * over it, and VerificationEngine::verifyAllQubits(), which
+     * reports its session's solvers since construction.
      */
     sat::SolverStats solverTotals;
 

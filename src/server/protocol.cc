@@ -570,10 +570,7 @@ statsResponse(std::int64_t id, const StatsSnapshot &snapshot)
     };
     out += ", \"caches\": {\"program\": " +
            cacheJson(snapshot.programCache) +
-           ", \"result\": " + cacheJson(snapshot.resultCache) +
-           format(", \"warm_verifies\": %llu}",
-                  static_cast<unsigned long long>(
-                      snapshot.warmVerifies));
+           ", \"result\": " + cacheJson(snapshot.resultCache) + '}';
     out += format(
         ", \"connections\": {\"active\": %zu, \"limit\": %zu, "
         "\"refused\": %llu, \"auth_rejected\": %llu}",

@@ -137,8 +137,6 @@ struct StatsSnapshot
     };
     Cache programCache;
     Cache resultCache;
-    /** Verifications answered through reused warm sessions. */
-    std::uint64_t warmVerifies = 0;
 
     /** Open connections right now / configured cap (0 = unlimited). */
     std::size_t activeConnections = 0;

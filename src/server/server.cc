@@ -122,7 +122,7 @@ struct Server::Impl
     /** THE process-wide SAT worker pool, shared by every request. */
     std::shared_ptr<core::Scheduler> scheduler;
     RequestQueue queue;
-    /** Warm-cache layer between the workers and the engine. */
+    /** Caching layer between the workers and the engine. */
     serving::ServingTier tier;
     const std::chrono::steady_clock::time_point startTime =
         std::chrono::steady_clock::now();
@@ -151,10 +151,6 @@ struct Server::Impl
     std::map<std::pair<std::uint64_t, std::int64_t>,
              std::shared_ptr<core::CancelSource>>
         inflight;
-
-    /** Rotating fairness-band allocator (band 0 is never handed
-     *  out: it is the default band of non-server work). */
-    std::atomic<unsigned> bandCounter{0};
 
     std::atomic<std::uint64_t> statConnections{0};
     std::atomic<std::uint64_t> statRequests{0};
@@ -458,7 +454,6 @@ Server::Impl::handleLine(
         };
         fill(snapshot.programCache, tier.programCounters());
         fill(snapshot.resultCache, tier.resultCounters());
-        snapshot.warmVerifies = tier.warmVerifies();
         {
             const std::lock_guard<std::mutex> guard(connectionsMutex);
             snapshot.activeConnections = connections.size();
@@ -573,11 +568,8 @@ Server::Impl::engineOptionsFor(const RequestOptions &request)
         : base.lane.wantCounterexample;
     chosen.lane.conflictBudget =
         request.budgetSet ? request.budget : base.lane.conflictBudget;
-    // Distinct band per request: the pool round-robins bands, so one
-    // program's backlog cannot starve another's first query.
-    chosen.fairnessBand =
-        1 + (bandCounter.fetch_add(1, std::memory_order_relaxed) &
-             0x3ff);
+    // The serving tier gives each computed request its own fairness
+    // band.
     return chosen;
 }
 
@@ -655,11 +647,11 @@ Server::Impl::serveRequest(QueuedRequest item)
             if (!connection->open.load(std::memory_order_acquire))
                 cancel->requestCancel();
         };
-    // The serving tier owns elaboration (hash-consed per source),
-    // memoized verdicts and warm sessions; a result-cache hit replays
-    // the stored qubit frames through the observer and never touches
-    // the pool.  Elaboration of a MISS runs on this worker thread,
-    // off the SAT pool, as before.
+    // The serving tier owns elaboration (hash-consed per source) and
+    // memoized verdicts; a result-cache hit replays the stored qubit
+    // frames through the observer and never touches the pool.
+    // Elaboration of a MISS runs on this worker thread, off the SAT
+    // pool.
     serving::ServingTier::Outcome outcome;
     try {
         outcome = tier.verify(
@@ -726,7 +718,7 @@ Server::start()
     if (impl->started.exchange(true))
         return;
     // The ONE process-wide pool: created before the first request,
-    // alive until shutdown, so every request's sessions reuse warm
+    // alive until shutdown, so every request's sessions reuse its
     // workers instead of paying pool startup.
     impl->scheduler =
         std::make_shared<core::Scheduler>(impl->options.jobs);

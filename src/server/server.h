@@ -3,8 +3,8 @@
  * The qborrow server: a long-lived multi-program verification daemon.
  *
  * `qborrow` started life as a batch CLI: every invocation paid worker
- * pool startup, session construction and arena/solver warm-up for one
- * program, then threw it all away.  The Server turns that into a
+ * pool startup and elaboration for one program, then threw it all
+ * away.  The Server turns that into a
  * serving system.  It listens on a Unix domain socket, speaks the
  * line-delimited JSON protocol of server/protocol.h, and feeds every
  * submitted program through ONE process-wide core::Scheduler pool

@@ -32,7 +32,7 @@ ProgramCache::touchLocked(std::uint64_t hash)
 }
 
 std::shared_ptr<ProgramEntry>
-ProgramCache::acquire(const std::string &source, unsigned band_of_new)
+ProgramCache::acquire(const std::string &source)
 {
     const std::uint64_t hash = hashSource(source);
     if (capacity_ != 0) {
@@ -53,7 +53,6 @@ ProgramCache::acquire(const std::string &source, unsigned band_of_new)
     auto entry = std::make_shared<ProgramEntry>();
     entry->source = std::make_shared<const std::string>(source);
     entry->hash = hash;
-    entry->band = band_of_new;
     try {
         entry->program = std::make_shared<const lang::ElaboratedProgram>(
             lang::elaborateSource(source));
@@ -68,8 +67,7 @@ ProgramCache::acquire(const std::string &source, unsigned band_of_new)
     const auto it = entries_.find(hash);
     if (it != entries_.end()) {
         if (*it->second->source == source) {
-            // Lost the race to an identical insert: reuse the winner
-            // (it may already hold warm sessions).
+            // Lost the race to an identical insert: reuse the winner.
             touchLocked(hash);
             return it->second;
         }
@@ -85,7 +83,7 @@ ProgramCache::acquire(const std::string &source, unsigned band_of_new)
         entries_.erase(victim);
         ++evictions_;
         // In-flight users of the victim keep it alive through their
-        // shared_ptr; the warm sessions die with the last user.
+        // shared_ptr.
     }
     return entry;
 }
@@ -121,7 +119,7 @@ ResultCache::touchLocked(const std::string &key)
 
 std::shared_ptr<const core::ProgramResult>
 ResultCache::lookup(std::uint64_t hash, const std::string &source,
-                    const std::string &options_key)
+                    const std::string &options_key, bool count_miss)
 {
     if (capacity_ == 0)
         return nullptr;
@@ -129,7 +127,8 @@ ResultCache::lookup(std::uint64_t hash, const std::string &source,
     const std::lock_guard<std::mutex> guard(mutex_);
     const auto it = entries_.find(key);
     if (it == entries_.end() || *it->second.source != source) {
-        ++misses_;
+        if (count_miss)
+            ++misses_;
         return nullptr;
     }
     ++hits_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Warm caches of the qborrow serving tier.
+ * Caches of the qborrow serving tier.
  *
  * The daemon of server/server.h shares one scheduler pool across
  * requests, but before this layer every request still re-parsed,
@@ -13,10 +13,10 @@
  *   - ProgramCache hash-conses submitted SOURCES: one entry per
  *     distinct program text, holding the elaborated circuit (or the
  *     elaboration error, so malformed programs fail fast on
- *     resubmission too), a pinned scheduler fairness band, and the
- *     warm core::SessionSet of every engine-options fingerprint the
- *     program has been verified under - arenas and built conditions
- *     survive between requests.
+ *     resubmission too) and the single-flight state of the requests
+ *     verifying it.  A hit skips parsing and elaboration; the
+ *     verification itself always runs in fresh, request-local
+ *     sessions.
  *
  *   - ResultCache memoizes finished VERDICTS: (source hash, options
  *     fingerprint) -> the complete core::ProgramResult.  A hit
@@ -34,7 +34,6 @@
 #ifndef QB_SERVING_CACHE_H
 #define QB_SERVING_CACHE_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -44,7 +43,7 @@
 #include <set>
 #include <string>
 
-#include "core/engine.h"
+#include "core/verifier.h"
 #include "lang/elaborate.h"
 
 namespace qb::serving {
@@ -62,13 +61,12 @@ struct CacheCounters
 };
 
 /**
- * One hash-consed program: the elaboration result plus everything
- * warm that later requests for the same source can reuse.
+ * One hash-consed program: the elaboration result that later requests
+ * for the same source reuse.
  *
- * The immutable part (source, program, elaborationError, band) is
- * fixed at construction.  The mutable part - the per-options-key warm
- * sessions and the single-flight set - is guarded by `mutex`; see
- * ServingTier for the locking discipline.
+ * The immutable part (source, program, elaborationError) is fixed at
+ * construction.  The mutable part - the single-flight set - is
+ * guarded by `mutex`; see ServingTier for the locking discipline.
  */
 struct ProgramEntry
 {
@@ -82,24 +80,13 @@ struct ProgramEntry
      *  success. */
     std::string elaborationError;
 
-    /**
-     * Scheduler fairness band pinned to this PROGRAM (allocated when
-     * the entry is created).  Sessions bake their band in at
-     * construction, so a warm session must always run in the band it
-     * was built for; pinning the band per program keeps that
-     * invariant while still giving distinct programs distinct bands.
-     */
-    unsigned band = 0;
-
-    /** @name Mutable warm state, guarded by mutex. @{ */
+    /** @name Single-flight state, guarded by mutex. @{ */
     std::mutex mutex;
     std::condition_variable cv;
     /** Options fingerprints currently being verified (single-flight:
      *  identical concurrent submissions wait here instead of
      *  duplicating the SAT work). */
     std::set<std::string> computing;
-    /** Warm engine sessions per options fingerprint. */
-    std::map<std::string, core::SessionSet> sessions;
     /** @} */
 };
 
@@ -117,12 +104,10 @@ class ProgramCache
 
     /**
      * The entry for @p source, creating (and elaborating) it on a
-     * miss.  @p band_of_new is the fairness band a NEW entry is
-     * pinned to; ignored on a hit.  Never returns null; check
-     * elaborationError for negative entries.
+     * miss.  Never returns null; check elaborationError for negative
+     * entries.
      */
-    std::shared_ptr<ProgramEntry> acquire(const std::string &source,
-                                          unsigned band_of_new);
+    std::shared_ptr<ProgramEntry> acquire(const std::string &source);
 
     CacheCounters counters() const;
 
@@ -152,10 +137,13 @@ class ResultCache
     explicit ResultCache(std::size_t capacity);
 
     /** The stored result of (@p hash, @p options_key), or null.
-     *  @p source must byte-match the stored program. */
+     *  @p source must byte-match the stored program.  A found result
+     *  counts a hit; a null one counts a miss only when
+     *  @p count_miss is set (a recheck of a request already counted
+     *  as a miss passes false). */
     std::shared_ptr<const core::ProgramResult>
     lookup(std::uint64_t hash, const std::string &source,
-           const std::string &options_key);
+           const std::string &options_key, bool count_miss = true);
 
     /** Memoize @p result (no-op at capacity 0).  @p source is shared,
      *  not copied. */

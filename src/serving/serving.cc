@@ -69,15 +69,8 @@ ServingTier::verify(const std::string &source,
     if (const auto stored = results_.lookup(hash, source, options_key))
         return replay(*stored);
 
-    // Hash-cons the program; a fresh entry elaborates here and gets
-    // the next fairness band.  Same 1..1024 rotation the server used
-    // per request, now pinned per PROGRAM (warm sessions bake their
-    // band in at construction).
-    const unsigned band =
-        1 + (bandCounter_.fetch_add(1, std::memory_order_relaxed) &
-             0x3ffu);
-    const std::shared_ptr<ProgramEntry> entry =
-        programs_.acquire(source, band);
+    // Hash-cons the program; a fresh entry elaborates here.
+    const std::shared_ptr<ProgramEntry> entry = programs_.acquire(source);
     if (!entry->elaborationError.empty()) {
         Outcome out;
         out.failed = true;
@@ -85,10 +78,7 @@ ServingTier::verify(const std::string &source,
         return out;
     }
 
-    // Single-flight per (program, options fingerprint), and warm
-    // session checkout.
-    core::SessionSet sessions;
-    bool warm = false;
+    // Single-flight per (program, options fingerprint).
     {
         std::unique_lock<std::mutex> lock(entry->mutex);
         while (entry->computing.count(options_key) != 0) {
@@ -106,28 +96,25 @@ ServingTier::verify(const std::string &source,
             return Outcome{};
         }
         // The computer publishes to the result cache BEFORE clearing
-        // its computing mark, so a woken waiter hits here.
-        if (const auto stored =
-                results_.lookup(hash, source, options_key))
+        // its computing mark, so a woken waiter hits here.  This
+        // request already counted its miss above.
+        if (const auto stored = results_.lookup(hash, source,
+                                                options_key, false))
             return replay(*stored);
         entry->computing.insert(options_key);
-        core::SessionSet &slot = entry->sessions[options_key];
-        warm = !slot.empty();
-        sessions = std::move(slot);
     }
-    if (warm)
-        warmVerifies_.fetch_add(1, std::memory_order_relaxed);
 
-    // Warm sessions were built in (and must keep running in) the
-    // entry's pinned band.
-    engine_opts.fairnessBand = entry->band;
+    // Each computed request gets the next band of a 1..1024 rotation,
+    // so concurrent programs interleave fairly on the shared pool.
+    engine_opts.fairnessBand =
+        1 + (bandCounter_.fetch_add(1, std::memory_order_relaxed) &
+             0x3ffu);
     Outcome out;
-    out.warmSessions = warm;
     bool threw = false;
     try {
         out.result = core::verifyAll(*entry->program, engine_opts,
                                      observer, check_clean, scheduler,
-                                     cancel, sessions);
+                                     cancel);
     } catch (const FatalError &e) {
         threw = true;
         out.failed = true;
@@ -136,10 +123,8 @@ ServingTier::verify(const std::string &source,
 
     {
         const std::lock_guard<std::mutex> guard(entry->mutex);
-        // Return the sessions (warm for the next request) and clear
-        // the single-flight mark even on failure, so waiters can take
-        // over.
-        entry->sessions[options_key] = std::move(sessions);
+        // Clear the single-flight mark even on failure, so waiters
+        // can take over.
         entry->computing.erase(options_key);
         const bool cancelled = cancel && cancel->cancelRequested();
         if (!threw && !cancelled)
@@ -160,12 +145,6 @@ CacheCounters
 ServingTier::resultCounters() const
 {
     return results_.counters();
-}
-
-std::uint64_t
-ServingTier::warmVerifies() const
-{
-    return warmVerifies_.load(std::memory_order_relaxed);
 }
 
 } // namespace qb::serving

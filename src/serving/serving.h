@@ -11,11 +11,12 @@
  *      observer and return the stored ProgramResult, byte-identical
  *      to the run that produced it.  No scheduler work at all.
  *   2. PROGRAM HIT, no verdict - the source is known: skip parsing
- *      and elaboration, and verify through the program's WARM
- *      sessions (same arena, same built conditions) instead of
- *      rebuilding them.
- *   3. MISS - elaborate, build sessions, verify; everything learnt
- *      stays warm for the next request.
+ *      and elaboration, and verify the cached program.
+ *   3. MISS - elaborate (cached for the next request), then verify.
+ *
+ * Every verification builds fresh sessions for its request and drops
+ * them when it returns, so nothing but the elaborated program and the
+ * memoized results outlives a request.
  *
  * Identical concurrent submissions are SINGLE-FLIGHT per (program,
  * options fingerprint): one request computes, the others wait on the
@@ -31,7 +32,6 @@
 #define QB_SERVING_SERVING_H
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -61,8 +61,6 @@ class ServingTier
         std::string error;
         /** Answered from the result cache (no SAT work). */
         bool fromResultCache = false;
-        /** Verified through reused warm sessions. */
-        bool warmSessions = false;
     };
 
     explicit ServingTier(ServingOptions options);
@@ -74,11 +72,12 @@ class ServingTier
      * @param engine_opts  fully RESOLVED engine options (server
      *                     defaults + per-request overrides); the
      *                     fairnessBand field is overridden by the
-     *                     cached program's pinned band.
+     *                     request's own band.
      * @param check_clean  clean-ancilla checking on/off.
      * @param options_key  fingerprint of every option that affects
      *                     the result (see optionsFingerprint());
-     *                     cache key half and session-storage key.
+     *                     result-cache key half and single-flight
+     *                     key.
      * @param observer     per-qubit streaming callback (replayed
      *                     verbatim on a result hit).
      * @param scheduler    the process-wide pool.
@@ -106,14 +105,12 @@ class ServingTier
 
     CacheCounters programCounters() const;
     CacheCounters resultCounters() const;
-    /** Verifications that reused a warm SessionSet (monotonic). */
-    std::uint64_t warmVerifies() const;
 
   private:
     ProgramCache programs_;
     ResultCache results_;
-    std::atomic<std::uint64_t> warmVerifies_{0};
-    /** Fairness bands handed to new program entries. */
+    /** Fairness bands handed to verifying requests (1..1024; band 0
+     *  is the default band of non-server work). */
     std::atomic<unsigned> bandCounter_{0};
 };
 

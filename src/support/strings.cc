@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <clocale>
+#include <cmath>
 #include <cstdio>
 
 namespace qb {
@@ -79,6 +80,18 @@ parseInt(std::string_view text, std::int64_t min, std::int64_t max)
     const char *end = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), end, value);
     if (ec != std::errc() || ptr != end || value < min || value > max)
+        return std::nullopt;
+    return value;
+}
+
+std::optional<double>
+parseDouble(std::string_view text, double min, double max)
+{
+    double value = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+        value < min || value > max)
         return std::nullopt;
     return value;
 }

@@ -41,6 +41,16 @@ std::optional<std::int64_t> parseInt(std::string_view text,
                                      std::int64_t min,
                                      std::int64_t max);
 
+/**
+ * The whole of @p text as a finite decimal number in [@p min, @p max],
+ * or nullopt.  Strict like parseInt(): an empty string, a leading '+'
+ * or whitespace, any trailing character ("4x"), "inf", "nan", a value
+ * beyond a double's range and an out-of-range value are all rejected.
+ * Parsing is locale-independent ('.' is always the decimal point).
+ */
+std::optional<double> parseDouble(std::string_view text, double min,
+                                  double max);
+
 /** Join the elements of @p parts with @p sep. */
 std::string join(const std::vector<std::string> &parts,
                  const std::string &sep);

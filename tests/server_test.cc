@@ -1037,7 +1037,6 @@ TEST(StatsResponse, ServingFieldsAreBackwardCompatibleAdditions)
     snapshot.resultCache.hits = 4;
     snapshot.resultCache.evictions = 1;
     snapshot.programCache.entries = 2;
-    snapshot.warmVerifies = 5;
     snapshot.activeConnections = 1;
     snapshot.connectionLimit = 8;
     snapshot.authRejected = 6;
@@ -1056,7 +1055,6 @@ TEST(StatsResponse, ServingFieldsAreBackwardCompatibleAdditions)
     EXPECT_EQ(4, caches->find("result")->find("hits")->asInt());
     EXPECT_EQ(1, caches->find("result")->find("evictions")->asInt());
     EXPECT_EQ(2, caches->find("program")->find("entries")->asInt());
-    EXPECT_EQ(5, caches->find("warm_verifies")->asInt());
     EXPECT_EQ(1, doc.find("connections")->find("active")->asInt());
     EXPECT_EQ(8, doc.find("connections")->find("limit")->asInt());
     EXPECT_EQ(6,
@@ -1069,14 +1067,13 @@ TEST(ServingCache, ProgramCacheHashConsesAndEvictsLru)
 {
     serving::ProgramCache cache(2);
     const std::string program_a = "borrow@ q;\n";
-    const auto a = cache.acquire(program_a, 1);
-    const auto a_again = cache.acquire(program_a, 2);
+    const auto a = cache.acquire(program_a);
+    const auto a_again = cache.acquire(program_a);
     EXPECT_EQ(a.get(), a_again.get()) << "hash-consed";
-    EXPECT_EQ(1u, a->band) << "band pinned at creation";
-    const auto b = cache.acquire("borrow@ r;\n", 3);
+    const auto b = cache.acquire("borrow@ r;\n");
     EXPECT_TRUE(b->elaborationError.empty());
-    cache.acquire("borrow@ s;\n", 4); // capacity 2: evicts a (LRU)
-    const auto a_fresh = cache.acquire(program_a, 5);
+    cache.acquire("borrow@ s;\n"); // capacity 2: evicts a (LRU)
+    const auto a_fresh = cache.acquire(program_a);
     EXPECT_NE(a.get(), a_fresh.get()) << "was evicted";
     const auto counters = cache.counters();
     EXPECT_EQ(1u, counters.hits);
@@ -1088,11 +1085,11 @@ TEST(ServingCache, ProgramCacheHashConsesAndEvictsLru)
 TEST(ServingCache, ProgramCacheCachesElaborationErrors)
 {
     serving::ProgramCache cache(4);
-    const auto bad = cache.acquire("this is not a program", 1);
+    const auto bad = cache.acquire("this is not a program");
     EXPECT_FALSE(bad->elaborationError.empty());
     EXPECT_EQ(nullptr, bad->program.get());
     // Negative entries are cached too: resubmission fails fast.
-    const auto again = cache.acquire("this is not a program", 2);
+    const auto again = cache.acquire("this is not a program");
     EXPECT_EQ(bad.get(), again.get());
 }
 
@@ -1143,7 +1140,7 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
                        scheduling, false));
 }
 
-// =================================================== warm cache, e2e
+// ================================================== serving caches, e2e
 
 /** The stats frame for @p id, skipping unrelated frames. */
 JsonValue
@@ -1178,8 +1175,8 @@ TEST(Server, ResultCacheHitIsByteIdenticalAndCounted)
     // the result cache, and its final frame must be BYTE-identical -
     // including the timing fields, which are replayed, not re-earned.
     client.send(verifyRequestLine(1, source));
-    const std::string warm = client.terminalRawLine(1);
-    EXPECT_EQ(cold, warm);
+    const std::string repeat = client.terminalRawLine(1);
+    EXPECT_EQ(cold, repeat);
 
     const JsonValue stats = fetchStats(client, 50);
     EXPECT_GE(stats.find("caches")->find("result")->find("hits")
@@ -1221,13 +1218,36 @@ TEST(Server, ResultCacheEvictsUnderItsBound)
     server.shutdown();
 }
 
-TEST(Server, WarmSessionsServeRepeatsWhenResultCacheIsOff)
+/** The report's "solver" object of a result frame, as one comparable
+ *  string. */
+std::string
+solverCounters(const JsonValue &result_frame)
+{
+    const JsonValue *solver =
+        result_frame.find("report")->find("solver");
+    if (!solver)
+        return "no solver object";
+    std::string out;
+    for (const char *key :
+         {"conflicts", "learnt_clauses", "removed_clauses",
+          "bin_propagations", "otf_strengthened", "inprocess_runs",
+          "gc_runs", "gc_words_reclaimed", "arena_peak_words",
+          "peak_learnts"}) {
+        const JsonValue *value = solver->find(key);
+        out += format("%s=%lld;", key,
+                      value ? static_cast<long long>(value->asInt(-1))
+                            : -2LL);
+    }
+    return out;
+}
+
+TEST(Server, RepeatsReverifyWhenResultCacheIsOff)
 {
     ServerOptions options;
-    options.socketPath = testSocketPath("warmsessions");
+    options.socketPath = testSocketPath("reverify");
     options.concurrency = 1;
     options.jobs = 2;
-    options.resultCacheCapacity = 0; // force re-verification...
+    options.resultCacheCapacity = 0; // force re-verification
     Server server(std::move(options));
     server.start();
 
@@ -1236,18 +1256,53 @@ TEST(Server, WarmSessionsServeRepeatsWhenResultCacheIsOff)
     client.send(verifyRequestLine(1, source));
     const auto cold = client.collect(1);
     client.send(verifyRequestLine(2, source));
-    const auto warm = client.collect(2); // ...through warm sessions
-    EXPECT_EQ("done", warm.back().find("status")->asString());
-    EXPECT_EQ(comparableQubits(cold), comparableQubits(warm));
+    const auto repeat = client.collect(2); // elaboration is cached
+    EXPECT_EQ("done", repeat.back().find("status")->asString());
+    EXPECT_EQ(comparableQubits(cold), comparableQubits(repeat));
+    // Every run verifies in fresh sessions, so the repeat's solver
+    // counters are its own, not a running total.
+    EXPECT_EQ(solverCounters(cold.back()), solverCounters(repeat.back()));
+    EXPECT_NE(std::string::npos,
+              solverCounters(cold.back()).find("arena_peak_words="))
+        << solverCounters(cold.back());
 
     const JsonValue stats = fetchStats(client, 50);
-    EXPECT_GE(stats.find("caches")->find("warm_verifies")->asInt(),
-              1);
-    EXPECT_GE(stats.find("caches")->find("program")->find("hits")
-                  ->asInt(),
-              1);
+    EXPECT_EQ(1, stats.find("caches")->find("program")->find("hits")
+                     ->asInt());
+    // No warm-session counter is left in the stats frame.
+    client.send(R"({"op": "stats", "id": 51})");
+    const auto raw_stats = client.nextRaw();
+    ASSERT_TRUE(raw_stats.has_value());
+    EXPECT_NE(std::string::npos, raw_stats->find("\"caches\""));
+    EXPECT_EQ(std::string::npos, raw_stats->find("warm")) << *raw_stats;
     server.shutdown();
     EXPECT_EQ(2u, server.counters().served);
+}
+
+TEST(Server, ResultCacheCountsOneMissPerComputedRequest)
+{
+    ServerOptions options;
+    options.socketPath = testSocketPath("onemiss");
+    options.concurrency = 1;
+    options.jobs = 2;
+    Server server(std::move(options));
+    server.start();
+
+    TestClient client(server.socketPath());
+    const std::string source = circuits::adderQbrSource(4);
+    client.send(verifyRequestLine(1, source));
+    client.collect(1);
+    client.send(verifyRequestLine(2, source)); // answered by replay
+    client.collect(2);
+
+    // The cold request's single-flight recheck does not count a
+    // second miss.
+    const JsonValue stats = fetchStats(client, 50);
+    const JsonValue *result_cache =
+        stats.find("caches")->find("result");
+    EXPECT_EQ(1, result_cache->find("hits")->asInt());
+    EXPECT_EQ(1, result_cache->find("misses")->asInt());
+    server.shutdown();
 }
 
 TEST(Server, LaneOptionIsRejectedAndServiceContinues)
@@ -1322,10 +1377,10 @@ TEST(Server, ProtocolErrorKeepsTheRequestId)
     EXPECT_EQ(2u, server.counters().errors);
 }
 
-TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)
+TEST(Server, CancelledProgramResubmitsCleanly)
 {
     ServerOptions options;
-    options.socketPath = testSocketPath("cancelwarm");
+    options.socketPath = testSocketPath("cancelresubmit");
     options.concurrency = 1;
     options.jobs = 1;
     Server server(std::move(options));
@@ -1334,8 +1389,7 @@ TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)
     TestClient client(server.socketPath());
     const std::string source = circuits::adderQbrSource(32);
     client.send(verifyRequestLine(1, source));
-    // Wait until the request is running, then cancel mid-program: the
-    // warm sessions absorb a cancellation.
+    // Wait until the request is running, then cancel mid-program.
     while (true) {
         auto frame = client.next();
         ASSERT_TRUE(frame.has_value());
@@ -1355,8 +1409,7 @@ TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)
         }
     }
     // A cancelled run is never memoized; the resubmission re-verifies
-    // through the SAME warm sessions (rearmed with a fresh cancel
-    // source) and completes.
+    // the cached program in fresh sessions and completes.
     client.send(verifyRequestLine(3, source));
     const auto frames = client.collect(3);
     EXPECT_EQ("done", frames.back().find("status")->asString());

@@ -151,6 +151,29 @@ TEST(Strings, ParseIntRejectsMalformedAndOutOfRange)
     EXPECT_FALSE(parseInt("-2", -1, 10).has_value()) << "below -1";
 }
 
+TEST(Strings, ParseDoubleAcceptsWholeFiniteInRangeNumbers)
+{
+    EXPECT_EQ(std::optional<double>(4.2), parseDouble("4.2", 0.0, 10.0));
+    EXPECT_EQ(std::optional<double>(0.0), parseDouble("0", 0.0, 1.0));
+    EXPECT_EQ(std::optional<double>(1.0), parseDouble("1", 0.0, 1.0));
+    EXPECT_EQ(std::optional<double>(-0.5), parseDouble("-.5", -1.0, 1.0));
+    EXPECT_EQ(std::optional<double>(1000.0),
+              parseDouble("1e3", 0.0, 1000.0));
+    EXPECT_EQ(std::optional<double>(0.45),
+              parseDouble("0.45", 0.0, 1.0));
+}
+
+TEST(Strings, ParseDoubleRejectsMalformedNonFiniteAndOutOfRange)
+{
+    for (const char *bad :
+         {"", "abc", "4x", "0.5.", " 1", "1 ", "+1", "--1", "1,5", ".",
+          "e3", "inf", "-inf", "nan", "infinity", "1e400", "-"})
+        EXPECT_FALSE(parseDouble(bad, -1e308, 1e308).has_value())
+            << "accepted '" << bad << "'";
+    EXPECT_FALSE(parseDouble("1.5", 0.0, 1.0).has_value()) << "above max";
+    EXPECT_FALSE(parseDouble("-0.1", 0.0, 1.0).has_value()) << "below min";
+}
+
 TEST(Timer, MeasuresNonNegativeMonotonicTime)
 {
     Timer t;

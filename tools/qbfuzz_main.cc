@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <thread>
@@ -46,10 +45,10 @@ usage(const char *argv0)
         "(must exist)\n"
         "  --max-vars N           CNF generator variable cap "
         "(default 16)\n"
-        "  --ratio R              CNF clauses-per-variable "
-        "(default 4.2)\n"
+        "  --ratio R              CNF clauses-per-variable, "
+        "0 < R <= 1000 (default 4.2)\n"
         "  --binary-prob P        binary-clause probability "
-        "(default 0.45)\n"
+        "in [0, 1] (default 0.45)\n"
         "  --brute-max N          brute-force CNFs up to N vars "
         "(default 12)\n"
         "  --max-disagreements N  stop shrinking after N failures "
@@ -75,11 +74,20 @@ main(int argc, char **argv)
                         "missing value for " + arg);
                 return argv[++i];
             };
-            // Every integer flag goes through qb::parseInt: a malformed
-            // or out-of-range value is a usage error, never a silent 0.
+            // Every numeric flag goes through qb::parseInt or
+            // qb::parseDouble: a malformed or out-of-range value is a
+            // usage error, never a silent 0.
             const auto integer = [&](std::int64_t max) {
                 const std::string text = next();
                 const auto value = qb::parseInt(text, 0, max);
+                if (!value)
+                    throw std::invalid_argument(
+                        "bad value '" + text + "' for " + arg);
+                return *value;
+            };
+            const auto real = [&](double min, double max) {
+                const std::string text = next();
+                const auto value = qb::parseDouble(text, min, max);
                 if (!value)
                     throw std::invalid_argument(
                         "bad value '" + text + "' for " + arg);
@@ -89,6 +97,9 @@ main(int argc, char **argv)
                 std::numeric_limits<std::int64_t>::max();
             constexpr std::int64_t kMaxVar =
                 std::numeric_limits<qb::sat::Var>::max();
+            // Clauses per variable: far above any satisfiability
+            // threshold, and small enough that the clause count fits.
+            constexpr double kMaxRatio = 1000.0;
             if (arg == "--seed")
                 options.seed = static_cast<std::uint64_t>(integer(kMax));
             else if (arg == "--qbr")
@@ -106,11 +117,10 @@ main(int argc, char **argv)
                 options.cnf.maxVars =
                     static_cast<qb::sat::Var>(integer(kMaxVar));
             else if (arg == "--ratio")
-                options.cnf.clauseVarRatio =
-                    std::strtod(next(), nullptr);
+                options.cnf.clauseVarRatio = real(
+                    std::numeric_limits<double>::min(), kMaxRatio);
             else if (arg == "--binary-prob")
-                options.cnf.binaryProb =
-                    std::strtod(next(), nullptr);
+                options.cnf.binaryProb = real(0.0, 1.0);
             else if (arg == "--brute-max")
                 options.bruteForceMaxVars =
                     static_cast<qb::sat::Var>(integer(kMaxVar));

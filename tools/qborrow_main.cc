@@ -108,7 +108,7 @@ usage(const char *argv0)
         "                    connection (default 0 = unlimited)\n"
         "  --idle-timeout S  close connections idle for S seconds\n"
         "                    (default 0 = never)\n"
-        "  --program-cache N hash-consed programs kept warm\n"
+        "  --program-cache N elaborated programs kept\n"
         "                    (default 64, 0 disables)\n"
         "  --result-cache N  memoized verdicts kept (default 256,\n"
         "                    0 disables)\n"
