@@ -21,16 +21,6 @@ EngineOptions::singleLane(const VerifierOptions &options)
 
 namespace {
 
-/** @p options with the per-call conflict budget folded into its
- *  solver configuration, which every solver of the session is built
- *  from. */
-VerifierOptions
-laneOptions(VerifierOptions options)
-{
-    options.solver.conflictBudget = options.conflictBudget;
-    return options;
-}
-
 /** Satisfying input assignment (by qubit id) from a solver model. */
 std::vector<bool>
 extractModel(const std::unordered_map<std::uint32_t, sat::Var> &inputs,
@@ -72,19 +62,16 @@ CancelSource::detach(VerificationEngine *engine)
     std::erase(engines, engine);
 }
 
-/** Cached per-qubit verification conditions (6.1) and (6.2). */
-struct VerificationEngine::Conditions
+/** One verification condition, as built by prepare(). */
+struct VerificationEngine::Condition
 {
-    bexp::NodeRef zero = bexp::kFalse;
-    bexp::NodeRef plus = bexp::kFalse;
-    std::size_t nodes = 0;
-    /** @name Static analyzer verdicts (UNSAT-only; Pass::None means
-     *  the condition must go to SAT).  Only ever set for NON-constant
-     *  conditions - constants decide through structuralOutcome(),
-     *  which must never be bypassed (it also settles Sat). @{ */
-    analysis::Pass zeroDischargedBy = analysis::Pass::None;
-    analysis::Pass plusDischargedBy = analysis::Pass::None;
-    /** @} */
+    bexp::NodeRef formula = bexp::kFalse;
+    /** Static analyzer verdict (UNSAT-only; Pass::None means the
+     *  condition must go to SAT).  Set for non-constant conditions
+     *  and for the kFalse placeholder of an affine pre-build
+     *  discharge; other constants decide through structuralOutcome(),
+     *  which must never be bypassed (it also settles Sat). */
+    analysis::Pass dischargedBy = analysis::Pass::None;
 };
 
 /** Result of deciding one condition in a solver (or structurally). */
@@ -138,8 +125,7 @@ VerificationEngine::VerificationEngine(
     std::shared_ptr<Scheduler> scheduler,
     std::shared_ptr<CancelSource> cancel)
     : options_(std::move(options)), circuit_(circuit),
-      scheduler_(std::move(scheduler)), cancel_(std::move(cancel)),
-      lane_(laneOptions(options_.lane))
+      scheduler_(std::move(scheduler)), cancel_(std::move(cancel))
 {
     if (!scheduler_) {
         // Auto-sizing (jobs == 0) caps the private pool at what this
@@ -159,16 +145,12 @@ VerificationEngine::VerificationEngine(
     }
     classical = circuit_.isClassical();
     const std::uint32_t n = circuit_.numQubits();
-    conditionCache.resize(n);
-    cleanCache.assign(n, std::nullopt);
     if (classical) {
-        Timer build_timer;
         FormulaBuilder builder(arena, n);
         builder.applyCircuit(circuit_);
         finals.reserve(n);
         for (std::uint32_t q = 0; q < n; ++q)
             finals.push_back(builder.formula(q));
-        engineStats.formulaBuildSeconds = build_timer.seconds();
     }
     if (cancel_) {
         cancel_->attach(this);
@@ -231,93 +213,6 @@ analysisTotalsOf(const VerificationEngine::Stats &stats)
     totals.permutation =
         static_cast<std::int64_t>(stats.analysisPermutation);
     return totals;
-}
-
-const VerificationEngine::Conditions &
-VerificationEngine::conditionsFor(ir::QubitId q)
-{
-    if (conditionCache[q]) {
-        ++engineStats.conditionHits;
-        return *conditionCache[q];
-    }
-    auto conds = std::make_unique<Conditions>();
-    const std::uint32_t n = circuit_.numQubits();
-
-    // GF(2)-affine pre-build consult (window-free): for a purely
-    // linear cone the arena's own XOR canonicalization would fold
-    // both conditions to constants during construction, so a
-    // POST-build affine discharge can never fire - the pass pays off
-    // only by proving UNSAT first and skipping the build, notably the
-    // O(wires * dagSize) cofactor sweep of (6.2).  Gated on q being
-    // written: unwritten qubits fold in O(1) anyway, and skipping
-    // them keeps their results attributed as structural.
-    analysis::AffineFacts affine;
-    if (options_.analysis.affine && classical &&
-        analysis::writesWire(circuit_, q)) {
-        if (!analyzer_)
-            analyzer_ = std::make_unique<analysis::Analyzer>(
-                circuit_, options_.analysis);
-        affine = analyzer_->affineFacts(q);
-    }
-
-    // Formula (6.1): b_q AND NOT q - satisfiable iff some input with
-    // q = 0 ends with q = 1, i.e. |0> is not restored.
-    if (affine.zeroUnsat) {
-        conds->zero = bexp::kFalse;
-        conds->zeroDischargedBy = analysis::Pass::Affine;
-    } else {
-        const bexp::NodeRef b_q = finals[q];
-        conds->zero =
-            arena.mkAnd({b_q, arena.mkNot(arena.mkVar(q))});
-    }
-
-    // Formula (6.2): OR over the other qubits of the XOR of the two
-    // cofactors - satisfiable iff some other output depends on q,
-    // i.e. |+> is not restored.
-    if (affine.plusUnsat) {
-        conds->plus = bexp::kFalse;
-        conds->plusDischargedBy = analysis::Pass::Affine;
-    } else {
-        // One memo per cofactor value, shared by every wire: the wires'
-        // cones overlap almost entirely, so the sweep costs the size of
-        // their union rather than wires x cone.  The arena is
-        // hash-consed, so the NodeRefs are those of per-wire calls.
-        std::unordered_map<bexp::NodeRef, bexp::NodeRef> memo0, memo1;
-        std::vector<bexp::NodeRef> disjuncts;
-        for (std::uint32_t other = 0; other < n; ++other) {
-            if (other == q)
-                continue;
-            const bexp::NodeRef b_other = finals[other];
-            const bexp::NodeRef cof0 =
-                arena.substitute(b_other, q, bexp::kFalse, memo0);
-            const bexp::NodeRef cof1 =
-                arena.substitute(b_other, q, bexp::kTrue, memo1);
-            const bexp::NodeRef diff = arena.mkXor({cof0, cof1});
-            if (diff != bexp::kFalse)
-                disjuncts.push_back(diff);
-        }
-        conds->plus = arena.mkOr(std::move(disjuncts));
-    }
-    conds->nodes =
-        arena.dagSize(conds->zero) + arena.dagSize(conds->plus);
-
-    // Static dischargers: whatever the analyzer proves UNSAT from
-    // circuit structure skips its SAT query in prepare().  Constant
-    // conditions are left to structuralOutcome() - it is both cheaper
-    // and the only path that may also settle Sat.
-    if (options_.analysis.anyPass() &&
-        (!arena.isConst(conds->zero) || !arena.isConst(conds->plus))) {
-        if (!analyzer_)
-            analyzer_ = std::make_unique<analysis::Analyzer>(
-                circuit_, options_.analysis);
-        const analysis::QubitFacts &facts = analyzer_->qubitFacts(q);
-        if (!arena.isConst(conds->zero))
-            conds->zeroDischargedBy = facts.zeroDischargedBy;
-        if (!arena.isConst(conds->plus))
-            conds->plusDischargedBy = facts.plusDischargedBy;
-    }
-    conditionCache[q] = std::move(conds);
-    return *conditionCache[q];
 }
 
 void
@@ -404,12 +299,13 @@ VerificationEngine::decide(Query &query)
         return out; // abandoned before it ran: encode nothing
     Timer encode_timer;
     sat::TseitinResult enc = sat::encodeAssertTrue(
-        arena, query.condition, lane_.encoding, lane_.xorChunk);
+        arena, query.condition, options_.lane.encoding,
+        options_.lane.xorChunk);
     out.encodeSeconds = encode_timer.seconds();
     qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
     out.vars = static_cast<std::size_t>(enc.cnf.numVars());
     out.clauses = enc.cnf.numClauses();
-    sat::Solver solver(lane_.solver);
+    sat::Solver solver(options_.lane.solver);
     solver.addCnf(enc.cnf);
     solver.setStopFlag(&query.stop);
     Timer solve_timer;
@@ -422,7 +318,8 @@ VerificationEngine::decide(Query &query)
     // CNF; the stop flag can only turn an answer into Unknown.  So a
     // Sat model depends on the condition alone, and counterexamples
     // are identical across --jobs counts and schedules.
-    if (out.result == sat::SolveResult::Sat && lane_.wantCounterexample)
+    if (out.result == sat::SolveResult::Sat &&
+        options_.lane.wantCounterexample)
         out.model =
             extractModel(enc.inputVar, solver, circuit_.numQubits());
     out.stats = solver.stats();
@@ -464,7 +361,7 @@ VerificationEngine::structuralOutcome(bexp::NodeRef condition)
         ? sat::SolveResult::Sat
         : sat::SolveResult::Unsat;
     if (outcome.result == sat::SolveResult::Sat &&
-        lane_.wantCounterexample)
+        options_.lane.wantCounterexample)
         outcome.model =
             std::vector<bool>(circuit_.numQubits(), false);
     return outcome;
@@ -481,113 +378,168 @@ VerificationEngine::finishUnsafe(QubitResult &out,
 }
 
 VerificationEngine::Pending
-VerificationEngine::prepare(ir::QubitId q)
+VerificationEngine::begin(ir::QubitId q)
 {
+    qbAssert(q < circuit_.numQubits(), "verify: qubit out of range");
     Pending p;
     p.out.qubit = q;
     p.out.name = circuit_.label(q);
-    qbAssert(q < circuit_.numQubits(), "verify: qubit out of range");
     if (!classical) {
         p.out.verdict = Verdict::NotClassical;
         p.immediate = true;
-        return p;
-    }
-    if (cancelled_.load(std::memory_order_acquire)) {
+    } else if (cancelled_.load(std::memory_order_acquire)) {
         // The request this session serves was cancelled: settle
         // immediately, build nothing, queue nothing.
         p.out.verdict = Verdict::Unknown;
         p.immediate = true;
-        return p;
+    } else {
+        ++engineStats.qubitsVerified;
     }
-    ++engineStats.qubitsVerified;
+    return p;
+}
 
-    Timer build_timer;
-    const Conditions &conds = conditionsFor(q);
-    p.out.buildSeconds = build_timer.seconds();
-    p.out.formulaNodes = conds.nodes;
+void
+VerificationEngine::submit(Pending &p, const Condition &zero,
+                           const std::optional<Condition> &plus)
+{
     // "Structural" means the arena's constant folding alone settled
-    // both formulas; a condition the affine pass pre-discharged (its
-    // stored formula is a kFalse placeholder, never built) counts as
-    // an analysis discharge instead.
-    p.out.solvedStructurally =
-        conds.zeroDischargedBy == analysis::Pass::None &&
-        conds.plusDischargedBy == analysis::Pass::None &&
-        arena.isConst(conds.zero) && arena.isConst(conds.plus);
-    p.conds = &conds;
+    // every condition; a condition the affine pass pre-discharged
+    // (its formula is a kFalse placeholder, never built) counts as an
+    // analysis discharge instead.
+    const auto folded = [this](const Condition &c) {
+        return c.dischargedBy == analysis::Pass::None &&
+               arena.isConst(c.formula);
+    };
+    p.out.solvedStructurally = folded(zero) && (!plus || folded(*plus));
 
-    if (conds.zeroDischargedBy != analysis::Pass::None) {
+    if (zero.dischargedBy != analysis::Pass::None) {
         // Statically proven UNSAT: no query.  finish() treats a null
         // zero handle as a settled Unsat, exactly as for a constant.
         // Checked BEFORE the constant test so affine placeholders
         // route here, not through structuralOutcome().
-        noteDischarge(conds.zeroDischargedBy);
-    } else if (arena.isConst(conds.zero)) {
-        const Outcome zero = structuralOutcome(conds.zero);
-        if (zero.result == sat::SolveResult::Sat) {
+        noteDischarge(zero.dischargedBy);
+    } else if (arena.isConst(zero.formula)) {
+        const Outcome outcome = structuralOutcome(zero.formula);
+        if (outcome.result == sat::SolveResult::Sat) {
             // Matches the sequential order: (6.2) is never evaluated
             // once (6.1) already proved the qubit unsafe.
-            finishUnsafe(p.out, zero, FailedCondition::ZeroRestoration);
+            finishUnsafe(p.out, outcome,
+                         FailedCondition::ZeroRestoration);
             p.immediate = true;
-            return p;
+            return;
         }
     } else {
-        p.zero = submitQuery(conds.zero);
+        p.zero = submitQuery(zero.formula);
     }
+    if (!plus)
+        return;
     // Queue (6.2) speculatively: safe qubits (the common case) need it
     // anyway, and an Unsafe (6.1) answer cancels the query.
-    if (conds.plusDischargedBy != analysis::Pass::None)
-        noteDischarge(conds.plusDischargedBy);
-    else if (!arena.isConst(conds.plus))
-        p.plus = submitQuery(conds.plus);
+    if (plus->dischargedBy != analysis::Pass::None)
+        noteDischarge(plus->dischargedBy);
+    else if (arena.isConst(plus->formula))
+        p.plusConstant = plus->formula;
+    else
+        p.plus = submitQuery(plus->formula);
+}
+
+VerificationEngine::Pending
+VerificationEngine::prepare(ir::QubitId q)
+{
+    Pending p = begin(q);
+    if (p.immediate)
+        return p;
+    Timer build_timer;
+    Condition zero, plus;
+    const std::uint32_t n = circuit_.numQubits();
+
+    // GF(2)-affine pre-build consult (window-free): for a purely
+    // linear cone the arena's own XOR canonicalization would fold
+    // both conditions to constants during construction, so a
+    // POST-build affine discharge can never fire - the pass pays off
+    // only by proving UNSAT first and skipping the build, notably the
+    // O(wires * dagSize) cofactor sweep of (6.2).  Gated on q being
+    // written: unwritten qubits fold in O(1) anyway, and skipping
+    // them keeps their results attributed as structural.
+    analysis::AffineFacts affine;
+    if (options_.analysis.affine && analysis::writesWire(circuit_, q)) {
+        if (!analyzer_)
+            analyzer_ = std::make_unique<analysis::Analyzer>(
+                circuit_, options_.analysis);
+        affine = analyzer_->affineFacts(q);
+    }
+
+    // Formula (6.1): b_q AND NOT q - satisfiable iff some input with
+    // q = 0 ends with q = 1, i.e. |0> is not restored.
+    if (affine.zeroUnsat)
+        zero.dischargedBy = analysis::Pass::Affine;
+    else
+        zero.formula =
+            arena.mkAnd({finals[q], arena.mkNot(arena.mkVar(q))});
+
+    // Formula (6.2): OR over the other qubits of the XOR of the two
+    // cofactors - satisfiable iff some other output depends on q,
+    // i.e. |+> is not restored.
+    if (affine.plusUnsat) {
+        plus.dischargedBy = analysis::Pass::Affine;
+    } else {
+        // One memo per cofactor value, shared by every wire: the wires'
+        // cones overlap almost entirely, so the sweep costs the size of
+        // their union rather than wires x cone.  The arena is
+        // hash-consed, so the NodeRefs are those of per-wire calls.
+        std::unordered_map<bexp::NodeRef, bexp::NodeRef> memo0, memo1;
+        std::vector<bexp::NodeRef> disjuncts;
+        for (std::uint32_t other = 0; other < n; ++other) {
+            if (other == q)
+                continue;
+            const bexp::NodeRef b_other = finals[other];
+            const bexp::NodeRef cof0 =
+                arena.substitute(b_other, q, bexp::kFalse, memo0);
+            const bexp::NodeRef cof1 =
+                arena.substitute(b_other, q, bexp::kTrue, memo1);
+            const bexp::NodeRef diff = arena.mkXor({cof0, cof1});
+            if (diff != bexp::kFalse)
+                disjuncts.push_back(diff);
+        }
+        plus.formula = arena.mkOr(std::move(disjuncts));
+    }
+    p.out.formulaNodes =
+        arena.dagSize(zero.formula) + arena.dagSize(plus.formula);
+
+    // Static dischargers: whatever the analyzer proves UNSAT from
+    // circuit structure skips its SAT query.  Constant conditions are
+    // left to structuralOutcome() - it is both cheaper and the only
+    // path that may also settle Sat.
+    if (options_.analysis.anyPass() &&
+        (!arena.isConst(zero.formula) || !arena.isConst(plus.formula))) {
+        if (!analyzer_)
+            analyzer_ = std::make_unique<analysis::Analyzer>(
+                circuit_, options_.analysis);
+        const analysis::QubitFacts &facts = analyzer_->qubitFacts(q);
+        if (!arena.isConst(zero.formula))
+            zero.dischargedBy = facts.zeroDischargedBy;
+        if (!arena.isConst(plus.formula))
+            plus.dischargedBy = facts.plusDischargedBy;
+    }
+    p.out.buildSeconds = build_timer.seconds();
+    submit(p, zero, plus);
     return p;
 }
 
 VerificationEngine::Pending
 VerificationEngine::prepareCleanAncilla(ir::QubitId q)
 {
-    Pending p;
-    p.clean = true;
-    p.out.qubit = q;
-    p.out.name = circuit_.label(q);
-    qbAssert(q < circuit_.numQubits(),
-             "verifyCleanAncilla: qubit out of range");
-    if (!classical) {
-        p.out.verdict = Verdict::NotClassical;
-        p.immediate = true;
+    Pending p = begin(q);
+    if (p.immediate)
         return p;
-    }
-    if (cancelled_.load(std::memory_order_acquire)) {
-        p.out.verdict = Verdict::Unknown;
-        p.immediate = true;
-        return p;
-    }
-    ++engineStats.qubitsVerified;
-
     Timer build_timer;
     // The ancilla starts in |0>, so only the q = 0 cofactor of its
     // final value matters: it must be identically 0.
-    bexp::NodeRef residue;
-    if (cleanCache[q]) {
-        ++engineStats.conditionHits;
-        residue = *cleanCache[q];
-    } else {
-        residue = arena.substitute(finals[q], q, bexp::kFalse);
-        cleanCache[q] = residue;
-    }
+    Condition residue;
+    residue.formula = arena.substitute(finals[q], q, bexp::kFalse);
+    p.out.formulaNodes = arena.dagSize(residue.formula);
     p.out.buildSeconds = build_timer.seconds();
-    p.out.formulaNodes = arena.dagSize(residue);
-    p.out.solvedStructurally = arena.isConst(residue);
-
-    if (arena.isConst(residue)) {
-        const Outcome res = structuralOutcome(residue);
-        if (res.result == sat::SolveResult::Sat)
-            finishUnsafe(p.out, res, FailedCondition::ZeroRestoration);
-        else
-            p.out.verdict = Verdict::Safe;
-        p.immediate = true;
-    } else {
-        p.zero = submitQuery(residue);
-    }
+    submit(p, residue, std::nullopt);
     return p;
 }
 
@@ -596,23 +548,6 @@ VerificationEngine::finish(Pending p)
 {
     if (p.immediate)
         return std::move(p.out);
-
-    if (p.clean) {
-        const Outcome res = collectQuery(*p.zero, p.out);
-        p.zero.reset();
-        switch (res.result) {
-          case sat::SolveResult::Unsat:
-            p.out.verdict = Verdict::Safe;
-            break;
-          case sat::SolveResult::Sat:
-            finishUnsafe(p.out, res, FailedCondition::ZeroRestoration);
-            break;
-          case sat::SolveResult::Unknown:
-            p.out.verdict = Verdict::Unknown;
-            break;
-        }
-        return std::move(p.out);
-    }
 
     if (p.zero) {
         const Outcome zero = collectQuery(*p.zero, p.out);
@@ -627,17 +562,15 @@ VerificationEngine::finish(Pending p)
         }
     }
 
+    // With no (6.2) query and no constant to read, (6.2) was
+    // statically discharged or is not part of the check: Unsat.
     Outcome plus;
+    plus.result = sat::SolveResult::Unsat;
     if (p.plus) {
         plus = collectQuery(*p.plus, p.out);
         p.plus.reset();
-    } else if (p.conds->plusDischargedBy != analysis::Pass::None) {
-        // Statically discharged in prepare(): settled Unsat with no
-        // lane attribution.  (structuralOutcome() would read a
-        // constant value this non-constant condition does not have.)
-        plus.result = sat::SolveResult::Unsat;
-    } else {
-        plus = structuralOutcome(p.conds->plus);
+    } else if (p.plusConstant) {
+        plus = structuralOutcome(*p.plusConstant);
     }
     if (plus.result == sat::SolveResult::Sat) {
         finishUnsafe(p.out, plus, FailedCondition::PlusRestoration);
@@ -661,31 +594,6 @@ QubitResult
 VerificationEngine::verifyCleanAncilla(ir::QubitId q)
 {
     return finish(prepareCleanAncilla(q));
-}
-
-ProgramResult
-VerificationEngine::verifyAllQubits(const ResultObserver &observer)
-{
-    ProgramResult result;
-    Timer timer;
-    const AnalysisTotals analysisBefore = analysisTotalsOf(engineStats);
-    // Pipeline the whole circuit: queue every qubit's queries before
-    // awaiting the first verdict, so the worker pool crosses qubit
-    // boundaries without draining.
-    std::vector<Pending> pendings;
-    pendings.reserve(circuit_.numQubits());
-    for (ir::QubitId q = 0; q < circuit_.numQubits(); ++q)
-        pendings.push_back(prepare(q));
-    for (Pending &pending : pendings) {
-        result.qubits.push_back(finish(std::move(pending)));
-        if (observer)
-            observer(result.qubits.back());
-    }
-    result.solverTotals = aggregateSolverStats();
-    result.analysisTotals = analysisTotalsOf(engineStats);
-    result.analysisTotals.subtract(analysisBefore);
-    result.totalSeconds = timer.seconds();
-    return result;
 }
 
 ProgramResult

@@ -10,6 +10,12 @@
  *   - ONE bexp::Arena and ONE FormulaBuilder pass over the circuit,
  *     shared by all per-qubit conditions (6.1), (6.2) and the
  *     clean-ancilla criterion;
+ *   - ONE decision path: prepare() builds a qubit's conditions into
+ *     the Pending it returns and finish() settles them.  A clean
+ *     ancilla is the one-condition case (its residue in place of
+ *     (6.1), no (6.2)).  Nothing is cached per qubit: the arena is
+ *     hash-consed, so preparing a qubit again yields the same
+ *     conditions;
  *   - ONE lane preset deciding every condition: each condition is
  *     Tseitin-encoded into its own fresh solver, so the solver's
  *     whole-database preprocessing (bounded variable elimination)
@@ -55,7 +61,8 @@ struct EngineOptions
      * The default is lane B, whose preset preprocesses (bounded
      * variable elimination) at solve entry.  This is the one place
      * the default lane is declared: the qborrow CLI and the daemon
-     * take it from here.
+     * take it from here.  lane.solver.conflictBudget is the
+     * per-condition conflict budget (the CLI's --budget).
      */
     VerifierOptions lane = VerifierOptions::laneB();
 
@@ -156,12 +163,15 @@ class CancelSource
 class VerificationEngine
 {
   public:
-    /** Cumulative session counters. */
+    /**
+     * Session counters since construction.  Nothing is cached, so a
+     * qubit prepared twice is counted twice; core::verifyAll()
+     * prepares each qubit once per session.
+     */
     struct Stats
     {
         std::size_t satCalls = 0;        ///< solver queries issued
         std::size_t structural = 0;      ///< conditions folded to const
-        std::size_t conditionHits = 0;   ///< condition cache hits
         std::size_t qubitsVerified = 0;
         /** @name Conditions proven UNSAT statically (no SAT query
          *  queued), total and per discharging pass.  Affine
@@ -175,7 +185,6 @@ class VerificationEngine
         std::size_t analysisAffine = 0;
         std::size_t analysisPermutation = 0;
         /** @} */
-        double formulaBuildSeconds = 0.0; ///< one-time circuit scan
     };
 
     /**
@@ -215,18 +224,11 @@ class VerificationEngine
      * worker busy across qubit boundaries.
      */
     Pending prepare(ir::QubitId q);
-    /** prepare() for the clean-ancilla criterion. */
+    /** prepare() for the clean-ancilla criterion: one condition, the
+     *  residue b_q[0/q], settled like (6.1). */
     Pending prepareCleanAncilla(ir::QubitId q);
     /** Await @p pending's queries and assemble its QubitResult. */
     QubitResult finish(Pending pending);
-
-    /**
-     * Verify every qubit of the circuit in id order, streaming each
-     * result through @p observer (when set) as it is produced.  The
-     * whole circuit is pipelined: all conditions are prepared and
-     * queued up front, results are collected in order.
-     */
-    ProgramResult verifyAllQubits(const ResultObserver &observer = {});
 
     const ir::Circuit &circuit() const { return circuit_; }
     const EngineOptions &options() const { return options_; }
@@ -249,18 +251,17 @@ class VerificationEngine
      * condition is decided in a throwaway solver, and without the
      * harvest its work would vanish with it.  A query abandoned before
      * collection (the speculative (6.2) query of an unsafe qubit) is
-     * never counted, so the totals are the same at any --jobs.  The
-     * batch drivers sum this into ProgramResult::solverTotals so
+     * never counted, so the totals are the same at any --jobs.
+     * verifyAll() sums this into ProgramResult::solverTotals so
      * reports and benchmarks can show learnt-DB size and GC activity;
-     * verifyAll()'s sessions live for one run, so its totals are per
-     * run.
+     * its sessions live for one run, so its totals are per run.
      */
     sat::SolverStats aggregateSolverStats() const;
 
   private:
     friend class CancelSource;
 
-    struct Conditions;
+    struct Condition;
     struct Outcome;
     struct Query;
 
@@ -268,7 +269,9 @@ class VerificationEngine
      *  cancelled (called by CancelSource::requestCancel()). */
     void cancelNow();
 
-    const Conditions &conditionsFor(ir::QubitId q);
+    Pending begin(ir::QubitId q);
+    void submit(Pending &p, const Condition &zero,
+                const std::optional<Condition> &plus);
     void noteDischarge(analysis::Pass pass);
     std::shared_ptr<Query> submitQuery(bexp::NodeRef condition);
     Outcome collectQuery(Query &query, QubitResult &out);
@@ -288,13 +291,8 @@ class VerificationEngine
     std::shared_ptr<Scheduler> scheduler_;
     std::shared_ptr<CancelSource> cancel_;
     std::atomic<bool> cancelled_{false};
-    /** options_.lane with the conflict budget folded into its solver
-     *  configuration. */
-    VerifierOptions lane_;
     /** Static dischargers over circuit_; created on first use. */
     std::unique_ptr<analysis::Analyzer> analyzer_;
-    std::vector<std::unique_ptr<Conditions>> conditionCache;
-    std::vector<std::optional<bexp::NodeRef>> cleanCache;
     Stats engineStats;
 
     /** Solver counters of every collected outcome so far.  Touched
@@ -322,12 +320,13 @@ class VerificationEngine::Pending
     Pending();
 
     QubitResult out;
-    /** Conditions backing the queries (owned by the engine's cache). */
-    const Conditions *conds = nullptr;
     std::shared_ptr<Query> zero; ///< (6.1) query, or the clean residue
     std::shared_ptr<Query> plus; ///< (6.2) query (speculative)
-    bool immediate = false;     ///< verdict settled at prepare time
-    bool clean = false;         ///< clean-ancilla single-condition check
+    /** (6.2) folded to a constant: settled in finish(), and only once
+     *  (6.1) is known UNSAT.  Unset when (6.2) was queued or
+     *  discharged, and for a clean check, which has no (6.2). */
+    std::optional<bexp::NodeRef> plusConstant;
+    bool immediate = false; ///< verdict settled at prepare time
 };
 
 /**
@@ -338,13 +337,14 @@ class VerificationEngine::Pending
  *
  * Qubits whose lifetimes span the same gate range share one session -
  * one arena and one formula-building scan - as on programs like
- * adder.qbr whose dirty qubits are borrowed together.  The sessions
- * are built for this run and dropped before it returns, so the
- * result's solver and analysis totals cover this run alone.  All
- * sessions share ONE scheduler pool and the whole program is
- * pipelined through it: every qubit's queries are queued before the
- * first result is awaited.  Results stream through @p observer (when
- * set) in qubit order as they are produced.
+ * adder.qbr whose dirty qubits are borrowed together.  Each session
+ * prepares each of its qubits once.  The sessions are built for this
+ * run and dropped before it returns, so the result's solver and
+ * analysis totals cover this run alone.  All sessions share ONE
+ * scheduler pool and the whole program is pipelined through it: every
+ * qubit's queries are queued before the first result is awaited.
+ * Results stream through @p observer (when set) in qubit order as
+ * they are produced.
  *
  * @p scheduler is the pool to run on; null creates a private pool of
  * @p options.jobs workers for this run.  The qborrow daemon passes

@@ -53,8 +53,6 @@ struct VerifierOptions
     sat::TseitinMode encoding = sat::TseitinMode::Full;
     /** Maximum arity of directly-expanded XOR definitions. */
     unsigned xorChunk = 4;
-    /** Conflict budget per SAT call (-1 = unlimited). */
-    std::int64_t conflictBudget = -1;
     /** Extract a satisfying input assignment on Unsafe verdicts. */
     bool wantCounterexample = true;
 
@@ -127,15 +125,6 @@ struct AnalysisTotals
         affine += other.affine;
         permutation += other.permutation;
     }
-
-    void subtract(const AnalysisTotals &other)
-    {
-        discharged -= other.discharged;
-        support -= other.support;
-        mirror -= other.mirror;
-        affine -= other.affine;
-        permutation -= other.permutation;
-    }
 };
 
 /** Result of verifying a whole program. */
@@ -149,10 +138,8 @@ struct ProgramResult
      * sessions: every per-condition solver the run collected (the
      * peak fields sum per-solver peaks).  core::verifyAll() builds
      * fresh sessions for every run, so a repeat of the same program
-     * reports the same counters.  Filled by every batch path -
-     * core::verifyAll(), the verifyProgram()/verifySource() wrappers
-     * over it, and VerificationEngine::verifyAllQubits(), which
-     * reports its session's solvers since construction.
+     * reports the same counters.  Filled by core::verifyAll() and the
+     * verifyProgram()/verifySource() wrappers over it.
      */
     sat::SolverStats solverTotals;
 

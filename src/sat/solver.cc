@@ -12,6 +12,15 @@
 
 namespace qb::sat {
 
+namespace {
+
+/** Per-conflict clause activity decay factor. */
+constexpr double kClauseDecay = 0.999;
+/** On-the-fly strengthening candidates remembered per conflict. */
+constexpr std::size_t kOtfMaxAntecedents = 32;
+
+} // namespace
+
 SolverConfig
 SolverConfig::baseline()
 {
@@ -19,7 +28,6 @@ SolverConfig::baseline()
     cfg.useVsids = true;
     cfg.phaseSaving = true;
     cfg.initialPhaseTrue = false;
-    cfg.lubyRestarts = true;
     cfg.preprocess = false;
     return cfg;
 }
@@ -31,7 +39,6 @@ SolverConfig::simplify()
     cfg.useVsids = true;
     cfg.phaseSaving = true;
     cfg.initialPhaseTrue = true;
-    cfg.lubyRestarts = true;
     cfg.restartBase = 2000; // long runs before restarting
     cfg.varDecay = 0.75;    // aggressive recency bias
     cfg.preprocess = true;
@@ -692,7 +699,7 @@ Solver::analyze(ClauseRef conflict, LitVec &out_learnt, int &out_btlevel,
         // Binary reasons have nothing to strengthen.
         if (cfg.otfSubsume && p != kUndefLit && rc != nullptr &&
             rc->size() >= 3 &&
-            otfCandidates.size() < cfg.otfMaxAntecedents) {
+            otfCandidates.size() < kOtfMaxAntecedents) {
             const std::size_t resolvent =
                 static_cast<std::size_t>(counter) +
                 out_learnt.size() - 1;
@@ -976,7 +983,7 @@ Solver::claBumpActivity(Clause &c)
 void
 Solver::claDecayActivity()
 {
-    claInc /= cfg.clauseDecay;
+    claInc /= kClauseDecay;
     // Activities are float in the arena header: rescale on the
     // increment itself, not only on a bump, so a long bump-free streak
     // cannot push claInc past float range.
@@ -1132,9 +1139,8 @@ Solver::search(std::int64_t conflict_limit)
                 cancelUntil(static_cast<int>(assumptions.size()));
                 return SolveResult::Unknown;
             }
-            if (cfg.reduceDb &&
-                learntClauses.size() >
-                    problemClauses.size() / 3 + 3000 + trail.size())
+            if (learntClauses.size() >
+                problemClauses.size() / 3 + 3000 + trail.size())
                 reduceDb();
             // Extend the assumption prefix before free decisions: each
             // assumption gets its own decision level, so conflict
@@ -1215,12 +1221,9 @@ Solver::solve(const LitVec &assumps)
             return SolveResult::Unsat;
     }
     std::int64_t restart = 0;
-    double geometric = static_cast<double>(cfg.restartBase);
     while (true) {
-        const std::int64_t limit = cfg.lubyRestarts
-            ? luby(restart) * cfg.restartBase
-            : static_cast<std::int64_t>(geometric);
-        const SolveResult result = search(limit);
+        const SolveResult result =
+            search(luby(restart) * cfg.restartBase);
         if (result != SolveResult::Unknown) {
             if (result == SolveResult::Sat) {
                 // Extend the model over eliminated variables.
@@ -1263,7 +1266,6 @@ Solver::solve(const LitVec &assumps)
         }
         ++statistics.restarts;
         ++restart;
-        geometric *= 1.5;
     }
 }
 

@@ -106,7 +106,12 @@ class Reason
     std::uint32_t word = kRefUndef;
 };
 
-/** Tunable solver parameters; see the preset factories. */
+/**
+ * Tunable solver parameters; see the preset factories.  Restarts
+ * always follow the Luby sequence, the learnt database is always
+ * reduced, and the clause activity decay and OTF candidate cap are
+ * fixed (constants in solver.cc).
+ */
 struct SolverConfig
 {
     /** Use EVSIDS activities (otherwise lowest-index branching). */
@@ -117,17 +122,16 @@ struct SolverConfig
     bool initialPhaseTrue = false;
     /** Per-conflict variable activity decay factor. */
     double varDecay = 0.95;
-    /** Per-conflict clause activity decay factor. */
-    double clauseDecay = 0.999;
     /** Luby restart unit, in conflicts. */
     std::int64_t restartBase = 100;
-    /** Use the Luby sequence (otherwise geometric x1.5). */
-    bool lubyRestarts = true;
-    /** Reduce the learnt clause database periodically. */
-    bool reduceDb = true;
     /** Apply bounded variable elimination before solving. */
     bool preprocess = false;
-    /** Abort with Unknown after this many conflicts (-1 = unlimited). */
+    /**
+     * Abort a solve() with Unknown after this many conflicts
+     * (-1 = unlimited).  The verifier's one conflict budget: every
+     * condition's solver is built from the session's lane.solver, so
+     * qborrow's --budget and the protocol's "budget" land here.
+     */
     std::int64_t conflictBudget = -1;
 
     /** @name Learn-time clause improvement. @{ */
@@ -139,8 +143,6 @@ struct SolverConfig
      * after backtracking (see Solver::otfStrengthen()).
      */
     bool otfSubsume = true;
-    /** Strengthening candidates remembered per conflict. */
-    unsigned otfMaxAntecedents = 32;
     /** @} */
 
     bool operator==(const SolverConfig &) const = default;

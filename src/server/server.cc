@@ -566,8 +566,9 @@ Server::Impl::engineOptionsFor(const RequestOptions &request)
     chosen.lane.wantCounterexample = request.counterexampleSet
         ? request.counterexample
         : base.lane.wantCounterexample;
-    chosen.lane.conflictBudget =
-        request.budgetSet ? request.budget : base.lane.conflictBudget;
+    chosen.lane.solver.conflictBudget = request.budgetSet
+        ? request.budget
+        : base.lane.solver.conflictBudget;
     // The serving tier gives each computed request its own fairness
     // band.
     return chosen;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the session-based VerificationEngine: agreement with the
- * one-shot wrappers and the brute-force oracle, incremental reuse
- * across qubits, both lanes, batch verification with streaming
- * observers, and the JSON report emitter.
+ * one-shot wrappers and the brute-force oracle, one session across
+ * qubits, both lanes, conflict budgets, batch verification with
+ * streaming observers, and the JSON report emitter.
  */
 
 #include <gtest/gtest.h>
@@ -61,17 +61,26 @@ TEST(Engine, MultiQubitCircuitOneSessionManyVerdicts)
     EXPECT_GT(engine.stats().satCalls, 0u);
 }
 
-TEST(Engine, RepeatedQueryHitsConditionCache)
+TEST(Engine, RepeatedQueryIsIdentical)
 {
+    // A session caches no conditions: preparing a qubit again rebuilds
+    // them in the hash-consed arena, which hands back the same
+    // NodeRefs, so the repeat decides the same formulas.  Every qubit
+    // of the circuit, safe and unsafe alike, answers the same twice.
     const Circuit c = circuits::cccnotDirty();
     VerificationEngine engine(c);
-    const QubitResult first =
-        engine.verify(circuits::kCccnotDirtyQubit);
-    const std::size_t hits_before = engine.stats().conditionHits;
-    const QubitResult again =
-        engine.verify(circuits::kCccnotDirtyQubit);
-    EXPECT_EQ(first.verdict, again.verdict);
-    EXPECT_GT(engine.stats().conditionHits, hits_before);
+    for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
+        const QubitResult first = engine.verify(q);
+        const QubitResult again = engine.verify(q);
+        EXPECT_EQ(first.verdict, again.verdict) << "qubit " << q;
+        EXPECT_EQ(first.failed, again.failed) << "qubit " << q;
+        EXPECT_EQ(first.counterexample, again.counterexample)
+            << "qubit " << q;
+        EXPECT_EQ(first.formulaNodes, again.formulaNodes)
+            << "qubit " << q;
+    }
+    EXPECT_EQ(Verdict::Safe,
+              engine.verify(circuits::kCccnotDirtyQubit).verdict);
 }
 
 TEST(Engine, NotClassicalCircuit)
@@ -329,7 +338,7 @@ TEST(Engine, BudgetExhaustedConditionIsUnknownOnEachLane)
         EngineOptions options = EngineOptions::singleLane(
             lane == "A" ? VerifierOptions::laneA()
                         : VerifierOptions::laneB());
-        options.lane.conflictBudget = 1;
+        options.lane.solver.conflictBudget = 1;
         options.jobs = 1;
         VerificationEngine engine(scope, options);
         bool saw_unknown = false;
@@ -348,6 +357,66 @@ TEST(Engine, BudgetExhaustedConditionIsUnknownOnEachLane)
             << "lane " << lane
             << ": budget too generous for this circuit; tighten the test";
     }
+}
+
+TEST(Engine, SolverConflictBudgetIsTheSessionBudget)
+{
+    // lane.solver.conflictBudget is the one per-condition budget:
+    // every condition's solver is built from lane.solver, so a
+    // 1-conflict budget leaves adder conditions undecided.
+    const auto program =
+        lang::elaborateSource(circuits::adderQbrSource(24));
+    EngineOptions options;
+    options.lane.solver.conflictBudget = 1;
+    options.jobs = 2;
+    const ProgramResult result = verifyAll(program, options);
+    ASSERT_EQ(23u, result.qubits.size());
+    std::size_t unknown = 0;
+    for (const QubitResult &r : result.qubits)
+        if (r.verdict == Verdict::Unknown)
+            ++unknown;
+    EXPECT_GE(unknown, 1u);
+    // No budget: every carry qubit is safe.
+    for (const QubitResult &r : verifyAll(program).qubits)
+        EXPECT_EQ(Verdict::Safe, r.verdict) << r.name;
+}
+
+TEST(Engine, CleanAncillaResidueCanExhaustTheBudget)
+{
+    // A clean check takes the same decision path as (6.1): a residue
+    // b_q[0/q] that does not fold goes to a solver under the
+    // session's budget, and a solver that runs out reports Unknown
+    // with its conflicts charged and no counterexample.  On the adder
+    // every residue folds except the sum output's, which takes more
+    // than one conflict to refute.
+    const auto program =
+        lang::elaborateSource(circuits::adderQbrSource(12));
+    const lang::QubitInfo &info = program.qubits[
+        program.qubitsWithRole(lang::QubitRole::BorrowVerify).front()];
+    const Circuit scope =
+        program.circuit.slice(info.scopeBegin, info.scopeEnd);
+    EngineOptions budgeted;
+    budgeted.lane.solver.conflictBudget = 1;
+    budgeted.jobs = 1;
+    VerificationEngine tight(scope, budgeted);
+    VerificationEngine unbounded(scope);
+    std::size_t unknown = 0;
+    for (ir::QubitId q = 0; q < scope.numQubits(); ++q) {
+        const QubitResult full = unbounded.verifyCleanAncilla(q);
+        const QubitResult r = tight.verifyCleanAncilla(q);
+        if (r.verdict != Verdict::Unknown) {
+            EXPECT_EQ(full.verdict, r.verdict) << "qubit " << q;
+            continue;
+        }
+        ++unknown;
+        EXPECT_EQ(0, full.lane) << "qubit " << q;
+        EXPECT_EQ(0, r.lane) << "qubit " << q;
+        EXPECT_EQ(1, r.conflicts) << "qubit " << q;
+        EXPECT_GT(full.conflicts, 1) << "qubit " << q;
+        EXPECT_FALSE(r.counterexample.has_value()) << "qubit " << q;
+    }
+    EXPECT_GE(unknown, 1u)
+        << "budget too generous for this circuit; tighten the test";
 }
 
 class EngineProperty : public ::testing::TestWithParam<int>

@@ -141,6 +141,20 @@ randomCircuit(Rng &rng, std::uint32_t n, int gates)
     return c;
 }
 
+/** Every qubit of @p engine's circuit: all prepared before the first
+ *  is finished, as core::verifyAll() pipelines a program. */
+std::vector<QubitResult>
+verifyEveryQubit(VerificationEngine &engine)
+{
+    std::vector<VerificationEngine::Pending> pendings;
+    for (ir::QubitId q = 0; q < engine.circuit().numQubits(); ++q)
+        pendings.push_back(engine.prepare(q));
+    std::vector<QubitResult> results;
+    for (VerificationEngine::Pending &pending : pendings)
+        results.push_back(engine.finish(std::move(pending)));
+    return results;
+}
+
 class JobsDeterminism : public ::testing::TestWithParam<int>
 {};
 
@@ -158,23 +172,22 @@ expectJobsDeterminism(const Circuit &c)
         parallel.jobs = 4;
         VerificationEngine one(c, serial);
         VerificationEngine many(c, parallel);
-        const ProgramResult r1 = one.verifyAllQubits();
-        const ProgramResult rn = many.verifyAllQubits();
-        ASSERT_EQ(r1.qubits.size(), rn.qubits.size());
-        for (std::size_t i = 0; i < r1.qubits.size(); ++i) {
-            EXPECT_EQ(r1.qubits[i].verdict, rn.qubits[i].verdict)
+        const std::vector<QubitResult> r1 = verifyEveryQubit(one);
+        const std::vector<QubitResult> rn = verifyEveryQubit(many);
+        ASSERT_EQ(r1.size(), rn.size());
+        for (std::size_t i = 0; i < r1.size(); ++i) {
+            EXPECT_EQ(r1[i].verdict, rn[i].verdict)
                 << "qubit " << i << " lane " << lane;
-            EXPECT_EQ(r1.qubits[i].failed, rn.qubits[i].failed)
+            EXPECT_EQ(r1[i].failed, rn[i].failed)
                 << "qubit " << i << " lane " << lane;
-            EXPECT_EQ(r1.qubits[i].counterexample,
-                      rn.qubits[i].counterexample)
+            EXPECT_EQ(r1[i].counterexample, rn[i].counterexample)
                 << "qubit " << i << " lane " << lane;
         }
         // Only collected outcomes are counted, so the solver totals
         // do not depend on whether a speculative (6.2) query ran
         // before an Unsafe (6.1) answer abandoned it.
-        const sat::SolverStats &s1 = r1.solverTotals;
-        const sat::SolverStats &sn = rn.solverTotals;
+        const sat::SolverStats s1 = one.aggregateSolverStats();
+        const sat::SolverStats sn = many.aggregateSolverStats();
         EXPECT_EQ(s1.conflicts, sn.conflicts) << "lane " << lane;
         EXPECT_EQ(s1.decisions, sn.decisions) << "lane " << lane;
         EXPECT_EQ(s1.propagations, sn.propagations) << "lane " << lane;
@@ -257,10 +270,10 @@ TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
                             : VerifierOptions::laneB());
             options.jobs = 3;
             VerificationEngine engine(c, options);
-            const ProgramResult result = engine.verifyAllQubits();
+            const std::vector<QubitResult> results =
+                verifyEveryQubit(engine);
             for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
-                EXPECT_EQ(bruteForceVerdict(c, q),
-                          result.qubits[q].verdict)
+                EXPECT_EQ(bruteForceVerdict(c, q), results[q].verdict)
                     << "round " << round << " lane " << lane
                     << " qubit " << q;
             }

@@ -1128,10 +1128,84 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
                        core::EngineOptions::singleLane(
                            core::VerifierOptions::laneB()),
                        false));
-    core::EngineOptions budgeted = base;
-    budgeted.lane.conflictBudget = 100;
-    EXPECT_NE(key, serving::ServingTier::optionsFingerprint(
-                       budgeted, false));
+
+    // Compile-time completeness gate: these witnesses mirror
+    // VerifierOptions and SolverConfig field for field.  A sizeof
+    // check alone misses a bool that lands in padding, so the
+    // structured bindings also pin the field counts.  When either
+    // struct changes shape, update the witness, the flips below and
+    // ServingTier::optionsFingerprint() in lockstep.
+    struct SolverConfigWitness
+    {
+        bool useVsids;
+        bool phaseSaving;
+        bool initialPhaseTrue;
+        double varDecay;
+        std::int64_t restartBase;
+        bool preprocess;
+        std::int64_t conflictBudget;
+        bool otfSubsume;
+    };
+    struct VerifierOptionsWitness
+    {
+        sat::SolverConfig solver;
+        sat::TseitinMode encoding;
+        unsigned xorChunk;
+        bool wantCounterexample;
+    };
+    static_assert(sizeof(SolverConfigWitness) == sizeof(sat::SolverConfig),
+                  "SolverConfig changed shape: update the witness, the "
+                  "flips below and ServingTier::optionsFingerprint()");
+    static_assert(sizeof(VerifierOptionsWitness) ==
+                      sizeof(core::VerifierOptions),
+                  "VerifierOptions changed shape: update the witness, "
+                  "the flips below and "
+                  "ServingTier::optionsFingerprint()");
+    [[maybe_unused]] const auto &[vs, ph, p0, vd, rb, pre, cb, otf] =
+        base.lane.solver;
+    [[maybe_unused]] const auto &[solver, enc, x, cex] = base.lane;
+
+    // Each result-affecting field, flipped alone, gets its own key.
+    const auto flipped = [&base](auto mutate) {
+        core::EngineOptions o = base;
+        mutate(o.lane);
+        return serving::ServingTier::optionsFingerprint(o, false);
+    };
+    using core::VerifierOptions;
+    const std::vector<std::string> keys = {
+        key,
+        flipped([](VerifierOptions &l) {
+            l.encoding = l.encoding == sat::TseitinMode::Full
+                ? sat::TseitinMode::PlaistedGreenbaum
+                : sat::TseitinMode::Full;
+        }),
+        flipped([](VerifierOptions &l) { ++l.xorChunk; }),
+        flipped([](VerifierOptions &l) {
+            l.wantCounterexample = !l.wantCounterexample;
+        }),
+        flipped([](VerifierOptions &l) {
+            l.solver.useVsids = !l.solver.useVsids;
+        }),
+        flipped([](VerifierOptions &l) {
+            l.solver.phaseSaving = !l.solver.phaseSaving;
+        }),
+        flipped([](VerifierOptions &l) {
+            l.solver.initialPhaseTrue = !l.solver.initialPhaseTrue;
+        }),
+        flipped([](VerifierOptions &l) { l.solver.varDecay += 1e-9; }),
+        flipped([](VerifierOptions &l) { ++l.solver.restartBase; }),
+        flipped([](VerifierOptions &l) {
+            l.solver.preprocess = !l.solver.preprocess;
+        }),
+        flipped([](VerifierOptions &l) { l.solver.conflictBudget = 100; }),
+        flipped([](VerifierOptions &l) {
+            l.solver.otfSubsume = !l.solver.otfSubsume;
+        }),
+    };
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        for (std::size_t j = i + 1; j < keys.size(); ++j)
+            EXPECT_NE(keys[i], keys[j]) << "flips " << i << " and " << j;
+
     // Scheduling-only knobs must NOT splinter the cache.
     core::EngineOptions scheduling = base;
     scheduling.fairnessBand = 77;

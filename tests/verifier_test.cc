@@ -195,7 +195,7 @@ TEST(Verifier, ConflictBudgetReportsUnknown)
         c.append(Gate::ccnot(a, b, t));
     }
     VerifierOptions opts;
-    opts.conflictBudget = 0;
+    opts.solver.conflictBudget = 0;
     const QubitResult r = verifyQubit(c, 0, opts);
     // With zero conflicts allowed the verdict is Unknown unless the
     // formulas folded to constants.

@@ -224,7 +224,7 @@ engineOptionsFor(const CliOptions &cli)
     options.jobs = static_cast<unsigned>(cli.jobs);
     options.analysis = analysisOptionsFor(cli);
     options.lane.wantCounterexample = cli.want_cex;
-    options.lane.conflictBudget = cli.budget;
+    options.lane.solver.conflictBudget = cli.budget;
     return options;
 }
 
