@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/formula_builder.h"
+#include "sat/sweep.h"
 #include "support/logging.h"
 #include "support/timer.h"
 
@@ -291,38 +292,65 @@ VerificationEngine::submitQuery(bexp::NodeRef condition)
 VerificationEngine::Outcome
 VerificationEngine::decide(Query &query)
 {
-    // Every condition is decided in a dedicated solver: the presets'
-    // whole-database preprocessing (bounded variable elimination)
-    // applies, and independent conditions run on any free worker.
+    // Simulate -> sweep -> direct solve.  The sweeper settles the
+    // conditions whose root it can fold to constant false; every
+    // other condition is Tseitin-encoded into a dedicated solver, so
+    // the presets' whole-database preprocessing (bounded variable
+    // elimination) applies and independent conditions run on any
+    // free worker.  Both share one conflict budget.
     Outcome out;
     if (query.stop.load(std::memory_order_acquire))
         return out; // abandoned before it ran: encode nothing
+    const sat::SolverConfig &config = options_.lane.solver;
+    Timer sweep_timer;
+    const sat::SweepResult swept = sat::sweep(
+        arena, query.condition, config, config.conflictBudget,
+        &query.stop);
+    out.solveSeconds = sweep_timer.seconds();
+    out.vars = swept.vars;
+    out.clauses = swept.clauses;
+    out.stats = swept.stats;
+    if (swept.result == sat::SolveResult::Unsat) {
+        out.result = sat::SolveResult::Unsat;
+        return out;
+    }
+    if (query.stop.load(std::memory_order_acquire))
+        return out; // cancelled during the sweep
+    sat::SolverConfig direct = config;
+    if (config.conflictBudget >= 0) {
+        direct.conflictBudget =
+            config.conflictBudget - swept.stats.conflicts;
+        if (direct.conflictBudget <= 0)
+            return out; // the sweep spent the whole budget: Unknown
+    }
     Timer encode_timer;
     sat::TseitinResult enc = sat::encodeAssertTrue(
         arena, query.condition, options_.lane.encoding,
         options_.lane.xorChunk);
     out.encodeSeconds = encode_timer.seconds();
     qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
-    out.vars = static_cast<std::size_t>(enc.cnf.numVars());
-    out.clauses = enc.cnf.numClauses();
-    sat::Solver solver(options_.lane.solver);
+    out.vars += static_cast<std::size_t>(enc.cnf.numVars());
+    out.clauses += enc.cnf.numClauses();
+    sat::Solver solver(direct);
     solver.addCnf(enc.cnf);
     solver.setStopFlag(&query.stop);
     Timer solve_timer;
     out.result = solver.solve();
-    out.solveSeconds = solve_timer.seconds();
+    out.solveSeconds += solve_timer.seconds();
 #ifdef QB_DEBUG_CHECKS
     solver.checkInvariants();
 #endif
-    // The solver is deterministic and sees nothing but the condition's
-    // CNF; the stop flag can only turn an answer into Unknown.  So a
-    // Sat model depends on the condition alone, and counterexamples
-    // are identical across --jobs counts and schedules.
+    // The direct solver is deterministic and sees nothing but the
+    // condition's CNF; the stop flag and the budget can only turn an
+    // answer into Unknown.  So a Sat model depends on the condition
+    // alone, and counterexamples are identical across --jobs counts
+    // and schedules.  The sweeper never answers Sat, so every model
+    // comes from here.
     if (out.result == sat::SolveResult::Sat &&
         options_.lane.wantCounterexample)
         out.model =
             extractModel(enc.inputVar, solver, circuit_.numQubits());
-    out.stats = solver.stats();
+    out.stats.accumulate(solver.stats());
     return out;
 }
 

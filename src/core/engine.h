@@ -17,9 +17,11 @@
  *     hash-consed, so preparing a qubit again yields the same
  *     conditions;
  *   - ONE lane preset deciding every condition: each condition is
- *     Tseitin-encoded into its own fresh solver, so the solver's
- *     whole-database preprocessing (bounded variable elimination)
- *     applies and independent conditions never wait on each other.
+ *     SAT-swept (sat/sweep.h) and, unless the sweep folds it to
+ *     constant false, Tseitin-encoded into its own fresh solver, so
+ *     the solver's whole-database preprocessing (bounded variable
+ *     elimination) applies and independent conditions never wait on
+ *     each other.
  *
  * All SAT work runs on a persistent core::Scheduler worker pool sized
  * to the hardware (or EngineOptions::jobs): conditions are unordered
@@ -54,15 +56,17 @@ struct EngineOptions
 {
     /**
      * The lane preset deciding every SAT query of the session: each
-     * condition is encoded into a fresh solver built from
-     * lane.solver and runs as an unordered pool task, so a program's
-     * independent conditions fill every worker.
+     * condition is swept, and what the sweep leaves is encoded into a
+     * fresh solver built from lane.solver; each condition runs as an
+     * unordered pool task, so a program's independent conditions
+     * fill every worker.
      *
      * The default is lane B, whose preset preprocesses (bounded
      * variable elimination) at solve entry.  This is the one place
      * the default lane is declared: the qborrow CLI and the daemon
      * take it from here.  lane.solver.conflictBudget is the
-     * per-condition conflict budget (the CLI's --budget).
+     * per-condition conflict budget (the CLI's --budget), shared by
+     * the condition's sweep and its direct solve.
      */
     VerifierOptions lane = VerifierOptions::laneB();
 
@@ -155,10 +159,10 @@ class CancelSource
  * from the caller's point of view (scheduler parallelism is internal):
  * all prepare/finish/verify calls must come from one thread.
  *
- * Counterexamples are read from the model of the solver that decided
- * the condition.  That solver is deterministic and sees only the
- * condition's CNF, so verdicts AND counterexamples are identical
- * across jobs counts and schedules.
+ * Counterexamples are read from the model of the direct solver that
+ * answered Sat (the sweeper never answers Sat).  That solver and the
+ * sweep are deterministic and see only the condition, so verdicts AND
+ * counterexamples are identical across jobs counts and schedules.
  */
 class VerificationEngine
 {

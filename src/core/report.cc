@@ -78,7 +78,9 @@ emitProgram(const ProgramResult &result,
     out += "\"gc_words_reclaimed\": " + count(s.gcWordsReclaimed) +
            ", ";
     out += "\"arena_peak_words\": " + count(s.arenaPeakWords) + ", ";
-    out += "\"peak_learnts\": " + count(s.peakLearnts);
+    out += "\"peak_learnts\": " + count(s.peakLearnts) + ", ";
+    out += "\"swept\": " + count(s.sweptConditions) + ", ";
+    out += "\"sweep_merges\": " + count(s.sweepMerges);
     out += "},";
     out += nl;
     // Static-analysis dischargers: conditions proven UNSAT without a

@@ -57,6 +57,8 @@ SolverStats::accumulate(const SolverStats &other)
     learntClauses += other.learntClauses;
     removedClauses += other.removedClauses;
     eliminatedVars += other.eliminatedVars;
+    sweptConditions += other.sweptConditions;
+    sweepMerges += other.sweepMerges;
     inprocessRuns += other.inprocessRuns;
     otfStrengthenedClauses += other.otfStrengthenedClauses;
     otfSkipped += other.otfSkipped;
@@ -217,6 +219,7 @@ Solver::newVar()
     polarity.push_back(cfg.initialPhaseTrue);
     activity.push_back(0.0);
     seen.push_back(0);
+    decisionVar.push_back(1);
     watches.emplace_back();
     watches.emplace_back();
     binWatches.emplace_back();
@@ -230,6 +233,14 @@ Solver::value(Lit l) const
 {
     const LBool v = assigns[l.var()];
     return l.sign() ? lboolNeg(v) : v;
+}
+
+void
+Solver::setDecisionVar(Var v, bool decision)
+{
+    decisionVar[v] = decision ? 1 : 0;
+    if (decision)
+        order->insert(v);
 }
 
 void
@@ -267,31 +278,33 @@ Solver::addClause(LitVec lits)
             newVar();
     }
     std::sort(lits.begin(), lits.end());
-    LitVec kept;
+    // Drop false and repeated literals in place.
+    std::size_t size = 0;
     Lit prev = kUndefLit;
     for (Lit l : lits) {
         if (value(l) == LBool::True || l == ~prev)
             return true; // satisfied or tautological
         if (value(l) != LBool::False && l != prev)
-            kept.push_back(l);
+            lits[size++] = l;
         prev = l;
     }
-    if (kept.empty()) {
+    lits.resize(size);
+    if (lits.empty()) {
         okay = false;
         return false;
     }
-    if (kept.size() == 1) {
-        uncheckedEnqueue(kept[0], Reason());
+    if (lits.size() == 1) {
+        uncheckedEnqueue(lits[0], Reason());
         okay = propagate() == kRefUndef;
         return okay;
     }
-    if (kept.size() == 2) {
+    if (lits.size() == 2) {
         // Binary clauses never touch the arena: the mirrored watcher
         // pair IS the clause.
-        attachBinary(kept[0], kept[1], /*learnt=*/false);
+        attachBinary(lits[0], lits[1], /*learnt=*/false);
         return true;
     }
-    const ClauseRef cr = ca.alloc(kept, /*learnt=*/false, /*lbd=*/0);
+    const ClauseRef cr = ca.alloc(lits, /*learnt=*/false, /*lbd=*/0);
     problemClauses.push_back(cr);
     attachClause(cr);
     notePeaks();
@@ -749,48 +762,6 @@ Solver::analyze(ClauseRef conflict, LitVec &out_learnt, int &out_btlevel,
         seen[v] = 0;
 }
 
-void
-Solver::analyzeFinal(Lit failed)
-{
-    // Final-conflict analysis (MiniSat's analyzeFinal): @p failed is an
-    // assumption whose negation is implied by the other assumptions.
-    // Walk the trail backwards from the implication, expanding reasons;
-    // every reason-less (decision) literal reached is an assumption
-    // participating in the conflict.  Expressed directly in assumption
-    // literals rather than as a negated conflict clause.
-    conflictCore.clear();
-    conflictCore.push_back(failed);
-    if (decisionLevel() > 0) {
-        seen[failed.var()] = 1;
-        for (std::size_t i = trail.size();
-             i > static_cast<std::size_t>(trailLim[0]); --i) {
-            const Var x = trail[i - 1].var();
-            if (!seen[x])
-                continue;
-            const Reason r = reasons[x];
-            if (r.isUndef()) {
-                // Decisions below the assumption prefix are
-                // assumptions.
-                conflictCore.push_back(trail[i - 1]);
-            } else if (r.isBinary()) {
-                const Var v = r.otherLit().var();
-                if (levels[v] > 0)
-                    seen[v] = 1;
-            } else {
-                const Clause &rc = reasonClause(x);
-                const unsigned size = rc.size();
-                for (std::size_t j = 1; j < size; ++j) {
-                    const Var v = rc[j].var();
-                    if (levels[v] > 0)
-                        seen[v] = 1;
-                }
-            }
-            seen[x] = 0;
-        }
-        seen[failed.var()] = 0;
-    }
-}
-
 bool
 Solver::litRedundant(Lit l, std::uint32_t ab_levels)
 {
@@ -923,7 +894,8 @@ Solver::cancelUntil(int target_level)
         const Var v = trail[i - 1].var();
         assigns[v] = LBool::Undef;
         reasons[v] = Reason();
-        order->insert(v);
+        if (decisionVar[v])
+            order->insert(v);
     }
     trail.resize(trailLim[target_level]);
     trailLim.resize(target_level);
@@ -937,13 +909,13 @@ Solver::pickBranchLit()
         while (!order->empty()) {
             // Peek by removing; re-inserted on backtrack.
             const Var v = order->removeMax();
-            if (assigns[v] == LBool::Undef)
+            if (assigns[v] == LBool::Undef && decisionVar[v])
                 return mkLit(v, !polarity[v]);
         }
         return kUndefLit;
     }
     for (Var v = 0; v < numVars(); ++v) {
-        if (assigns[v] == LBool::Undef)
+        if (assigns[v] == LBool::Undef && decisionVar[v])
             return mkLit(v, !polarity[v]);
     }
     return kUndefLit;
@@ -1126,9 +1098,9 @@ Solver::search(std::int64_t conflict_limit)
             }
             varDecayActivity();
             claDecayActivity();
-            if (cfg.conflictBudget >= 0 &&
+            if (callConflictLimit >= 0 &&
                 statistics.conflicts - conflictsAtCallStart >=
-                    cfg.conflictBudget)
+                    callConflictLimit)
                 return SolveResult::Unknown;
         } else {
             if (conflict_limit >= 0 && conflicts_here >= conflict_limit) {
@@ -1142,10 +1114,9 @@ Solver::search(std::int64_t conflict_limit)
             if (learntClauses.size() >
                 problemClauses.size() / 3 + 3000 + trail.size())
                 reduceDb();
-            // Extend the assumption prefix before free decisions: each
-            // assumption gets its own decision level, so conflict
-            // analysis can attribute an eventual Unsat to the precise
-            // subset of assumptions it used.
+            // Extend the assumption prefix before free decisions, one
+            // decision level per assumption; a false assumption means
+            // the assumptions clash with the database.
             Lit next = kUndefLit;
             while (decisionLevel() <
                    static_cast<int>(assumptions.size())) {
@@ -1155,7 +1126,6 @@ Solver::search(std::int64_t conflict_limit)
                     // level <-> assumption-index correspondence.
                     trailLim.push_back(static_cast<int>(trail.size()));
                 } else if (value(a) == LBool::False) {
-                    analyzeFinal(a);
                     return SolveResult::Unsat;
                 } else {
                     next = a;
@@ -1183,11 +1153,14 @@ Solver::solve()
 }
 
 SolveResult
-Solver::solve(const LitVec &assumps)
+Solver::solve(const LitVec &assumps, std::int64_t conflict_limit)
 {
     assumptions = assumps;
-    conflictCore.clear();
     conflictsAtCallStart = statistics.conflicts;
+    callConflictLimit = cfg.conflictBudget;
+    if (conflict_limit >= 0 &&
+        (callConflictLimit < 0 || conflict_limit < callConflictLimit))
+        callConflictLimit = conflict_limit;
     if (!okay)
         return SolveResult::Unsat;
     for (Lit a : assumptions) {
@@ -1253,9 +1226,9 @@ Solver::solve(const LitVec &assumps)
             cancelUntil(0);
             return result;
         }
-        if (cfg.conflictBudget >= 0 &&
+        if (callConflictLimit >= 0 &&
             statistics.conflicts - conflictsAtCallStart >=
-                cfg.conflictBudget) {
+                callConflictLimit) {
             cancelUntil(0);
             return SolveResult::Unknown;
         }

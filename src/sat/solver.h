@@ -128,9 +128,10 @@ struct SolverConfig
     bool preprocess = false;
     /**
      * Abort a solve() with Unknown after this many conflicts
-     * (-1 = unlimited).  The verifier's one conflict budget: every
-     * condition's solver is built from the session's lane.solver, so
-     * qborrow's --budget and the protocol's "budget" land here.
+     * (-1 = unlimited).  The verifier reads it as its one conflict
+     * budget PER CONDITION, split between the condition's sweep
+     * (sat/sweep.h) and its direct solve: qborrow's --budget and the
+     * protocol's "budget" land here.
      */
     std::int64_t conflictBudget = -1;
 
@@ -173,6 +174,15 @@ struct SolverStats
     std::int64_t removedClauses = 0;
     std::int64_t eliminatedVars = 0;
 
+    /** @name SAT sweeping (sat/sweep.h). @{ */
+    /** Conditions the sweeper decided (root folded to constant
+     *  false), so no direct solve ran. */
+    std::int64_t sweptConditions = 0;
+    /** Nodes the sweeper proved equal to an earlier node or to a
+     *  constant and merged. */
+    std::int64_t sweepMerges = 0;
+    /** @} */
+
     /** @name Clause-improvement / arena counters. @{ */
     /** Always 0; perfbench reads it until a bench-only change drops it. */
     std::int64_t inprocessRuns = 0;
@@ -210,6 +220,14 @@ class Solver
     /** Allocate a fresh variable. */
     Var newVar();
 
+    /**
+     * Exclude @p v from branching (or admit it again).  A variable the
+     * clauses determine from the decision variables - a Tseitin gate
+     * output - is assigned by propagation anyway; branching on the
+     * inputs alone makes a model cost one decision per input.
+     */
+    void setDecisionVar(Var v, bool decision);
+
     /** Current number of variables. */
     Var numVars() const { return static_cast<Var>(assigns.size()); }
 
@@ -232,22 +250,18 @@ class Solver
      * MiniSat-style).  Assumptions are enqueued as decisions, never as
      * clauses, so everything learnt during the call is a consequence of
      * the clause database alone and is retained for later calls: the
-     * solver stays usable (and warm) after any answer.
+     * solver stays usable (and warm) after any answer.  Unsat means
+     * the assumptions clash with the database (or the database is
+     * unsatisfiable on its own); no core is extracted.
      *
-     * On Unsat, failedAssumptions() holds the subset of @p assumptions
-     * the conflict actually used.  Bounded variable elimination is
-     * skipped for assumption-based solving (eliminated variables could
-     * appear in later assumptions or clauses).
+     * The call gives up with Unknown after @p conflict_limit conflicts
+     * (-1 = unlimited) or after SolverConfig::conflictBudget, whichever
+     * is smaller.  Bounded variable elimination is skipped for
+     * assumption-based solving (eliminated variables could appear in
+     * later assumptions or clauses).
      */
-    SolveResult solve(const LitVec &assumptions);
-
-    /**
-     * After solve(assumptions) returned Unsat: the subset of the
-     * assumption literals whose conjunction is already unsatisfiable
-     * with the clause database (the "final conflict").  Empty when the
-     * database is unsatisfiable on its own.
-     */
-    const LitVec &failedAssumptions() const { return conflictCore; }
+    SolveResult solve(const LitVec &assumptions,
+                      std::int64_t conflict_limit = -1);
 
     /** Model value of @p v after a Sat answer. */
     LBool modelValue(Var v) const;
@@ -321,7 +335,6 @@ class Solver
     Clause &reasonClause(Var v);
     void analyze(ClauseRef conflict, LitVec &out_learnt,
                  int &out_btlevel, unsigned &out_lbd);
-    void analyzeFinal(Lit failed);
     bool litRedundant(Lit l, std::uint32_t ab_levels);
     void otfStrengthen();
     void strengthenInPlace(ClauseRef cr, Lit l);
@@ -359,6 +372,7 @@ class Solver
     std::vector<bool> polarity;
     std::vector<double> activity;
     std::vector<char> seen;
+    std::vector<char> decisionVar; ///< 0 = never branched on
 
     std::vector<Lit> trail;
     std::vector<int> trailLim;
@@ -389,10 +403,12 @@ class Solver
     Lit binConflict[2] = {kUndefLit, kUndefLit};
 
     LitVec assumptions;  ///< active assumptions of the current call
-    LitVec conflictCore; ///< failed assumptions of the last Unsat
     /** statistics.conflicts at entry of the current solve() call;
-     *  makes the conflict budget per-call for incremental use. */
+     *  makes the conflict limit per-call for incremental use. */
     std::int64_t conflictsAtCallStart = 0;
+    /** Conflicts the current call may spend (-1 = unlimited): the
+     *  smaller of its own limit and cfg.conflictBudget. */
+    std::int64_t callConflictLimit = -1;
     const std::atomic<bool> *stopFlag = nullptr;
 
     std::vector<LBool> model;

@@ -203,7 +203,7 @@ TEST(SolverAssumptions, SatUnderAssumptionsRespectsThem)
     EXPECT_EQ(LBool::False, s.modelValue(1));
 }
 
-TEST(SolverAssumptions, UnsatCoreAndReusableAfterwards)
+TEST(SolverAssumptions, UnsatAndReusableAfterwards)
 {
     Solver s;
     // a -> b, a -> ~b: assuming a is contradictory, but the clause
@@ -211,8 +211,6 @@ TEST(SolverAssumptions, UnsatCoreAndReusableAfterwards)
     s.addClause({~mkLit(0), mkLit(1)});
     s.addClause({~mkLit(0), ~mkLit(1)});
     EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(0)}));
-    ASSERT_EQ(1u, s.failedAssumptions().size());
-    EXPECT_EQ(mkLit(0), s.failedAssumptions()[0]);
     // The solver stays usable: without the assumption it is Sat ...
     EXPECT_EQ(SolveResult::Sat, s.solve());
     EXPECT_EQ(LBool::False, s.modelValue(0));
@@ -222,30 +220,14 @@ TEST(SolverAssumptions, UnsatCoreAndReusableAfterwards)
     EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(0)}));
 }
 
-TEST(SolverAssumptions, CoreExcludesIrrelevantAssumptions)
-{
-    Solver s;
-    s.addClause({~mkLit(0), ~mkLit(1)}); // x0 and x1 conflict
-    s.addClause({mkLit(2), mkLit(3)});   // x2/x3 unrelated
-    EXPECT_EQ(SolveResult::Unsat,
-              s.solve({mkLit(0), mkLit(1), mkLit(2)}));
-    const LitVec &core = s.failedAssumptions();
-    EXPECT_FALSE(core.empty());
-    for (Lit l : core) {
-        EXPECT_TRUE(l == mkLit(0) || l == mkLit(1))
-            << "core must only mention the conflicting assumptions";
-    }
-}
-
 TEST(SolverAssumptions, ContradictoryAssumptionPair)
 {
     Solver s;
     s.addClause({mkLit(0), mkLit(1)});
     EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(2), ~mkLit(2)}));
-    const LitVec &core = s.failedAssumptions();
-    ASSERT_EQ(2u, core.size());
-    EXPECT_TRUE((core[0] == mkLit(2) && core[1] == ~mkLit(2)) ||
-                (core[0] == ~mkLit(2) && core[1] == mkLit(2)));
+    // Neither assumption alone clashes with the database.
+    EXPECT_EQ(SolveResult::Sat, s.solve({mkLit(2)}));
+    EXPECT_EQ(SolveResult::Sat, s.solve({~mkLit(2)}));
 }
 
 TEST(SolverAssumptions, RootLevelFalsifiedAssumption)
@@ -253,8 +235,7 @@ TEST(SolverAssumptions, RootLevelFalsifiedAssumption)
     Solver s;
     s.addClause({mkLit(0)}); // unit: x0 true at the root
     EXPECT_EQ(SolveResult::Unsat, s.solve({~mkLit(0)}));
-    ASSERT_EQ(1u, s.failedAssumptions().size());
-    EXPECT_EQ(~mkLit(0), s.failedAssumptions()[0]);
+    EXPECT_EQ(SolveResult::Sat, s.solve({mkLit(0)}));
 }
 
 TEST(SolverAssumptions, AssumptionOnFreshVariable)
@@ -264,18 +245,6 @@ TEST(SolverAssumptions, AssumptionOnFreshVariable)
     // Variable 7 is created on demand and is unconstrained.
     EXPECT_EQ(SolveResult::Sat, s.solve({mkLit(7)}));
     EXPECT_EQ(LBool::True, s.modelValue(7));
-}
-
-TEST(SolverAssumptions, GloballyUnsatDatabaseGivesEmptyCore)
-{
-    Solver s;
-    s.addClause({mkLit(0), mkLit(1)});
-    s.addClause({mkLit(0), ~mkLit(1)});
-    s.addClause({~mkLit(0), mkLit(1)});
-    s.addClause({~mkLit(0), ~mkLit(1)});
-    EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(2)}));
-    EXPECT_TRUE(s.failedAssumptions().empty())
-        << "an inherently unsat database implicates no assumption";
 }
 
 TEST(SolverAssumptions, ConflictBudgetIsPerCall)
@@ -310,8 +279,6 @@ TEST(SolverAssumptions, SelectorStyleIncrementalUse)
     // Condition 2 (selector s2): y - satisfiable.
     s.addClause({~s2, y});
     EXPECT_EQ(SolveResult::Unsat, s.solve({s1}));
-    ASSERT_EQ(1u, s.failedAssumptions().size());
-    EXPECT_EQ(s1, s.failedAssumptions()[0]);
     EXPECT_EQ(SolveResult::Sat, s.solve({s2}));
     EXPECT_EQ(LBool::True, s.modelValue(y.var()));
     EXPECT_EQ(SolveResult::Sat, s.solve());
@@ -331,7 +298,6 @@ TEST(SolverAssumptions, SoundAfterPreprocessingEliminatedVars)
     EXPECT_EQ(SolveResult::Sat, s.solve());
     // x2 implies x0, so {x2, ~x0} is unsatisfiable.
     EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(2), ~mkLit(0)}));
-    EXPECT_FALSE(s.failedAssumptions().empty());
     // And a satisfiable assumption set gets a model respecting it.
     EXPECT_EQ(SolveResult::Sat, s.solve({mkLit(0), mkLit(1)}));
     EXPECT_EQ(LBool::True, s.modelValue(2));
@@ -470,17 +436,7 @@ TEST_P(SatProperty, AssumptionsAgreeWithBruteForce)
         EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
                   got)
             << "round " << round;
-        if (got == SolveResult::Unsat) {
-            // Every core literal is one of the assumptions, and the
-            // core alone already clashes with the clause database.
-            for (Lit l : solver.failedAssumptions()) {
-                EXPECT_NE(assumptions.end(),
-                          std::find(assumptions.begin(),
-                                    assumptions.end(), l));
-            }
-            EXPECT_FALSE(bruteForceSatWithAssumptions(
-                cnf, solver.failedAssumptions()));
-        } else {
+        if (got == SolveResult::Sat) {
             std::vector<LBool> assign(cnf.numVars());
             for (Var v = 0; v < cnf.numVars(); ++v)
                 assign[v] = solver.modelValue(v);
@@ -537,8 +493,8 @@ TEST_P(SatProperty, ClauseExchangeNeverChangesVerdicts)
     // Clauses one solver derives are implied by the shared formula, so
     // handing them to a differently configured solver over the same
     // formula can prune its search but never change its verdict.  The
-    // derived clauses are the negated failed-assumption cores of
-    // solver a's Unsat assumption calls.
+    // derived clauses are the negated assumption sets of solver a's
+    // Unsat assumption calls.
     Rng rng(GetParam() + 13000);
     const Cnf cnf = randomCnf(rng, 8, 34, 3);
     const bool expected = bruteForceSat(cnf);
@@ -556,7 +512,7 @@ TEST_P(SatProperty, ClauseExchangeNeverChangesVerdicts)
         if (a.solve(assumptions) != SolveResult::Unsat)
             continue;
         LitVec derived;
-        for (const Lit l : a.failedAssumptions())
+        for (const Lit l : assumptions)
             derived.push_back(~l);
         if (derived.empty())
             break; // a refuted the formula itself

@@ -1461,7 +1461,9 @@ TEST(Server, CancelledProgramResubmitsCleanly)
     server.start();
 
     TestClient client(server.socketPath());
-    const std::string source = circuits::adderQbrSource(32);
+    // Big enough that the cancel lands while the program still runs:
+    // SAT sweeping decides an n = 32 adder before the cancel arrives.
+    const std::string source = circuits::adderQbrSource(96);
     client.send(verifyRequestLine(1, source));
     // Wait until the request is running, then cancel mid-program.
     while (true) {
@@ -1723,8 +1725,11 @@ TEST(CancelSource, PreCancelledSourceSettlesImmediately)
 
 TEST(CancelSource, CancelDuringBatchLeavesTailUndecided)
 {
+    // Big enough that the single worker is still busy when the first
+    // result streams: SAT sweeping settles an n = 24 adder's queries
+    // while the conditions of its last qubits are still being built.
     const auto program =
-        lang::elaborateSource(circuits::adderQbrSource(24));
+        lang::elaborateSource(circuits::adderQbrSource(64));
     auto scheduler = std::make_shared<core::Scheduler>(1u);
     auto cancel = std::make_shared<core::CancelSource>();
     std::atomic<int> streamed{0};

@@ -84,8 +84,9 @@ usage(const char *argv0)
         "  --quiet           only print the summary line\n"
         "  --dump-circuit    print the elaborated gate list\n"
         "  --no-cex          skip counterexample extraction\n"
-        "  --budget N        conflict budget per SAT call (-1 =\n"
-        "                    unlimited, the default)\n"
+        "  --budget N        conflict budget per condition, sweep\n"
+        "                    and solve together (-1 = unlimited,\n"
+        "                    the default)\n"
         "\n"
         "server mode (--serve / --serve-tcp):\n"
         "  --serve PATH      run as a daemon on Unix socket PATH;\n"
