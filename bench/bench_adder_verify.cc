@@ -2,7 +2,7 @@
  * @file
  * Experiment E2 - Figure 6.3 / Table 10.2 of the paper: verification
  * time of the adder program (adder.qbr) for n in {50, 75, ..., 200},
- * with the two solver presets standing in for CVC5 and Bitwuzla.
+ * with the in-tree solver standing in for CVC5 and Bitwuzla.
  *
  * Each run performs the complete pipeline the paper times: generate
  * the program text, parse, elaborate, build the (6.1)/(6.2) formulas
@@ -10,16 +10,13 @@
  * solveSeconds counter isolates the solver portion, which is what the
  * paper's tables report.
  *
- * Two execution modes are compared per lane:
+ * Two execution modes are compared:
  *   - OneShot: a fresh session (arena + Tseitin + solver) per dirty
  *     qubit, reproducing the seed verifyQubit loop;
  *   - Engine: one VerificationEngine session shared by all dirty
  *     qubits (they are borrowed together, so their lifetimes
  *     coincide): one arena and one formula build, with every
  *     condition decided in its own solver as an unordered pool task.
- *
- * Lane B's preprocessing preset wins this family (the paper's lane
- * crossover).
  *
  * Paper reference (MacBook Air M3): CVC5 4/24/71/171/365/751/1069 s,
  * Bitwuzla 3/12/29/98/158/248/313 s for n = 50..200.  Absolute times
@@ -101,11 +98,10 @@ reportCounters(benchmark::State &state,
 }
 
 void
-runAdderOneShot(benchmark::State &state,
-                const qb::core::VerifierOptions &lane)
+AdderVerifyOneShot(benchmark::State &state)
 {
     const auto n = static_cast<std::uint32_t>(state.range(0));
-    qb::core::VerifierOptions options = lane;
+    qb::core::VerifierOptions options;
     options.wantCounterexample = false;
     qb::core::ProgramResult result;
     for (auto _ : state) {
@@ -137,65 +133,34 @@ runAdderEngine(benchmark::State &state,
 }
 
 void
-AdderVerifyOneShotLaneA(benchmark::State &state)
+AdderVerifyEngine(benchmark::State &state)
 {
-    runAdderOneShot(state, qb::core::VerifierOptions::laneA());
+    runAdderEngine(state, qb::core::EngineOptions{});
 }
 
 void
-AdderVerifyOneShotLaneB(benchmark::State &state)
+AdderVerifyEngineNoAnalysis(benchmark::State &state)
 {
-    runAdderOneShot(state, qb::core::VerifierOptions::laneB());
-}
-
-void
-AdderVerifyEngineLaneA(benchmark::State &state)
-{
-    runAdderEngine(state,
-                   qb::core::EngineOptions::singleLane(
-                       qb::core::VerifierOptions::laneA()));
-}
-
-void
-AdderVerifyEngineLaneB(benchmark::State &state)
-{
-    runAdderEngine(state,
-                   qb::core::EngineOptions::singleLane(
-                       qb::core::VerifierOptions::laneB()));
-}
-
-void
-AdderVerifyEngineLaneBNoAnalysis(benchmark::State &state)
-{
-    // SAT-only baseline of the default lane.  The adder's conditions
-    // are genuinely non-trivial (no mirror, wide cones), so
-    // analysis_discharged is 0 either way and the pair measures the
-    // pure overhead of consulting the dischargers before SAT.
-    qb::core::EngineOptions options = qb::core::EngineOptions::
-        singleLane(qb::core::VerifierOptions::laneB());
+    // SAT-only twin.  The adder's conditions are genuinely
+    // non-trivial (no mirror, wide cones), so analysis_discharged is
+    // 0 either way and the pair measures the pure overhead of
+    // consulting the dischargers before SAT.
+    qb::core::EngineOptions options;
     options.analysis = qb::analysis::AnalysisOptions::none();
     runAdderEngine(state, options);
 }
 
 } // namespace
 
-BENCHMARK(AdderVerifyOneShotLaneA)
+BENCHMARK(AdderVerifyOneShot)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(AdderVerifyOneShotLaneB)
+BENCHMARK(AdderVerifyEngine)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(AdderVerifyEngineLaneA)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEngineLaneB)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEngineLaneBNoAnalysis)
+BENCHMARK(AdderVerifyEngineNoAnalysis)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

@@ -2,7 +2,7 @@
  * @file
  * Experiment E3 - Figure 6.4 / Table 10.3 of the paper: verification
  * time of the MCX program (mcx.qbr) for control counts
- * n = 2m-1 in {499, 999, ..., 3499}, with both solver presets.
+ * n = 2m-1 in {499, 999, ..., 3499}.
  *
  * The benchmark verifies the single dirty ancilla of the
  * (2m-1)-controlled NOT over its borrow...release lifetime, running
@@ -14,9 +14,9 @@
  * frontend+build phases).
  *
  * Paper reference (MacBook Air M3): CVC5 0/1/4/7/11/17/27 s,
- * Bitwuzla 3/16/35/61/115/163/239 s for n = 499..3499.  Note the
- * solver crossover relative to the adder benchmark: the solver that
- * wins there loses here, which our two presets reproduce.
+ * Bitwuzla 3/16/35/61/115/163/239 s for n = 499..3499.  The paper's
+ * two solvers trade places between this family and the adder; the
+ * in-tree solver runs one configuration on both.
  *
  * Static condition dischargers (PR 7): every variant now reports an
  * analysis_discharged counter, a NoAnalysis twin pins the SAT-only
@@ -132,48 +132,23 @@ runMcxVerify(benchmark::State &state,
 }
 
 void
-McxVerifyOneShotLaneA(benchmark::State &state)
+McxVerifyOneShot(benchmark::State &state)
 {
-    runMcxVerify(state,
-                 qb::core::EngineOptions::singleLane(
-                     qb::core::VerifierOptions::laneA()),
-                 true);
+    runMcxVerify(state, qb::core::EngineOptions{}, true);
 }
 
 void
-McxVerifyOneShotLaneB(benchmark::State &state)
+McxVerifyEngine(benchmark::State &state)
 {
-    runMcxVerify(state,
-                 qb::core::EngineOptions::singleLane(
-                     qb::core::VerifierOptions::laneB()),
-                 true);
+    runMcxVerify(state, qb::core::EngineOptions{}, false);
 }
 
 void
-McxVerifyEngineLaneA(benchmark::State &state)
+McxVerifyEngineNoAnalysis(benchmark::State &state)
 {
-    runMcxVerify(state,
-                 qb::core::EngineOptions::singleLane(
-                     qb::core::VerifierOptions::laneA()),
-                 false);
-}
-
-void
-McxVerifyEngineLaneB(benchmark::State &state)
-{
-    runMcxVerify(state,
-                 qb::core::EngineOptions::singleLane(
-                     qb::core::VerifierOptions::laneB()),
-                 false);
-}
-
-void
-McxVerifyEngineLaneBNoAnalysis(benchmark::State &state)
-{
-    // SAT-only baseline of the default lane: the on/off pair bounds
-    // what the dischargers buy (or cost) on this family.
-    qb::core::EngineOptions options = qb::core::EngineOptions::
-        singleLane(qb::core::VerifierOptions::laneB());
+    // SAT-only twin: the on/off pair bounds what the dischargers buy
+    // (or cost) on this family.
+    qb::core::EngineOptions options;
     options.analysis = qb::analysis::AnalysisOptions::none();
     runMcxVerify(state, options, false);
 }
@@ -182,13 +157,11 @@ void
 McxVerifyEngineBinaryHeavy(benchmark::State &state)
 {
     // The dressed mcx program (circuits::binaryHeavyMcxQbrSource) on
-    // the preprocessing lane: equivalence cycles and redundant binary
+    // the default configuration: equivalence cycles and redundant binary
     // implications keep the solver's binary watch lists busy, and the
     // CI crash gate runs it.
-    runMcxVerify(state,
-                 qb::core::EngineOptions::singleLane(
-                     qb::core::VerifierOptions::laneB()),
-                 false, McxProgram::BinaryHeavy);
+    runMcxVerify(state, qb::core::EngineOptions{}, false,
+                 McxProgram::BinaryHeavy);
 }
 
 void
@@ -235,23 +208,15 @@ WideLinearMirrorVerifyEngineNoAnalysis(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK(McxVerifyOneShotLaneA)
+BENCHMARK(McxVerifyOneShot)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(McxVerifyOneShotLaneB)
+BENCHMARK(McxVerifyEngine)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(McxVerifyEngineLaneA)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEngineLaneB)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEngineLaneBNoAnalysis)
+BENCHMARK(McxVerifyEngineNoAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

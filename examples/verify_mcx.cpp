@@ -2,8 +2,7 @@
  * @file
  * Full pipeline on the paper's MCX benchmark (Section 10.4): generate
  * mcx.qbr for a chosen m, parse, elaborate, and verify the single
- * dirty ancilla of the (2m-1)-controlled NOT, with both solver
- * presets.
+ * dirty ancilla of the (2m-1)-controlled NOT.
  *
  * Usage: verify_mcx [m]        (default m = 250; the paper's file
  *                               uses m = 1750)
@@ -38,22 +37,15 @@ main(int argc, char **argv)
                 program.circuit.numQubits(), program.circuit.size(),
                 frontend.seconds());
 
-    for (const char *name : {"baseline", "simplify"}) {
-        qb::core::VerifierOptions options;
-        options.solver = std::string(name) == "baseline"
-            ? qb::sat::SolverConfig::baseline()
-            : qb::sat::SolverConfig::simplify();
-        options.wantCounterexample = false;
-        const auto result = qb::core::verifyAll(
-            program, qb::core::EngineOptions::singleLane(options));
-        const auto &r = result.qubits.at(0);
-        std::printf("%-9s: %s -> %s (build %.3f s, solve %.3f s, "
-                    "%zu formula nodes)\n",
-                    name, r.name.c_str(),
-                    qb::core::verdictName(r.verdict), r.buildSeconds,
-                    r.solveSeconds, r.formulaNodes);
-        if (r.verdict != qb::core::Verdict::Safe)
-            return 1;
-    }
+    qb::core::EngineOptions options;
+    options.lane.wantCounterexample = false;
+    const auto result = qb::core::verifyAll(program, options);
+    const auto &r = result.qubits.at(0);
+    std::printf("%s -> %s (build %.3f s, solve %.3f s, "
+                "%zu formula nodes)\n",
+                r.name.c_str(), qb::core::verdictName(r.verdict),
+                r.buildSeconds, r.solveSeconds, r.formulaNodes);
+    if (r.verdict != qb::core::Verdict::Safe)
+        return 1;
     return 0;
 }

@@ -7,18 +7,11 @@
 
 #include "core/formula_builder.h"
 #include "sat/sweep.h"
+#include "sat/tseitin.h"
 #include "support/logging.h"
 #include "support/timer.h"
 
 namespace qb::core {
-
-EngineOptions
-EngineOptions::singleLane(const VerifierOptions &options)
-{
-    EngineOptions o;
-    o.lane = options;
-    return o;
-}
 
 namespace {
 
@@ -295,7 +288,7 @@ VerificationEngine::decide(Query &query)
     // Simulate -> sweep -> direct solve.  The sweeper settles the
     // conditions whose root it can fold to constant false; every
     // other condition is Tseitin-encoded into a dedicated solver, so
-    // the presets' whole-database preprocessing (bounded variable
+    // the solver's whole-database preprocessing (bounded variable
     // elimination) applies and independent conditions run on any
     // free worker.  Both share one conflict budget.
     Outcome out;
@@ -304,8 +297,7 @@ VerificationEngine::decide(Query &query)
     const sat::SolverConfig &config = options_.lane.solver;
     Timer sweep_timer;
     const sat::SweepResult swept = sat::sweep(
-        arena, query.condition, config, config.conflictBudget,
-        &query.stop);
+        arena, query.condition, config.conflictBudget, &query.stop);
     out.solveSeconds = sweep_timer.seconds();
     out.vars = swept.vars;
     out.clauses = swept.clauses;
@@ -324,9 +316,7 @@ VerificationEngine::decide(Query &query)
             return out; // the sweep spent the whole budget: Unknown
     }
     Timer encode_timer;
-    sat::TseitinResult enc = sat::encodeAssertTrue(
-        arena, query.condition, options_.lane.encoding,
-        options_.lane.xorChunk);
+    sat::TseitinResult enc = sat::encodeAssertTrue(arena, query.condition);
     out.encodeSeconds = encode_timer.seconds();
     qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
     out.vars += static_cast<std::size_t>(enc.cnf.numVars());

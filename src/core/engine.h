@@ -16,9 +16,9 @@
  *     (6.1), no (6.2)).  Nothing is cached per qubit: the arena is
  *     hash-consed, so preparing a qubit again yields the same
  *     conditions;
- *   - ONE lane preset deciding every condition: each condition is
- *     SAT-swept (sat/sweep.h) and, unless the sweep folds it to
- *     constant false, Tseitin-encoded into its own fresh solver, so
+ *   - ONE solver configuration deciding every condition: each
+ *     condition is SAT-swept (sat/sweep.h) and, unless the sweep folds
+ *     it to constant false, Tseitin-encoded into its own fresh solver, so
  *     the solver's whole-database preprocessing (bounded variable
  *     elimination) applies and independent conditions never wait on
  *     each other.
@@ -55,20 +55,18 @@ namespace qb::core {
 struct EngineOptions
 {
     /**
-     * The lane preset deciding every SAT query of the session: each
-     * condition is swept, and what the sweep leaves is encoded into a
-     * fresh solver built from lane.solver; each condition runs as an
+     * How every SAT query of the session is decided: each condition
+     * is swept, and what the sweep leaves is encoded into a fresh
+     * solver built from lane.solver; each condition runs as an
      * unordered pool task, so a program's independent conditions
-     * fill every worker.
+     * fill every worker.  (The name survives from when sessions had
+     * a choice of presets; the report's "lane" key keeps it too.)
      *
-     * The default is lane B, whose preset preprocesses (bounded
-     * variable elimination) at solve entry.  This is the one place
-     * the default lane is declared: the qborrow CLI and the daemon
-     * take it from here.  lane.solver.conflictBudget is the
-     * per-condition conflict budget (the CLI's --budget), shared by
-     * the condition's sweep and its direct solve.
+     * lane.solver.conflictBudget is the per-condition conflict
+     * budget (the CLI's --budget), shared by the condition's sweep
+     * and its direct solve.
      */
-    VerifierOptions lane = VerifierOptions::laneB();
+    VerifierOptions lane;
 
     /**
      * Worker threads in the scheduler pool backing this session;
@@ -101,9 +99,6 @@ struct EngineOptions
      * tier folds these knobs into its options fingerprint.
      */
     analysis::AnalysisOptions analysis;
-
-    /** Session deciding every query with @p options. */
-    static EngineOptions singleLane(const VerifierOptions &options);
 };
 
 /** Streaming consumer of per-qubit results (batch verification). */

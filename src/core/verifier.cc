@@ -17,40 +17,31 @@ verdictName(Verdict verdict)
     return "?";
 }
 
-VerifierOptions
-VerifierOptions::laneA()
+namespace {
+
+EngineOptions
+sessionOptions(const VerifierOptions &options)
 {
-    VerifierOptions o;
-    o.solver = sat::SolverConfig::baseline();
-    o.encoding = sat::TseitinMode::PlaistedGreenbaum;
-    o.xorChunk = 4;
+    EngineOptions o;
+    o.lane = options;
     return o;
 }
 
-VerifierOptions
-VerifierOptions::laneB()
-{
-    VerifierOptions o;
-    o.solver = sat::SolverConfig::simplify();
-    o.encoding = sat::TseitinMode::Full;
-    o.xorChunk = 2;
-    return o;
-}
+} // namespace
 
 // The free functions below are the original one-shot API, kept as the
 // compatibility surface.  Each one is a thin wrapper that spins up a
-// single-lane VerificationEngine session for exactly one qubit; code
-// with more than one qubit to verify should hold on to an engine
-// instead and let it reuse the arena and the circuit's formulas
-// across qubits (see core/engine.h).  Every condition is decided in
-// its own solver either way.
+// VerificationEngine session for exactly one qubit; code with more
+// than one qubit to verify should hold on to an engine instead and let
+// it reuse the arena and the circuit's formulas across qubits (see
+// core/engine.h).  Every condition is decided in its own solver either
+// way.
 
 QubitResult
 verifyQubit(const ir::Circuit &circuit, ir::QubitId q,
             const VerifierOptions &options)
 {
-    VerificationEngine engine(circuit,
-                              EngineOptions::singleLane(options));
+    VerificationEngine engine(circuit, sessionOptions(options));
     return engine.verify(q);
 }
 
@@ -84,8 +75,7 @@ QubitResult
 verifyCleanAncilla(const ir::Circuit &circuit, ir::QubitId q,
                    const VerifierOptions &options)
 {
-    VerificationEngine engine(circuit,
-                              EngineOptions::singleLane(options));
+    VerificationEngine engine(circuit, sessionOptions(options));
     return engine.verifyCleanAncilla(q);
 }
 
@@ -94,7 +84,7 @@ verifyProgram(const lang::ElaboratedProgram &program,
               const VerifierOptions &options,
               bool check_clean_ancillas)
 {
-    return verifyAll(program, EngineOptions::singleLane(options), {},
+    return verifyAll(program, sessionOptions(options), {},
                      check_clean_ancillas);
 }
 

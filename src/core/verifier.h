@@ -11,8 +11,9 @@
  *
  * are unsatisfiable (Theorem 6.4).  Formula construction is the linear
  * scan of formula_builder.h; discharge goes through the Tseitin encoder
- * and the in-tree CDCL solver.  The two SolverConfig presets reproduce
- * the paper's CVC5-vs-Bitwuzla comparison.
+ * and the in-tree CDCL solver, in the one configuration every path
+ * shares (sat/solver.h), where the paper hands them to CVC5 or
+ * Bitwuzla.
  */
 
 #ifndef QB_CORE_VERIFIER_H
@@ -25,7 +26,6 @@
 #include "ir/circuit.h"
 #include "lang/elaborate.h"
 #include "sat/solver.h"
-#include "sat/tseitin.h"
 
 namespace qb::core {
 
@@ -49,22 +49,11 @@ enum class FailedCondition {
 /** Options controlling one verification run. */
 struct VerifierOptions
 {
-    sat::SolverConfig solver = sat::SolverConfig::baseline();
-    sat::TseitinMode encoding = sat::TseitinMode::Full;
-    /** Maximum arity of directly-expanded XOR definitions. */
-    unsigned xorChunk = 4;
+    /** Direct-solve configuration; its conflictBudget is the
+     *  per-condition budget. */
+    sat::SolverConfig solver;
     /** Extract a satisfying input assignment on Unsafe verdicts. */
     bool wantCounterexample = true;
-
-    /**
-     * The two verification lanes used throughout the benchmarks,
-     * standing in for the paper's CVC5 / Bitwuzla pairing.  Like the
-     * paper's solvers they trade places across benchmark families
-     * ("due to differences in ... solving strategies and formula
-     * simplification algorithms", Section 6.2).
-     */
-    static VerifierOptions laneA();
-    static VerifierOptions laneB();
 
     bool operator==(const VerifierOptions &) const = default;
 };

@@ -81,7 +81,8 @@ class Cnf
  * This is the independent Sat-verdict cross-check: the fuzz harness
  * (support/fuzz.h) runs it after every Sat answer, qbsat runs it
  * before printing a model, and the sat_test property suites assert
- * it over random formulas for both solver presets.
+ * it over random formulas with and without bounded variable
+ * elimination.
  */
 bool validateModel(const std::vector<LitVec> &clauses,
                    const std::vector<LBool> &model,

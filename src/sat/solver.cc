@@ -16,34 +16,17 @@ namespace {
 
 /** Per-conflict clause activity decay factor. */
 constexpr double kClauseDecay = 0.999;
+/** Per-conflict variable activity decay factor: a strong recency
+ *  bias. */
+constexpr double kVarDecay = 0.75;
+/** Luby restart unit, in conflicts: long runs between restarts. */
+constexpr std::int64_t kRestartBase = 2000;
+/** Polarity of a variable before any phase has been saved. */
+constexpr bool kInitialPhase = true;
 /** On-the-fly strengthening candidates remembered per conflict. */
 constexpr std::size_t kOtfMaxAntecedents = 32;
 
 } // namespace
-
-SolverConfig
-SolverConfig::baseline()
-{
-    SolverConfig cfg;
-    cfg.useVsids = true;
-    cfg.phaseSaving = true;
-    cfg.initialPhaseTrue = false;
-    cfg.preprocess = false;
-    return cfg;
-}
-
-SolverConfig
-SolverConfig::simplify()
-{
-    SolverConfig cfg;
-    cfg.useVsids = true;
-    cfg.phaseSaving = true;
-    cfg.initialPhaseTrue = true;
-    cfg.restartBase = 2000; // long runs before restarting
-    cfg.varDecay = 0.75;    // aggressive recency bias
-    cfg.preprocess = true;
-    return cfg;
-}
 
 void
 SolverStats::accumulate(const SolverStats &other)
@@ -216,7 +199,7 @@ Solver::newVar()
     assigns.push_back(LBool::Undef);
     levels.push_back(0);
     reasons.push_back(Reason());
-    polarity.push_back(cfg.initialPhaseTrue);
+    polarity.push_back(kInitialPhase);
     activity.push_back(0.0);
     seen.push_back(0);
     decisionVar.push_back(1);
@@ -511,8 +494,7 @@ Solver::uncheckedEnqueue(Lit l, Reason reason)
     assigns[l.var()] = lboolOf(!l.sign());
     levels[l.var()] = decisionLevel();
     reasons[l.var()] = reason;
-    if (cfg.phaseSaving)
-        polarity[l.var()] = !l.sign();
+    polarity[l.var()] = !l.sign();
     trail.push_back(l);
 }
 
@@ -710,7 +692,7 @@ Solver::analyze(ClauseRef conflict, LitVec &out_learnt, int &out_btlevel,
         // Remember (rc, pivot); search() strengthens the arena in
         // place once backtracking has unlocked the antecedent.
         // Binary reasons have nothing to strengthen.
-        if (cfg.otfSubsume && p != kUndefLit && rc != nullptr &&
+        if (p != kUndefLit && rc != nullptr &&
             rc->size() >= 3 &&
             otfCandidates.size() < kOtfMaxAntecedents) {
             const std::size_t resolvent =
@@ -905,16 +887,9 @@ Solver::cancelUntil(int target_level)
 Lit
 Solver::pickBranchLit()
 {
-    if (cfg.useVsids) {
-        while (!order->empty()) {
-            // Peek by removing; re-inserted on backtrack.
-            const Var v = order->removeMax();
-            if (assigns[v] == LBool::Undef && decisionVar[v])
-                return mkLit(v, !polarity[v]);
-        }
-        return kUndefLit;
-    }
-    for (Var v = 0; v < numVars(); ++v) {
+    while (!order->empty()) {
+        // Peek by removing; re-inserted on backtrack.
+        const Var v = order->removeMax();
         if (assigns[v] == LBool::Undef && decisionVar[v])
             return mkLit(v, !polarity[v]);
     }
@@ -936,7 +911,7 @@ Solver::varBumpActivity(Var v)
 void
 Solver::varDecayActivity()
 {
-    varInc /= cfg.varDecay;
+    varInc /= kVarDecay;
 }
 
 void
@@ -1074,8 +1049,7 @@ Solver::search(std::int64_t conflict_limit)
             // Learn-time clause improvement: strengthen antecedents
             // the fresh clause self-subsumes, now that backtracking
             // has unlocked them.
-            if (cfg.otfSubsume)
-                otfStrengthen();
+            otfStrengthen();
             if (learnt.size() == 1) {
                 uncheckedEnqueue(learnt[0], Reason());
             } else if (learnt.size() == 2) {
@@ -1196,7 +1170,7 @@ Solver::solve(const LitVec &assumps, std::int64_t conflict_limit)
     std::int64_t restart = 0;
     while (true) {
         const SolveResult result =
-            search(luby(restart) * cfg.restartBase);
+            search(luby(restart) * kRestartBase);
         if (result != SolveResult::Unknown) {
             if (result == SolveResult::Sat) {
                 // Extend the model over eliminated variables.

@@ -30,11 +30,13 @@
  * freshly learnt clause self-subsumes one of its antecedents, the
  * antecedent is strengthened in place at learn time.
  *
- * Two configuration presets (see SolverConfig::baseline() and
- * SolverConfig::simplify()) stand in for the two external solvers in the
- * paper's evaluation; they differ in preprocessing, branching and restart
- * strategy, and like the paper's pair they trade places across benchmark
- * families.
+ * Every verification path runs ONE configuration: EVSIDS branching
+ * with a per-conflict activity decay of 0.75, phase saving from an
+ * initial polarity of true, Luby restarts in units of 2,000 conflicts
+ * and learn-time OTF, all constants in solver.cc.  SolverConfig keeps
+ * only what a caller must be able to vary: bounded variable
+ * elimination (off for incremental and reference solvers) and the
+ * conflict budget.
  */
 
 #ifndef QB_SAT_SOLVER_H
@@ -107,25 +109,18 @@ class Reason
 };
 
 /**
- * Tunable solver parameters; see the preset factories.  Restarts
- * always follow the Luby sequence, the learnt database is always
- * reduced, and the clause activity decay and OTF candidate cap are
- * fixed (constants in solver.cc).
+ * What a caller may vary per solver.  The search itself (EVSIDS
+ * decay, initial and saved phases, Luby restart unit, OTF, clause
+ * activity decay) is fixed: constants in solver.cc.
  */
 struct SolverConfig
 {
-    /** Use EVSIDS activities (otherwise lowest-index branching). */
-    bool useVsids = true;
-    /** Remember and reuse the last assigned polarity per variable. */
-    bool phaseSaving = true;
-    /** Polarity used before any phase has been saved. */
-    bool initialPhaseTrue = false;
-    /** Per-conflict variable activity decay factor. */
-    double varDecay = 0.95;
-    /** Luby restart unit, in conflicts. */
-    std::int64_t restartBase = 100;
-    /** Apply bounded variable elimination before solving. */
-    bool preprocess = false;
+    /**
+     * Apply bounded variable elimination at the first assumption-free
+     * solve().  Off gives the reference solver the fuzz harness and
+     * the elimination tests compare against.
+     */
+    bool preprocess = true;
     /**
      * Abort a solve() with Unknown after this many conflicts
      * (-1 = unlimited).  The verifier reads it as its one conflict
@@ -135,23 +130,7 @@ struct SolverConfig
      */
     std::int64_t conflictBudget = -1;
 
-    /** @name Learn-time clause improvement. @{ */
-    /**
-     * On-the-fly self-subsumption: during conflict analysis, when
-     * the running resolvent turns out to equal an antecedent minus
-     * its pivot literal (a constant-time size check per resolution
-     * step), that antecedent is strengthened in the arena right
-     * after backtracking (see Solver::otfStrengthen()).
-     */
-    bool otfSubsume = true;
-    /** @} */
-
     bool operator==(const SolverConfig &) const = default;
-
-    /** Plain CDCL: the paper's "CVC5 lane". */
-    static SolverConfig baseline();
-    /** Preprocessing-heavy CDCL: the paper's "Bitwuzla lane". */
-    static SolverConfig simplify();
 };
 
 /** Aggregate counters reported by the solver. */
@@ -211,7 +190,7 @@ struct SolverStats
 class Solver
 {
   public:
-    explicit Solver(SolverConfig config = SolverConfig::baseline());
+    explicit Solver(SolverConfig config = {});
     ~Solver();
 
     Solver(const Solver &) = delete;
@@ -427,7 +406,7 @@ class Solver
 
 /** One-shot convenience: decide a Cnf with the given configuration. */
 SolveResult solveCnf(const Cnf &cnf,
-                     SolverConfig config = SolverConfig::baseline(),
+                     SolverConfig config = {},
                      SolverStats *stats_out = nullptr);
 
 } // namespace qb::sat

@@ -147,8 +147,8 @@ class GateTable
 class Sweeper
 {
   public:
-    Sweeper(const Arena &arena, NodeRef root, const SolverConfig &config,
-            std::int64_t allowance, const std::atomic<bool> *stop);
+    Sweeper(const Arena &arena, NodeRef root, std::int64_t allowance,
+            const std::atomic<bool> *stop);
 
     SweepResult run();
 
@@ -210,15 +210,11 @@ class Sweeper
 };
 
 Sweeper::Sweeper(const Arena &arena_in, NodeRef root,
-                 const SolverConfig &config, std::int64_t allowance_in,
-                 const std::atomic<bool> *stop_in)
+                 std::int64_t allowance_in, const std::atomic<bool> *stop_in)
     : arena(arena_in), stop(stop_in), allowance(allowance_in),
-      solver([&config] {
-          SolverConfig cfg = config;
-          cfg.preprocess = false;
-          cfg.conflictBudget = -1; // every call carries its own limit
-          return cfg;
-      }()),
+      // Incremental use rules out elimination; every call carries
+      // its own conflict limit.
+      solver(SolverConfig{.preprocess = false, .conflictBudget = -1}),
       gates(0)
 {
     collectCone(root);
@@ -602,8 +598,7 @@ Sweeper::run()
 
 SweepResult
 sweep(const bexp::Arena &arena, bexp::NodeRef root,
-      const SolverConfig &config, std::int64_t conflict_allowance,
-      const std::atomic<bool> *stop)
+      std::int64_t conflict_allowance, const std::atomic<bool> *stop)
 {
     if (arena.isConst(root)) {
         SweepResult out;
@@ -613,7 +608,7 @@ sweep(const bexp::Arena &arena, bexp::NodeRef root,
         }
         return out;
     }
-    return Sweeper(arena, root, config, conflict_allowance, stop).run();
+    return Sweeper(arena, root, conflict_allowance, stop).run();
 }
 
 } // namespace qb::sat

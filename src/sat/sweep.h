@@ -59,15 +59,14 @@ struct SweepResult
  *
  * Reads @p arena only, so a worker may sweep while the arena's writer
  * interns newer nodes (the arena's single-writer contract).  The
- * sweeper's solver is built from @p config without bounded variable
- * elimination.  At most @p conflict_allowance conflicts are spent
+ * sweeper's solver runs without bounded variable elimination.  At
+ * most @p conflict_allowance conflicts are spent
  * (-1 = unlimited); candidate calls are further capped per call and
  * per cone size (constants in sweep.cc).  When @p stop is set the
  * sweep returns Unknown.  Deterministic: the same arguments give the
  * same result and counters.
  */
 SweepResult sweep(const bexp::Arena &arena, bexp::NodeRef root,
-                  const SolverConfig &config,
                   std::int64_t conflict_allowance,
                   const std::atomic<bool> *stop);
 

@@ -16,98 +16,45 @@ using bexp::NodeRef;
 struct Encoder
 {
     const Arena &arena;
-    TseitinMode mode;
-    unsigned xorChunk;
     TseitinResult result;
     std::unordered_map<NodeRef, Lit> litOf;
-    // Polarities under which each node is referenced (PG mode).
-    std::unordered_map<NodeRef, unsigned> polarity; // bit0 pos, bit1 neg
 
-    void computePolarities(NodeRef root);
     Lit encode(NodeRef root);
     Lit defineXorChain(const std::vector<Lit> &inputs);
-    void emitXorDefinition(Lit out, const std::vector<Lit> &inputs);
+    void emitXorDefinition(Lit out, Lit a, Lit b);
 };
 
-void
-Encoder::computePolarities(NodeRef root)
-{
-    std::vector<std::pair<NodeRef, unsigned>> stack{{root, 1u}};
-    while (!stack.empty()) {
-        auto [ref, pol] = stack.back();
-        stack.pop_back();
-        unsigned &cur = polarity[ref];
-        if ((cur & pol) == pol)
-            continue;
-        cur |= pol;
-        const NodeKind k = arena.kind(ref);
-        if (k == NodeKind::And) {
-            for (NodeRef c : arena.children(ref))
-                stack.emplace_back(c, pol);
-        } else if (k == NodeKind::Xor) {
-            // XOR is non-monotone: children occur in both polarities,
-            // except the pure-negation case which just flips.
-            const auto kids = arena.children(ref);
-            const bool negation =
-                kids.size() == 2 && kids[0] == bexp::kTrue;
-            for (NodeRef c : kids) {
-                if (c == bexp::kTrue)
-                    continue;
-                if (negation) {
-                    const unsigned flipped =
-                        ((pol & 1u) << 1) | ((pol >> 1) & 1u);
-                    stack.emplace_back(c, flipped);
-                } else {
-                    stack.emplace_back(c, 3u);
-                }
-            }
-        }
-    }
-}
-
 /**
- * Direct clausal expansion of out = xor(inputs): forbid every
- * odd-parity assignment of (out, inputs).
+ * Direct clausal expansion of out = a XOR b: forbid every odd-parity
+ * assignment of (out, a, b).
  */
 void
-Encoder::emitXorDefinition(Lit out, const std::vector<Lit> &inputs)
+Encoder::emitXorDefinition(Lit out, Lit a, Lit b)
 {
-    const std::size_t k = inputs.size();
-    qbAssert(k >= 1 && k <= 30, "XOR definition arity out of range");
-    std::vector<Lit> all;
-    all.push_back(out);
-    all.insert(all.end(), inputs.begin(), inputs.end());
-    const std::size_t n = all.size();
-    for (std::uint32_t a = 0; a < (1u << n); ++a) {
-        if (__builtin_popcount(a) % 2 == 0)
-            continue; // even parity satisfies out ^ xor(inputs) = 0
+    const Lit all[3] = {out, a, b};
+    for (std::uint32_t bits = 0; bits < 8; ++bits) {
+        if (__builtin_popcount(bits) % 2 == 0)
+            continue; // even parity satisfies out ^ a ^ b = 0
         LitVec clause;
-        clause.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const bool bit = (a >> i) & 1u;
+        clause.reserve(3);
+        for (std::size_t i = 0; i < 3; ++i) {
             // Literal false under the forbidden assignment.
-            clause.push_back(bit ? ~all[i] : all[i]);
+            clause.push_back((bits >> i) & 1u ? ~all[i] : all[i]);
         }
         result.cnf.addClause(std::move(clause));
     }
 }
 
+/** Fold @p inputs left to right into a chain of two-input XOR
+ *  definitions; the last output stands for the whole XOR. */
 Lit
 Encoder::defineXorChain(const std::vector<Lit> &inputs)
 {
     qbAssert(!inputs.empty(), "empty XOR chain");
-    if (inputs.size() == 1)
-        return inputs[0];
-    // A group below {acc, one input} cannot make progress.
-    const unsigned chunk = xorChunk < 2 ? 2 : xorChunk;
-    std::size_t pos = 0;
-    Lit acc = inputs[pos++];
-    while (pos < inputs.size()) {
-        std::vector<Lit> group{acc};
-        while (pos < inputs.size() && group.size() < chunk)
-            group.push_back(inputs[pos++]);
+    Lit acc = inputs[0];
+    for (std::size_t i = 1; i < inputs.size(); ++i) {
         const Lit out = mkLit(result.cnf.newVar());
-        emitXorDefinition(out, group);
+        emitXorDefinition(out, acc, inputs[i]);
         acc = out;
     }
     return acc;
@@ -161,21 +108,14 @@ Encoder::encode(NodeRef root)
             } else {
                 const Var v = result.cnf.newVar();
                 const Lit out = mkLit(v);
-                const unsigned pol = mode == TseitinMode::Full
-                    ? 3u
-                    : polarity[ref];
-                if (pol & 1u) {
-                    for (Lit l : kids)
-                        result.cnf.addBinary(~out, l);
-                }
-                if (pol & 2u) {
-                    LitVec clause;
-                    clause.reserve(kids.size() + 1);
-                    clause.push_back(out);
-                    for (Lit l : kids)
-                        clause.push_back(~l);
-                    result.cnf.addClause(std::move(clause));
-                }
+                for (Lit l : kids)
+                    result.cnf.addBinary(~out, l);
+                LitVec clause;
+                clause.reserve(kids.size() + 1);
+                clause.push_back(out);
+                for (Lit l : kids)
+                    clause.push_back(~l);
+                result.cnf.addClause(std::move(clause));
                 result.nodeVar.emplace(ref, v);
                 litOf.emplace(ref, out);
             }
@@ -189,17 +129,14 @@ Encoder::encode(NodeRef root)
 } // namespace
 
 TseitinResult
-encodeAssertTrue(const bexp::Arena &arena, bexp::NodeRef root,
-                 TseitinMode mode, unsigned xor_chunk)
+encodeAssertTrue(const bexp::Arena &arena, bexp::NodeRef root)
 {
-    Encoder enc{arena, mode, xor_chunk, {}, {}, {}};
+    Encoder enc{arena, {}, {}};
     if (arena.isConst(root)) {
         enc.result.rootIsConst = true;
         enc.result.rootConstValue = arena.constValue(root);
         return std::move(enc.result);
     }
-    if (mode == TseitinMode::PlaistedGreenbaum)
-        enc.computePolarities(root);
     const Lit root_lit = enc.encode(root);
     enc.result.cnf.addUnit(root_lit);
     return std::move(enc.result);

@@ -7,10 +7,9 @@
  * and (6.2) in the paper).  Each distinct DAG node gets one CNF variable;
  * sharing in the DAG therefore translates directly into a compact CNF.
  *
- * Two encodings are provided: the full biconditional encoding, and the
- * Plaisted-Greenbaum polarity-based encoding which emits only the clause
- * direction needed for satisfiability equivalence (roughly half the
- * clauses on verifier formulas).
+ * The encoding is the full biconditional one: both directions of
+ * every AND definition, and every k-ary XOR folded into a chain of
+ * k - 1 two-input XOR definitions (four clauses each).
  *
  * Every condition is encoded on its own into a self-contained CNF for
  * a fresh solver, so whole-database preprocessing stays sound.
@@ -25,12 +24,6 @@
 #include "sat/cnf.h"
 
 namespace qb::sat {
-
-/** Clause-emission strategy. */
-enum class TseitinMode {
-    Full,              ///< both directions of every definition
-    PlaistedGreenbaum, ///< polarity-guided one-sided definitions
-};
 
 /** Result of an encoding: the CNF plus variable maps. */
 struct TseitinResult
@@ -48,17 +41,9 @@ struct TseitinResult
     bool rootConstValue = false;
 };
 
-/**
- * Encode the assertion "root is true" into CNF.
- *
- * XOR nodes with more than @p xorChunk children are decomposed into a
- * chain of narrower XOR definitions before direct clausal expansion
- * (a k-ary XOR expands into 2^(k-1) clauses).
- */
+/** Encode the assertion "root is true" into CNF. */
 TseitinResult encodeAssertTrue(const bexp::Arena &arena,
-                               bexp::NodeRef root,
-                               TseitinMode mode = TseitinMode::Full,
-                               unsigned xorChunk = 4);
+                               bexp::NodeRef root);
 
 } // namespace qb::sat
 

@@ -367,8 +367,8 @@ parseOptions(const JsonValue *node)
         return options;
     if (node->kind() != JsonValue::Kind::Object)
         fatal("'options' must be an object");
-    // Solver lanes are not per-request: every condition is decided
-    // with the server's lane preset.
+    // There is one solver configuration: a request cannot choose a
+    // lane.
     if (node->find("lane"))
         fatal("options.lane is not supported: the server decides every "
               "request with its one lane");

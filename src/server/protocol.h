@@ -158,9 +158,8 @@ struct StatsSnapshot
 /**
  * Per-request verification options: the subset of EngineOptions a
  * client may choose per program.  Fields left at their defaults defer
- * to the server's command-line configuration (pool size, lane preset,
- * binary analysis and the static dischargers are server-wide and not
- * per-request).
+ * to the server's command-line configuration (pool size and the
+ * static dischargers are server-wide and not per-request).
  */
 struct RequestOptions
 {

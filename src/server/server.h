@@ -89,10 +89,10 @@ struct ServerOptions
     std::size_t resultCacheCapacity = 256;
 
     /**
-     * Per-request verification defaults (lane preset, budget,
-     * counterexamples, binary analysis).  A request's `options`
-     * object overrides the overridable subset per program; `jobs` is
-     * ignored here - the pool is sized by ServerOptions::jobs.
+     * Per-request verification defaults (budget, counterexamples,
+     * static analysis).  A request's `options` object overrides the
+     * overridable subset per program; `jobs` is ignored here - the
+     * pool is sized by ServerOptions::jobs.
      */
     core::EngineOptions engine;
 

@@ -33,14 +33,9 @@ ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
     const sat::SolverConfig &s = lane.solver;
     // Every field of VerifierOptions and SolverConfig; the
     // ServingTier fingerprint tests fail to compile when one is added.
-    key += format(
-        "enc%d.x%u.cb%lld.cex%d.vs%d.ph%d.p0%d.pre%d.otf%d.rb%lld.vd%.17g;",
-        static_cast<int>(lane.encoding), lane.xorChunk,
-        static_cast<long long>(s.conflictBudget),
-        lane.wantCounterexample ? 1 : 0, s.useVsids ? 1 : 0,
-        s.phaseSaving ? 1 : 0, s.initialPhaseTrue ? 1 : 0,
-        s.preprocess ? 1 : 0, s.otfSubsume ? 1 : 0,
-        static_cast<long long>(s.restartBase), s.varDecay);
+    key += format("cb%lld.cex%d.pre%d;",
+                  static_cast<long long>(s.conflictBudget),
+                  lane.wantCounterexample ? 1 : 0, s.preprocess ? 1 : 0);
     return key;
 }
 

@@ -128,9 +128,8 @@ struct CaseOutcome
     std::size_t safeQubits = 0, unsafeQubits = 0;
 };
 
-/** The two differential CNF lanes.  @p drop_clause, when not npos,
- *  is the injected bug: that clause never reaches the simplify
- *  lane. */
+/** The CNF differential.  @p dropClause, when not npos, is the
+ *  injected bug: that clause never reaches the eliminating solver. */
 struct CnfCheckConfig
 {
     sat::Var bruteForceMaxVars = 12;
@@ -172,32 +171,36 @@ crossCheckCnf(const sat::Cnf &cnf, const CnfCheckConfig &config,
             ? config.dropClause % cnf.numClauses()
             : std::string::npos;
 
-    std::vector<sat::LBool> model_a, model_b;
-    const sat::SolveResult a =
-        solveLane(cnf, sat::SolverConfig::baseline(),
-                  std::string::npos, &model_a);
-    const sat::SolveResult b = solveLane(
-        cnf, sat::SolverConfig::simplify(), drop, &model_b);
+    // The reference solver runs without bounded variable elimination
+    // over the whole CNF; the verifier's configuration (elimination
+    // on) is the one --inject-cnf-bug sabotages.
+    std::vector<sat::LBool> model_ref, model_bve;
+    const sat::SolveResult ref =
+        solveLane(cnf, sat::SolverConfig{.preprocess = false},
+                  std::string::npos, &model_ref);
+    const sat::SolveResult bve =
+        solveLane(cnf, sat::SolverConfig{}, drop, &model_bve);
     if (verdict_out != nullptr)
-        *verdict_out = a;
+        *verdict_out = ref;
 
-    if (a != b)
-        return format("preset disagreement: baseline=%s simplify=%s",
-                      solveResultName(a), solveResultName(b));
+    if (ref != bve)
+        return format("elimination disagreement: off=%s on=%s",
+                      solveResultName(ref), solveResultName(bve));
     std::size_t failed = 0;
-    if (a == sat::SolveResult::Sat &&
-        !sat::validateModel(cnf.clauses(), model_a, &failed))
-        return format("baseline model violates clause %zu", failed);
-    if (b == sat::SolveResult::Sat &&
-        !sat::validateModel(cnf.clauses(), model_b, &failed))
-        return format("simplify model violates clause %zu", failed);
+    if (ref == sat::SolveResult::Sat &&
+        !sat::validateModel(cnf.clauses(), model_ref, &failed))
+        return format("no-elimination model violates clause %zu",
+                      failed);
+    if (bve == sat::SolveResult::Sat &&
+        !sat::validateModel(cnf.clauses(), model_bve, &failed))
+        return format("elimination model violates clause %zu", failed);
     if (cnf.numVars() <= config.bruteForceMaxVars) {
         const bool brute = bruteForceSat(cnf);
-        const bool solver_sat = a == sat::SolveResult::Sat;
+        const bool solver_sat = ref == sat::SolveResult::Sat;
         if (brute != solver_sat)
             return format("brute force says %s, solvers say %s",
                           brute ? "Sat" : "Unsat",
-                          solveResultName(a));
+                          solveResultName(ref));
     }
     return {};
 }
@@ -211,112 +214,79 @@ crossCheckQbr(const std::string &src, std::size_t *safe_out,
     const lang::ElaboratedProgram prog = lang::elaborateSource(src);
     // jobs=1: each fuzz worker thread is already one lane of
     // parallelism.
-    auto engine_options = [](const core::VerifierOptions &lane) {
-        core::EngineOptions o = core::EngineOptions::singleLane(lane);
-        o.jobs = 1;
-        return o;
-    };
-    const core::ProgramResult lane_a = core::verifyAll(
-        prog, engine_options(core::VerifierOptions::laneA()));
-    const core::ProgramResult lane_b = core::verifyAll(
-        prog, engine_options(core::VerifierOptions::laneB()));
-    if (lane_a.qubits.size() != lane_b.qubits.size())
-        return format("lane A reported %zu qubits, lane B %zu",
-                      lane_a.qubits.size(), lane_b.qubits.size());
-    for (std::size_t i = 0; i < lane_a.qubits.size(); ++i) {
-        const core::QubitResult &ra = lane_a.qubits[i];
-        const core::QubitResult &rb = lane_b.qubits[i];
-        if (ra.verdict != rb.verdict)
-            return format("qubit %s: lane A says %s, lane B says %s",
-                          ra.name.c_str(),
-                          core::verdictName(ra.verdict),
-                          core::verdictName(rb.verdict));
-        const auto &info = prog.qubits[ra.qubit];
+    core::EngineOptions options;
+    options.jobs = 1;
+    const core::ProgramResult result = core::verifyAll(prog, options);
+    for (const core::QubitResult &r : result.qubits) {
+        const auto &info = prog.qubits[r.qubit];
         const ir::Circuit scope =
             prog.circuit.slice(info.scopeBegin, info.scopeEnd);
         const core::Verdict oracle =
-            core::bruteForceVerdict(scope, ra.qubit);
-        if (oracle != ra.verdict)
+            core::bruteForceVerdict(scope, r.qubit);
+        if (oracle != r.verdict)
             return format(
                 "qubit %s: brute force says %s, engine says %s",
-                ra.name.c_str(), core::verdictName(oracle),
-                core::verdictName(ra.verdict));
-        if (safe_out != nullptr &&
-            ra.verdict == core::Verdict::Safe)
+                r.name.c_str(), core::verdictName(oracle),
+                core::verdictName(r.verdict));
+        if (safe_out != nullptr && r.verdict == core::Verdict::Safe)
             ++*safe_out;
-        if (unsafe_out != nullptr &&
-            ra.verdict == core::Verdict::Unsafe)
+        if (unsafe_out != nullptr && r.verdict == core::Verdict::Unsafe)
             ++*unsafe_out;
     }
     return {};
 }
 
 /**
- * Cross-check one qbr program with the static dischargers on vs off,
- * on the default lane and on lane A; empty string means agreement.
- * The dischargers are UNSAT-only proofs, so within each lane verdict,
- * failed condition and counterexample must all be bit-identical -
- * formulaNodes / solvedStructurally / analysisTotals legitimately
- * differ (that is the point of the passes) and are not compared.
- * Safe/unsafe tallies count the default lane's verdicts.  Throws what
- * the pipeline throws (callers wrap).
+ * Cross-check one qbr program with the static dischargers on vs off;
+ * empty string means agreement.  The dischargers are UNSAT-only
+ * proofs, so verdict, failed condition and counterexample must all be
+ * bit-identical - formulaNodes / solvedStructurally / analysisTotals
+ * legitimately differ (that is the point of the passes) and are not
+ * compared.  Throws what the pipeline throws (callers wrap).
  */
 std::string
 crossCheckAnalysis(const std::string &src, std::size_t *safe_out,
                    std::size_t *unsafe_out)
 {
     const lang::ElaboratedProgram prog = lang::elaborateSource(src);
-    for (const bool default_lane : {true, false}) {
-        const char *lane_name = default_lane ? "default lane" : "lane A";
-        auto engine_options = [default_lane](bool with_analysis) {
-            core::EngineOptions o = default_lane
-                ? core::EngineOptions{}
-                : core::EngineOptions::singleLane(
-                      core::VerifierOptions::laneA());
-            o.jobs = 1;
-            if (!with_analysis)
-                o.analysis = analysis::AnalysisOptions::none();
-            return o;
-        };
-        const core::ProgramResult on =
-            core::verifyAll(prog, engine_options(true));
-        const core::ProgramResult off =
-            core::verifyAll(prog, engine_options(false));
-        if (on.qubits.size() != off.qubits.size())
+    auto engine_options = [](bool with_analysis) {
+        core::EngineOptions o;
+        o.jobs = 1;
+        if (!with_analysis)
+            o.analysis = analysis::AnalysisOptions::none();
+        return o;
+    };
+    const core::ProgramResult on =
+        core::verifyAll(prog, engine_options(true));
+    const core::ProgramResult off =
+        core::verifyAll(prog, engine_options(false));
+    if (on.qubits.size() != off.qubits.size())
+        return format("analysis-on reported %zu qubits, analysis-off %zu",
+                      on.qubits.size(), off.qubits.size());
+    for (std::size_t i = 0; i < on.qubits.size(); ++i) {
+        const core::QubitResult &ra = on.qubits[i];
+        const core::QubitResult &rb = off.qubits[i];
+        if (ra.verdict != rb.verdict)
+            return format("qubit %s: analysis-on says %s, "
+                          "analysis-off says %s",
+                          ra.name.c_str(), core::verdictName(ra.verdict),
+                          core::verdictName(rb.verdict));
+        if (ra.failed != rb.failed)
+            return format("qubit %s: failed-condition mismatch "
+                          "(analysis-on %d, analysis-off %d)",
+                          ra.name.c_str(), static_cast<int>(ra.failed),
+                          static_cast<int>(rb.failed));
+        if (ra.counterexample != rb.counterexample)
             return format(
-                "%s: analysis-on reported %zu qubits, analysis-off %zu",
-                lane_name, on.qubits.size(), off.qubits.size());
-        for (std::size_t i = 0; i < on.qubits.size(); ++i) {
-            const core::QubitResult &ra = on.qubits[i];
-            const core::QubitResult &rb = off.qubits[i];
-            if (ra.verdict != rb.verdict)
-                return format("%s, qubit %s: analysis-on says %s, "
-                              "analysis-off says %s",
-                              lane_name, ra.name.c_str(),
-                              core::verdictName(ra.verdict),
-                              core::verdictName(rb.verdict));
-            if (ra.failed != rb.failed)
-                return format("%s, qubit %s: failed-condition mismatch "
-                              "(analysis-on %d, analysis-off %d)",
-                              lane_name, ra.name.c_str(),
-                              static_cast<int>(ra.failed),
-                              static_cast<int>(rb.failed));
-            if (ra.counterexample != rb.counterexample)
-                return format(
-                    "%s, qubit %s: counterexample mismatch "
-                    "(analysis-on has%s one, analysis-off has%s one)",
-                    lane_name, ra.name.c_str(),
-                    ra.counterexample.has_value() ? "" : " not",
-                    rb.counterexample.has_value() ? "" : " not");
-            if (!default_lane)
-                continue;
-            if (safe_out != nullptr &&
-                ra.verdict == core::Verdict::Safe)
-                ++*safe_out;
-            if (unsafe_out != nullptr &&
-                ra.verdict == core::Verdict::Unsafe)
-                ++*unsafe_out;
-        }
+                "qubit %s: counterexample mismatch "
+                "(analysis-on has%s one, analysis-off has%s one)",
+                ra.name.c_str(),
+                ra.counterexample.has_value() ? "" : " not",
+                rb.counterexample.has_value() ? "" : " not");
+        if (safe_out != nullptr && ra.verdict == core::Verdict::Safe)
+            ++*safe_out;
+        if (unsafe_out != nullptr && ra.verdict == core::Verdict::Unsafe)
+            ++*unsafe_out;
     }
     return {};
 }

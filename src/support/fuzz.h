@@ -10,22 +10,21 @@
  * disagreement as a bug.  Two case families:
  *
  *  - CNF cases: a random formula (tunable size/density knobs, biased
- *    toward binary-heavy and near-UNSAT regions) is decided by both
- *    SolverConfig presets - the full pipeline active.  The verdicts must agree with each
+ *    toward binary-heavy and near-UNSAT regions) is decided with
+ *    bounded variable elimination on (the verifier's configuration)
+ *    and off.  The verdicts must agree with each
  *    other, every Sat model must pass sat::validateModel() against
  *    the original clauses, and small instances are additionally
  *    settled by brute-force enumeration.
  *
  *  - qbr cases: a random QBorrow program (circuits::randomQbrSource)
- *    runs through the full parse -> elaborate -> verify pipeline on
- *    both verification lanes, and every
- *    per-qubit verdict is cross-checked against the classical
+ *    runs through the full parse -> elaborate -> verify pipeline, and
+ *    every per-qubit verdict is cross-checked against the classical
  *    brute-force oracle on the lifetime slice.
  *
- *  - analysis cases: the same random-program pipeline run on the
- *    default lane and on lane A, each twice: once with the static
- *    dischargers on (the default analysis::AnalysisOptions) and once
- *    fully off (SAT-only).  The
+ *  - analysis cases: the same random-program pipeline run twice: once
+ *    with the static dischargers on (the default
+ *    analysis::AnalysisOptions) and once fully off (SAT-only).  The
  *    dischargers are UNSAT-only proofs, so every per-qubit verdict,
  *    failed condition and counterexample must be bit-identical; any
  *    difference is an unsound discharge.  The corpus tilts toward
@@ -137,7 +136,7 @@ struct FuzzOptions
     std::size_t maxDisagreements = 4;
     /**
      * Harness self-test: deliberately drop one clause from the
-     * differential (simplify-preset) lane of every CNF case, a
+     * eliminating solver of every CNF case, a
      * soundness bug by construction.  A healthy harness MUST report
      * disagreements and shrink them to minimal reproducers; the
      * fuzz tests and the CI smoke job assert exactly that.
@@ -173,7 +172,7 @@ struct FuzzReport
      *  bytes: equal digests mean byte-identical corpora, which is
      *  how the --jobs determinism tests compare runs. */
     std::uint64_t corpusDigest = 0;
-    /** @name Verdict tallies (cross-checked, so lane-independent). @{ */
+    /** @name Verdict tallies (cross-checked against the oracles). @{ */
     std::size_t satVerdicts = 0;
     std::size_t unsatVerdicts = 0;
     std::size_t safeQubits = 0;

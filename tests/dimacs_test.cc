@@ -4,18 +4,22 @@
  * tests/data/dimacs/ plus precise located-error pins.
  *
  * Corpus conventions: every .cnf file in good/ must parse, round-trip
- * byte-stably through the writer, and solve under BOTH solver presets
- * to the verdict its filename encodes (*_sat.cnf / *_unsat.cnf - the
- * CI smoke job derives qbsat's expected exit code the same way);
- * every .cnf file in bad/ must produce a located error, never a
- * crash or a silent misparse.  Builds as its own binary (ctest -L
- * dimacs) so the sanitizer jobs can run the parser's error paths
- * directly; QB_TEST_DATA_DIR comes from CMake.
+ * byte-stably through the writer, and solve with bounded variable
+ * elimination on and off to the verdict its filename encodes
+ * (*_sat.cnf / *_unsat.cnf - the CI smoke job derives qbsat's expected
+ * exit code the same way); every .cnf file in bad/ must produce a
+ * located error, never a crash or a silent misparse.  The qbsat binary
+ * itself is driven for its exit codes.  Builds as its own binary
+ * (ctest -L dimacs) so the sanitizer jobs can run the parser's error
+ * paths directly; QB_TEST_DATA_DIR and QB_QBSAT_PATH come from CMake.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -108,11 +112,10 @@ TEST(DimacsCorpus, GoodVerdictsMatchFilenameBothPresets)
         const SolveResult expected =
             expect_sat ? SolveResult::Sat : SolveResult::Unsat;
         EXPECT_EQ(expected,
-                  solveCnf(result.cnf, SolverConfig::baseline()))
-            << path << " (baseline)";
-        EXPECT_EQ(expected,
-                  solveCnf(result.cnf, SolverConfig::simplify()))
-            << path << " (simplify)";
+                  solveCnf(result.cnf, SolverConfig{.preprocess = false}))
+            << path << " (no elimination)";
+        EXPECT_EQ(expected, solveCnf(result.cnf))
+            << path << " (elimination)";
     }
 }
 
@@ -263,6 +266,48 @@ TEST(DimacsWriter, CommentsComeFirst)
     EXPECT_EQ("c one\nc two words\np cnf 1 1\n1 0\n", text);
     std::istringstream in(text);
     EXPECT_TRUE(readDimacs(in).ok);
+}
+
+/** Exit status and stderr of qbsat run with @p args. */
+struct QbsatRun
+{
+    int exitCode = -1;
+    std::string err;
+};
+
+QbsatRun
+runQbsat(const std::string &args)
+{
+    const std::string cmd = "'" + std::string(QB_QBSAT_PATH) + "' " +
+                            args + " 2>&1 >/dev/null";
+    QbsatRun run;
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return run;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr)
+        run.err += buf;
+    const int status = pclose(pipe);
+    if (WIFEXITED(status))
+        run.exitCode = WEXITSTATUS(status);
+    return run;
+}
+
+TEST(QbsatCli, SimplifyFlagIsAUsageError)
+{
+    // The solver has one configuration, so the old --simplify preset
+    // switch is gone: in either position it prints the usage and
+    // exits 2 instead of solving.  The plain run is the control.
+    const std::string file =
+        "'" + (corpusDir("good") / "php3_2_unsat.cnf").string() + "'";
+    EXPECT_EQ(20, runQbsat(file).exitCode);
+    for (const std::string &args :
+         {"--simplify " + file, file + " --simplify"}) {
+        const QbsatRun run = runQbsat(args);
+        EXPECT_EQ(2, run.exitCode) << args;
+        EXPECT_EQ(0u, run.err.rfind("usage:", 0)) << args << ": "
+                                                  << run.err;
+    }
 }
 
 } // namespace

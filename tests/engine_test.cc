@@ -2,8 +2,8 @@
  * @file
  * Tests for the session-based VerificationEngine: agreement with the
  * one-shot wrappers and the brute-force oracle, one session across
- * qubits, both lanes, conflict budgets, batch verification with
- * streaming observers, and the JSON report emitter.
+ * qubits, elimination on and off, conflict budgets, batch verification
+ * with streaming observers, and the JSON report emitter.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +29,16 @@ namespace {
 
 using ir::Circuit;
 using ir::Gate;
+
+/** Session options with bounded variable elimination @p on or off in
+ *  the direct solves (the one solver knob besides the budget). */
+EngineOptions
+withElimination(bool on)
+{
+    EngineOptions o;
+    o.lane.solver.preprocess = on;
+    return o;
+}
 
 TEST(Engine, AgreesWithOneShotOnAllCccnotQubits)
 {
@@ -95,21 +105,19 @@ TEST(Engine, NotClassicalCircuit)
 
 TEST(Engine, EachLaneAgreesAndRecordsItsLane)
 {
-    // QubitResult::lane is 0 when the session's lane decided a
-    // condition with a SAT call and -1 when none was needed.
+    // QubitResult::lane is 0 when the session decided a condition
+    // with a SAT call and -1 when none was needed, with bounded
+    // variable elimination on and off alike.
     const Circuit c = circuits::hanerCarryCircuit(5);
-    for (const std::string lane : {"A", "B"}) {
-        VerificationEngine engine(
-            c, EngineOptions::singleLane(lane == "A"
-                                             ? VerifierOptions::laneA()
-                                             : VerifierOptions::laneB()));
+    for (const bool bve : {true, false}) {
+        VerificationEngine engine(c, withElimination(bve));
         for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
             const std::size_t calls = engine.stats().satCalls;
             const QubitResult r = engine.verify(q);
             EXPECT_EQ(verifyQubit(c, q).verdict, r.verdict)
-                << "lane " << lane << " qubit " << q;
+                << "bve " << bve << " qubit " << q;
             EXPECT_EQ(engine.stats().satCalls > calls ? 0 : -1, r.lane)
-                << "lane " << lane << " qubit " << q;
+                << "bve " << bve << " qubit " << q;
         }
     }
 }
@@ -128,15 +136,12 @@ TEST(Engine, CounterexamplesAreValidOnEachLane)
             t = static_cast<ir::QubitId>(rng.nextBelow(6));
         c.append(Gate::ccnot(a, b, t));
     }
-    for (const std::string lane : {"A", "B"}) {
-        VerificationEngine engine(
-            c, EngineOptions::singleLane(lane == "A"
-                                             ? VerifierOptions::laneA()
-                                             : VerifierOptions::laneB()));
+    for (const bool bve : {true, false}) {
+        VerificationEngine engine(c, withElimination(bve));
         for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
             const QubitResult r = engine.verify(q);
             EXPECT_EQ(bruteForceVerdict(c, q), r.verdict)
-                << "lane " << lane << " qubit " << q;
+                << "bve " << bve << " qubit " << q;
             if (r.verdict != Verdict::Unsafe)
                 continue;
             ASSERT_TRUE(r.counterexample.has_value());
@@ -323,10 +328,10 @@ randomCircuit(Rng &rng, std::uint32_t n, int gates)
 
 TEST(Engine, BudgetExhaustedConditionIsUnknownOnEachLane)
 {
-    // A 1-conflict budget cannot decide the adder conditions: on
-    // lane A's preset and on the default lane B's alike the
-    // verdict is Unknown, the conflicts the lane burnt are charged to
-    // the result, and no counterexample is claimed.
+    // A 1-conflict budget cannot decide the adder conditions: with
+    // bounded variable elimination on and off alike the verdict is
+    // Unknown, the conflicts burnt are charged to the result, and no
+    // counterexample is claimed.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
     const ir::QubitId first =
@@ -334,10 +339,8 @@ TEST(Engine, BudgetExhaustedConditionIsUnknownOnEachLane)
     const lang::QubitInfo &info = program.qubits[first];
     const Circuit scope =
         program.circuit.slice(info.scopeBegin, info.scopeEnd);
-    for (const std::string lane : {"A", "B"}) {
-        EngineOptions options = EngineOptions::singleLane(
-            lane == "A" ? VerifierOptions::laneA()
-                        : VerifierOptions::laneB());
+    for (const bool bve : {true, false}) {
+        EngineOptions options = withElimination(bve);
         options.lane.solver.conflictBudget = 1;
         options.jobs = 1;
         VerificationEngine engine(scope, options);
@@ -349,12 +352,12 @@ TEST(Engine, BudgetExhaustedConditionIsUnknownOnEachLane)
                 continue;
             saw_unknown = true;
             EXPECT_GE(r.conflicts, 1)
-                << "lane " << lane << " qubit " << q;
+                << "bve " << bve << " qubit " << q;
             EXPECT_FALSE(r.counterexample.has_value())
-                << "lane " << lane << " qubit " << q;
+                << "bve " << bve << " qubit " << q;
         }
         EXPECT_TRUE(saw_unknown)
-            << "lane " << lane
+            << "bve " << bve
             << ": budget too generous for this circuit; tighten the test";
     }
 }
@@ -436,12 +439,11 @@ TEST_P(EngineProperty, SessionAgreesWithBruteForceOnEveryQubit)
 
 TEST_P(EngineProperty, LanesAgreeWithinOneSession)
 {
+    // Sessions with bounded variable elimination on and off agree.
     Rng rng(GetParam() + 4000);
     const Circuit c = randomCircuit(rng, 6, 12);
-    VerificationEngine a(
-        c, EngineOptions::singleLane(VerifierOptions::laneA()));
-    VerificationEngine b(
-        c, EngineOptions::singleLane(VerifierOptions::laneB()));
+    VerificationEngine a(c, withElimination(true));
+    VerificationEngine b(c, withElimination(false));
     for (std::uint32_t q = 0; q < 6; ++q)
         EXPECT_EQ(a.verify(q).verdict, b.verify(q).verdict)
             << "qubit " << q;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the Section 7 extension features: clean-ancilla
- * verification, almost-sure-termination analysis, and the two
- * verification lanes used by the benchmark harness.
+ * verification, almost-sure-termination analysis, and verification
+ * with bounded variable elimination on and off.
  */
 
 #include <gtest/gtest.h>
@@ -90,27 +90,20 @@ TEST(CleanAncilla, NonClassicalRejected)
 
 TEST(Lanes, BothLanesAgreeOnBenchmarks)
 {
+    // The benchmark programs verify alike with bounded variable
+    // elimination in the direct solve on (the default) and off.
+    core::VerifierOptions no_bve;
+    no_bve.solver.preprocess = false;
     for (const auto &source :
          {circuits::adderQbrSource(6), circuits::mcxQbrSource(4)}) {
         const auto prog = lang::elaborateSource(source);
-        const auto a =
-            core::verifyProgram(prog, core::VerifierOptions::laneA());
-        const auto b =
-            core::verifyProgram(prog, core::VerifierOptions::laneB());
+        const auto a = core::verifyProgram(prog);
+        const auto b = core::verifyProgram(prog, no_bve);
         ASSERT_EQ(a.qubits.size(), b.qubits.size());
         for (std::size_t i = 0; i < a.qubits.size(); ++i)
             EXPECT_EQ(a.qubits[i].verdict, b.qubits[i].verdict);
         EXPECT_TRUE(a.allSafe());
     }
-}
-
-TEST(Lanes, LanesDifferInConfiguration)
-{
-    const auto a = core::VerifierOptions::laneA();
-    const auto b = core::VerifierOptions::laneB();
-    EXPECT_NE(a.encoding, b.encoding);
-    EXPECT_NE(a.xorChunk, b.xorChunk);
-    EXPECT_NE(a.solver.preprocess, b.solver.preprocess);
 }
 
 TEST(Termination, StraightLineProgramsTerminate)
@@ -170,18 +163,6 @@ TEST(Termination, MeasureAndExitTerminates)
     EXPECT_EQ(sem::Termination::Terminates,
               sem::terminatesAlmostSurely(
                   sem::whileM(q0, sem::gateX(q0)), o));
-}
-
-TEST(XorChunk, AllChunkSizesAgree)
-{
-    const auto prog =
-        lang::elaborateSource(circuits::adderQbrSource(5));
-    for (unsigned chunk : {2u, 3u, 4u, 6u}) {
-        core::VerifierOptions o;
-        o.xorChunk = chunk;
-        const auto r = core::verifyProgram(prog, o);
-        EXPECT_TRUE(r.allSafe()) << "chunk " << chunk;
-    }
 }
 
 } // namespace

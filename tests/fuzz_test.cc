@@ -5,12 +5,12 @@
  *  - determinism: the same seed yields a byte-identical corpus and
  *    identical verdict tallies no matter how many worker threads run
  *    the campaign;
- *  - a clean campaign over all three case families (qbr lane
- *    differential, CNF preset differential, analysis-on/off
+ *  - a clean campaign over all three case families (qbr engine vs
+ *    brute force, CNF elimination-on/off differential, analysis-on/off
  *    differential) finds zero disagreements (the acceptance property
  *    CI re-runs at scale);
  *  - the harness self-test: an INTENTIONALLY injected solver bug
- *    (one clause dropped from the differential lane) is caught,
+ *    (one clause dropped from the eliminating solver) is caught,
  *    delta-debugged to a minimal reproducer, and written to disk;
  *  - the shrinking primitives in isolation.
  */
@@ -112,9 +112,9 @@ TEST(FuzzCampaign, AnalysisLaneRunsCleanAndCountsQubits)
 
 TEST(FuzzCampaign, InjectedBugIsCaughtShrunkAndWritten)
 {
-    // The acceptance self-test: sabotage the differential lane and
-    // demand the harness notices.  With one clause dropped from the
-    // simplify lane of every CNF case, a campaign this size MUST
+    // The acceptance self-test: sabotage the eliminating solver and
+    // demand the harness notices.  With one clause dropped from it
+    // in every CNF case, a campaign this size MUST
     // disagree somewhere (an UNSAT case turning SAT, or a weakened
     // model violating the dropped clause).
     FuzzOptions options = smallCampaign(20260808);
@@ -172,9 +172,7 @@ TEST(ShrinkCnf, ReducesToTheUnsatCore)
     for (const sat::LitVec &c : extra.clauses())
         cnf.addClause(c);
     const auto is_unsat = [](const sat::Cnf &candidate) {
-        return sat::solveCnf(candidate,
-                             sat::SolverConfig::baseline()) ==
-               sat::SolveResult::Unsat;
+        return sat::solveCnf(candidate) == sat::SolveResult::Unsat;
     };
     ASSERT_TRUE(is_unsat(cnf));
     const sat::Cnf shrunk = shrinkCnf(cnf, is_unsat);

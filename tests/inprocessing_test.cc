@@ -176,12 +176,11 @@ TEST(ClauseGc, BinaryWatchListsSurviveRelocation)
     // Binary clauses live only in the specialized binary lists; a GC
     // must leave those watchers intact, and root-level BINARY reasons
     // must still support final-conflict analysis afterwards.
-    // Positive initial phase: the all-positive filler clauses are
-    // satisfied by every decision, so propagation stays on the
-    // binary path and the zero-arena-reads assertion below is exact.
-    SolverConfig cfg;
-    cfg.initialPhaseTrue = true;
-    Solver s(cfg);
+    // The solver's initial phase is positive: the all-positive filler
+    // clauses are satisfied by every decision, so propagation stays
+    // on the binary path and the zero-arena-reads assertion below is
+    // exact.  No elimination, so every clause stays in place.
+    Solver s(SolverConfig{.preprocess = false});
     // Binary implication chain x0 -> x1 -> x2 (binary reasons), plus
     // long clauses so relocation moves a mixed population.
     EXPECT_TRUE(s.addClause({mkLit(3), mkLit(4), mkLit(5)}));
@@ -281,8 +280,7 @@ TEST(Inprocessing, AddClauseAfterRestoreChecksOkay)
     // root unsatisfiability; addClause() must then report failure
     // instead of attaching to a broken solver.  Preprocess first so
     // the elimination stack is populated.
-    SolverConfig cfg = SolverConfig::simplify();
-    Solver s(cfg);
+    Solver s;
     Rng rng(4711);
     const Cnf cnf = randomCnf(rng, 10, 28, 3);
     s.addCnf(cnf);
@@ -437,8 +435,7 @@ TEST_P(InprocessingProperty, BinaryAnalysisComposesWithElimination)
                 static_cast<Var>(rng.nextBelow(10)), rng.nextBool()));
         cnf.addClause(clause);
     }
-    SolverConfig cfg = SolverConfig::simplify();
-    Solver solver(cfg);
+    Solver solver;
     solver.addCnf(cnf);
     const bool sat0 = bruteForceSat(cnf);
     ASSERT_EQ(sat0 ? SolveResult::Sat : SolveResult::Unsat,
@@ -472,15 +469,39 @@ TEST_P(InprocessingProperty, BinaryAnalysisComposesWithElimination)
 namespace qb::core {
 namespace {
 
+/** Session options without bounded variable elimination in the direct
+ *  solves: the solvers search longest. */
+EngineOptions
+noElimination()
+{
+    EngineOptions o;
+    o.lane.solver.preprocess = false;
+    return o;
+}
+
+/** Every integer counter of @p s, for exact comparisons. */
+std::vector<std::int64_t>
+integerCounters(const sat::SolverStats &s)
+{
+    return {s.decisions,        s.propagations,
+            s.binPropagations,  s.propagationArenaReads,
+            s.conflicts,        s.restarts,
+            s.learntClauses,    s.removedClauses,
+            s.eliminatedVars,   s.sweptConditions,
+            s.sweepMerges,      s.inprocessRuns,
+            s.otfStrengthenedClauses, s.otfSkipped,
+            s.gcRuns,           s.gcWordsReclaimed,
+            s.arenaPeakWords,   s.peakLearnts};
+}
+
 TEST(EngineInprocessing, JobsDeterminismOnLaneA)
 {
-    // The scheduler acceptance contract on lane A's preset, which
-    // does not preprocess, so its solvers search longest: --jobs 1
-    // and --jobs N give identical verdicts AND counterexamples.
+    // The scheduler acceptance contract without elimination, where
+    // the solvers search longest: --jobs 1 and --jobs N give
+    // identical verdicts AND counterexamples.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(10));
-    const EngineOptions base =
-        EngineOptions::singleLane(VerifierOptions::laneA());
+    const EngineOptions base = noElimination();
     EngineOptions serial = base;
     serial.jobs = 1;
     EngineOptions parallel = base;
@@ -525,16 +546,14 @@ TEST(EngineInprocessing, UnsafeCounterexamplesIgnoreJobs)
 {
     // Counterexamples are the model of the solver that decided the
     // condition, which runs on whichever worker is free.  Over unsafe
-    // random programs, for the default lane and for lane A, --jobs 1
-    // and --jobs 4 must agree on every verdict, failed condition and
+    // random programs, with elimination on and off, --jobs 1 and
+    // --jobs 4 must agree on every verdict, failed condition and
     // counterexample.
     const auto programs = unsafeProneRandomPrograms(0xCE3, 400);
-    for (const std::string lane : {"", "A"}) {
+    for (const bool bve : {true, false}) {
         std::vector<std::vector<QubitResult>> runs;
         for (const unsigned jobs : {1u, 4u}) {
-            EngineOptions options = lane.empty()
-                ? EngineOptions{}
-                : EngineOptions::singleLane(VerifierOptions::laneA());
+            EngineOptions options = bve ? EngineOptions{} : noElimination();
             options.jobs = jobs;
             const auto scheduler = std::make_shared<Scheduler>(jobs);
             std::vector<QubitResult> qubits;
@@ -550,19 +569,19 @@ TEST(EngineInprocessing, UnsafeCounterexamplesIgnoreJobs)
         std::size_t counterexamples = 0;
         for (const QubitResult &q : reference)
             counterexamples += q.counterexample.has_value() ? 1 : 0;
-        EXPECT_GT(counterexamples, 250u) << "lane '" << lane << "'";
+        EXPECT_GT(counterexamples, 250u) << "bve " << bve;
         for (std::size_t k = 1; k < runs.size(); ++k) {
             ASSERT_EQ(reference.size(), runs[k].size());
             for (std::size_t i = 0; i < reference.size(); ++i) {
                 EXPECT_EQ(reference[i].verdict, runs[k][i].verdict)
-                    << "lane '" << lane << "' config " << k
+                    << "bve " << bve << " config " << k
                     << " qubit " << i;
                 EXPECT_EQ(reference[i].failed, runs[k][i].failed)
-                    << "lane '" << lane << "' config " << k
+                    << "bve " << bve << " config " << k
                     << " qubit " << i;
                 EXPECT_EQ(reference[i].counterexample,
                           runs[k][i].counterexample)
-                    << "lane '" << lane << "' config " << k
+                    << "bve " << bve << " config " << k
                     << " qubit " << i;
             }
         }
@@ -571,23 +590,33 @@ TEST(EngineInprocessing, UnsafeCounterexamplesIgnoreJobs)
 
 TEST(EngineDefaults, JobsOneAndFourBitIdentical)
 {
-    // The default lane set runs each condition as an unordered pool
-    // task in its own solver; --jobs 1 and --jobs 4 must still agree
-    // on every verdict, failed condition, counterexample and lane, on
-    // safe adders and unsafe random programs alike.
+    // The engine runs each condition as an unordered pool task in its
+    // own solver; --jobs 1 and --jobs 4 must still agree on every
+    // verdict, failed condition, counterexample and lane, and on every
+    // integer solver counter of each program's report, on safe adders
+    // and unsafe random programs alike.  A speculative (6.2) query
+    // that an Unsafe (6.1) abandons must not leak into the totals.
     std::vector<lang::ElaboratedProgram> programs =
         unsafeProneRandomPrograms(0xDEF, 120);
     for (const std::uint32_t n : {6u, 10u})
         programs.push_back(
             lang::elaborateSource(circuits::adderQbrSource(n)));
     std::vector<QubitResult> runs[2];
+    std::vector<std::vector<std::int64_t>> totals[2];
     for (const unsigned jobs : {1u, 4u}) {
         EngineOptions options;
         options.jobs = jobs;
-        for (const auto &program : programs)
-            for (QubitResult &q : verifyAll(program, options).qubits)
+        for (const auto &program : programs) {
+            ProgramResult result = verifyAll(program, options);
+            totals[jobs == 4].push_back(
+                integerCounters(result.solverTotals));
+            for (QubitResult &q : result.qubits)
                 runs[jobs == 4].push_back(std::move(q));
+        }
     }
+    ASSERT_EQ(totals[0].size(), totals[1].size());
+    for (std::size_t p = 0; p < totals[0].size(); ++p)
+        EXPECT_EQ(totals[0][p], totals[1][p]) << "program " << p;
     ASSERT_EQ(runs[0].size(), runs[1].size());
     std::size_t safe = 0, counterexamples = 0;
     for (std::size_t i = 0; i < runs[0].size(); ++i) {
@@ -608,14 +637,12 @@ TEST(EngineDefaults, JobsOneAndFourBitIdentical)
 
 TEST(EngineInprocessing, BinaryHeavyMcxCountersReachReport)
 {
-    // The dressed mcx program on the preprocessing lane keeps the
-    // binary watch lists busy: its binary propagations must flow
-    // through ProgramResult into the JSON report.
+    // The dressed mcx program keeps the binary watch lists busy: its
+    // binary propagations must flow through ProgramResult into the
+    // JSON report.
     const auto program = lang::elaborateSource(
         circuits::binaryHeavyMcxQbrSource(20));
-    EngineOptions options =
-        EngineOptions::singleLane(VerifierOptions::laneB());
-    const ProgramResult result = verifyAll(program, options);
+    const ProgramResult result = verifyAll(program, EngineOptions{});
     for (const QubitResult &r : result.qubits)
         EXPECT_EQ(Verdict::Safe, r.verdict) << r.name;
     EXPECT_GE(result.solverTotals.binPropagations, 1);
@@ -629,8 +656,7 @@ TEST(EngineInprocessing, SolverTotalsReachJsonReport)
     // the JSON document (the report side of SolverStats).
     const auto program =
         lang::elaborateSource(circuits::mcxQbrSource(40));
-    EngineOptions options =
-        EngineOptions::singleLane(VerifierOptions::laneA());
+    EngineOptions options;
     options.jobs = 2;
     const ProgramResult result = verifyAll(program, options);
     EXPECT_GT(result.solverTotals.propagations, 0);

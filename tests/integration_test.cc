@@ -47,10 +47,10 @@ TEST_P(McxPipeline, AncillaVerifiesSafeBothPresets)
     const std::uint32_t m = GetParam();
     const auto prog =
         lang::elaborateSource(circuits::mcxQbrSource(m));
-    for (auto config : {sat::SolverConfig::baseline(),
-                        sat::SolverConfig::simplify()}) {
+    // Bounded variable elimination in the direct solve on and off.
+    for (const bool bve : {true, false}) {
         core::VerifierOptions options;
-        options.solver = config;
+        options.solver.preprocess = bve;
         const core::ProgramResult result =
             core::verifyProgram(prog, options);
         ASSERT_EQ(1u, result.qubits.size());
@@ -164,11 +164,11 @@ TEST(Pipeline, SolverPresetsAgreeOnBenchmarks)
     for (std::uint32_t n : {4u, 7u}) {
         const auto prog =
             lang::elaborateSource(circuits::adderQbrSource(n));
-        core::VerifierOptions baseline, simplify;
-        baseline.solver = sat::SolverConfig::baseline();
-        simplify.solver = sat::SolverConfig::simplify();
-        const auto rb = core::verifyProgram(prog, baseline);
-        const auto rs = core::verifyProgram(prog, simplify);
+        // Bounded variable elimination in the direct solve off and on.
+        core::VerifierOptions no_bve;
+        no_bve.solver.preprocess = false;
+        const auto rb = core::verifyProgram(prog, no_bve);
+        const auto rs = core::verifyProgram(prog);
         ASSERT_EQ(rb.qubits.size(), rs.qubits.size());
         for (std::size_t i = 0; i < rb.qubits.size(); ++i)
             EXPECT_EQ(rb.qubits[i].verdict, rs.qubits[i].verdict);

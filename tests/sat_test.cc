@@ -24,6 +24,10 @@
 namespace qb::sat {
 namespace {
 
+/** The solver without bounded variable elimination: the reference the
+ *  elimination tests compare the default configuration against. */
+const SolverConfig kNoBve{.preprocess = false};
+
 /** Brute-force satisfiability over at most 20 variables. */
 bool
 bruteForceSat(const Cnf &cnf)
@@ -151,7 +155,7 @@ TEST(Solver, PigeonholeUnsatBaseline)
 {
     for (int holes : {2, 3, 4, 5}) {
         EXPECT_EQ(SolveResult::Unsat,
-                  solveCnf(pigeonhole(holes), SolverConfig::baseline()))
+                  solveCnf(pigeonhole(holes), kNoBve))
             << holes;
     }
 }
@@ -160,14 +164,14 @@ TEST(Solver, PigeonholeUnsatSimplify)
 {
     for (int holes : {2, 3, 4, 5}) {
         EXPECT_EQ(SolveResult::Unsat,
-                  solveCnf(pigeonhole(holes), SolverConfig::simplify()))
+                  solveCnf(pigeonhole(holes)))
             << holes;
     }
 }
 
 TEST(Solver, ConflictBudgetYieldsUnknown)
 {
-    SolverConfig cfg = SolverConfig::baseline();
+    SolverConfig cfg = kNoBve;
     cfg.conflictBudget = 1;
     EXPECT_EQ(SolveResult::Unknown, solveCnf(pigeonhole(6), cfg));
 }
@@ -175,7 +179,7 @@ TEST(Solver, ConflictBudgetYieldsUnknown)
 TEST(Solver, StatsArePopulated)
 {
     SolverStats stats;
-    solveCnf(pigeonhole(4), SolverConfig::baseline(), &stats);
+    solveCnf(pigeonhole(4), kNoBve, &stats);
     EXPECT_GT(stats.conflicts, 0);
     EXPECT_GT(stats.decisions, 0);
     EXPECT_GT(stats.propagations, 0);
@@ -251,7 +255,7 @@ TEST(SolverAssumptions, ConflictBudgetIsPerCall)
 {
     // With a cumulative budget the second call would start exhausted;
     // a per-call budget gives every query the same allowance.
-    SolverConfig cfg = SolverConfig::baseline();
+    SolverConfig cfg = kNoBve;
     cfg.conflictBudget = 5000;
     Solver s(cfg);
     s.addCnf(pigeonhole(5));
@@ -290,7 +294,7 @@ TEST(SolverAssumptions, SoundAfterPreprocessingEliminatedVars)
     // eliminate variables; a later assumption-based call must restore
     // them instead of letting their placeholder assignments silently
     // satisfy or falsify assumptions.
-    Solver s(SolverConfig::simplify());
+    Solver s;
     // x2 <-> (x0 & x1): x2 is a prime elimination candidate.
     s.addClause({~mkLit(2), mkLit(0)});
     s.addClause({~mkLit(2), mkLit(1)});
@@ -310,7 +314,7 @@ TEST(SolverAssumptions, AddClauseAfterPreprocessingRestores)
     // Regression: adding a clause after a preprocessed solve() must
     // not simplify it against the placeholder assignments variable
     // elimination left behind.
-    Solver s(SolverConfig::simplify());
+    Solver s;
     s.addClause({mkLit(0), mkLit(1)});  // x | y
     s.addClause({~mkLit(1), mkLit(2)}); // y -> z
     EXPECT_EQ(SolveResult::Sat, s.solve());
@@ -372,7 +376,7 @@ TEST_P(SatProperty, AgreesWithBruteForceBaseline)
     const bool expected = bruteForceSat(cnf);
     SolverStats stats;
     const SolveResult got =
-        solveCnf(cnf, SolverConfig::baseline(), &stats);
+        solveCnf(cnf, kNoBve, &stats);
     EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat, got);
 }
 
@@ -382,14 +386,14 @@ TEST_P(SatProperty, AgreesWithBruteForceSimplify)
     const Cnf cnf = randomCnf(rng, 8, 34, 3);
     const bool expected = bruteForceSat(cnf);
     EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
-              solveCnf(cnf, SolverConfig::simplify()));
+              solveCnf(cnf));
 }
 
 TEST_P(SatProperty, ModelsActuallySatisfyBaseline)
 {
     Rng rng(GetParam() + 5000);
     const Cnf cnf = randomCnf(rng, 10, 30, 3);
-    Solver solver(SolverConfig::baseline());
+    Solver solver(kNoBve);
     solver.addCnf(cnf);
     if (solver.solve() != SolveResult::Sat)
         return;
@@ -403,7 +407,7 @@ TEST_P(SatProperty, ModelsActuallySatisfySimplify)
 {
     Rng rng(GetParam() + 5000);
     const Cnf cnf = randomCnf(rng, 10, 30, 3);
-    Solver solver(SolverConfig::simplify());
+    Solver solver;
     solver.addCnf(cnf);
     if (solver.solve() != SolveResult::Sat)
         return;
@@ -418,7 +422,7 @@ TEST_P(SatProperty, AssumptionsAgreeWithBruteForce)
 {
     Rng rng(GetParam() + 13000);
     const Cnf cnf = randomCnf(rng, 8, 30, 3);
-    Solver solver(SolverConfig::baseline());
+    Solver solver(kNoBve);
     solver.addCnf(cnf);
     // Several incremental rounds against ONE solver instance.
     for (int round = 0; round < 4; ++round) {
@@ -456,7 +460,7 @@ TEST_P(SatProperty, PlainSolveAfterAssumptionCallStaysSound)
     // elimination over a database with learnt clauses attached.
     Rng rng(GetParam() + 21000);
     const Cnf cnf = randomCnf(rng, 8, 30, 3);
-    Solver solver(SolverConfig::simplify());
+    Solver solver;
     solver.addCnf(cnf);
     LitVec assumptions;
     assumptions.push_back(
@@ -481,9 +485,9 @@ TEST_P(SatProperty, WideClausesAgree)
     const Cnf cnf = randomCnf(rng, 9, 18, 5);
     const bool expected = bruteForceSat(cnf);
     EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
-              solveCnf(cnf, SolverConfig::baseline()));
+              solveCnf(cnf, kNoBve));
     EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
-              solveCnf(cnf, SolverConfig::simplify()));
+              solveCnf(cnf));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatProperty, ::testing::Range(0, 40));
@@ -498,10 +502,8 @@ TEST_P(SatProperty, ClauseExchangeNeverChangesVerdicts)
     Rng rng(GetParam() + 13000);
     const Cnf cnf = randomCnf(rng, 8, 34, 3);
     const bool expected = bruteForceSat(cnf);
-    SolverConfig second = SolverConfig::baseline();
-    second.initialPhaseTrue = true;
-    Solver a;
-    Solver b(second);
+    Solver a(kNoBve);
+    Solver b;
     a.addCnf(cnf);
     b.addCnf(cnf);
     for (int round = 0; round < 8; ++round) {
@@ -674,34 +676,23 @@ TEST(SolverOtf, StrengthensAntecedentsAtLearnTime)
         << "expected learn-time strengthening on pigeonhole chains";
 }
 
-TEST(SolverOtf, CanBeDisabledByConfig)
-{
-    SolverConfig cfg;
-    cfg.otfSubsume = false;
-    Solver s(cfg);
-    s.addCnf(pigeonhole(6));
-    EXPECT_EQ(SolveResult::Unsat, s.solve());
-    EXPECT_EQ(0, s.stats().otfStrengthenedClauses);
-    EXPECT_EQ(0, s.stats().otfSkipped);
-}
-
 TEST_P(SatProperty, OtfOnAndOffAgreeWithBruteForce)
 {
     // The OTF edit only ever applies self-subsuming resolution, so
-    // verdicts and model validity must be identical with the pass on
-    // and off, and both must match brute force.
+    // verdicts and model validity must match brute force.  OTF is
+    // always on; what varies is the database it edits: with bounded
+    // variable elimination on (resolvents in place of the eliminated
+    // clauses) and off.
     Rng rng(GetParam() + 47000);
     const Cnf cnf = randomCnf(rng, 9, 38, 3);
     const bool expected = bruteForceSat(cnf);
-    SolverConfig off;
-    off.otfSubsume = false;
-    for (const bool with_otf : {true, false}) {
-        Solver solver(with_otf ? SolverConfig::baseline() : off);
+    for (const bool bve : {true, false}) {
+        Solver solver(SolverConfig{.preprocess = bve});
         solver.addCnf(cnf);
         const SolveResult got = solver.solve();
         EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
                   got)
-            << "otf=" << with_otf;
+            << "bve=" << bve;
         if (got == SolveResult::Sat) {
             std::vector<LBool> assign(cnf.numVars());
             for (Var v = 0; v < cnf.numVars(); ++v)
@@ -772,7 +763,8 @@ TEST(ValidateModel, ReportsFirstUnsatisfiedClause)
 TEST_P(SatProperty, ValidatedModelsBothPresets)
 {
     // The fuzz generator's binary-heavy near-threshold distribution,
-    // decided by both presets; every Sat verdict must produce a model
+    // decided with and without bounded variable elimination; every
+    // Sat verdict must produce a model
     // that passes the public validateModel checker - the same check
     // the fuzz harness and qbsat run after every Sat answer.
     Rng rng(GetParam() + 61000);
@@ -781,8 +773,7 @@ TEST_P(SatProperty, ValidatedModelsBothPresets)
     const Cnf cnf = fuzz::generateCnf(rng, knobs);
     const bool expected = bruteForceSat(cnf);
     for (const bool simplify : {false, true}) {
-        Solver solver(simplify ? SolverConfig::simplify()
-                               : SolverConfig::baseline());
+        Solver solver(SolverConfig{.preprocess = simplify});
         solver.addCnf(cnf);
         const SolveResult got = solver.solve();
         EXPECT_EQ(expected ? SolveResult::Sat : SolveResult::Unsat,
@@ -860,11 +851,15 @@ TEST(SolverBve, EliminationTrajectoryIsPinned)
     // trajectory (queue order, occurrence limit, resolvent bound,
     // freezing, resolvent literal order) moves at least one of them.
     // The values are what commit c12c29b (the last one with the
-    // binary-graph passes) produces for solveCnf(cnf, simplify())
-    // with SolverConfig::binaryAnalysis = false, i.e. with elimination
-    // running on the formula exactly as addClause() leaves it, which
-    // is what the solver does now that those passes are gone.  A
-    // change that touches only speed keeps them exact.
+    // binary-graph passes) produces for solveCnf(cnf) in the
+    // preprocessing configuration with the binary-graph passes off,
+    // i.e. with elimination running on the formula exactly as
+    // addClause() leaves it, which is what the solver does now that
+    // those passes are gone.  The adder rows encode their XORs as
+    // chains of two-input definitions, the encoder's one shape since
+    // the XOR chunk width became a constant; the solver of commit
+    // 464f475 gives the same numbers on that encoding.  A change that
+    // touches only speed keeps them exact.
     struct Expected
     {
         const char *name;
@@ -877,18 +872,19 @@ TEST(SolverBve, EliminationTrajectoryIsPinned)
     // condition is UNSAT.  a[n-1]'s condition folds to a constant in
     // the formula arena and never reaches a solver.
     const std::int64_t adder12[][4] = {
-        {24, 92, 195, 736}, {24, 98, 205, 767}, {26, 82, 161, 606},
-        {27, 75, 145, 537}, {28, 60, 110, 375}, {29, 50, 90, 303},
-        {30, 37, 63, 204}, {31, 20, 32, 83}, {32, 8, 23, 39},
-        {31, 5, 19, 31}};
+        {42, 121, 175, 1221}, {42, 116, 176, 1090},
+        {41, 89, 138, 869},   {40, 80, 127, 744},
+        {39, 62, 96, 559},    {38, 51, 87, 407},
+        {37, 34, 58, 254},    {36, 21, 45, 132},
+        {34, 10, 23, 62},     {33, 6, 19, 50}};
     const std::int64_t adder16[][4] = {
-        {32, 149, 379, 1434}, {32, 144, 354, 1337},
-        {34, 139, 329, 1231}, {35, 120, 301, 1064},
-        {36, 105, 262, 900}, {37, 98, 254, 816},
-        {38, 82, 209, 654}, {39, 75, 185, 577},
-        {40, 60, 142, 407}, {41, 50, 114, 327},
-        {42, 37, 79, 220}, {43, 20, 40, 91},
-        {44, 8, 31, 47}, {43, 5, 27, 39}};
+        {58, 199, 323, 2219}, {58, 177, 288, 1858},
+        {57, 147, 262, 1529}, {56, 143, 254, 1444},
+        {55, 117, 214, 1202}, {54, 116, 215, 1165},
+        {53, 89, 170, 933},   {52, 80, 159, 808},
+        {51, 62, 120, 607},   {50, 51, 111, 455},
+        {49, 34, 74, 286},    {48, 21, 61, 164},
+        {46, 10, 31, 78},     {45, 6, 27, 66}};
     auto add_adder = [&](std::uint32_t n, const std::int64_t (*rows)[4],
                          std::size_t count) {
         for (std::uint32_t i = 0; i < count; ++i) {
@@ -933,7 +929,7 @@ TEST(SolverBve, EliminationTrajectoryIsPinned)
         SCOPED_TRACE(std::string(e.name) + " #" + std::to_string(i));
         SolverStats stats;
         EXPECT_EQ(e.result,
-                  solveCnf(e.cnf, SolverConfig::simplify(), &stats));
+                  solveCnf(e.cnf, SolverConfig{}, &stats));
         EXPECT_EQ(e.eliminated, stats.eliminatedVars);
         EXPECT_EQ(e.conflicts, stats.conflicts);
         EXPECT_EQ(e.decisions, stats.decisions);
@@ -945,13 +941,13 @@ TEST(SolverBve, PreprocessSecondsCoverOnlyTheSolveEntryPasses)
 {
     // No elimination: nothing to time.
     SolverStats plain;
-    solveCnf(pigeonhole(5), SolverConfig::baseline(), &plain);
+    solveCnf(pigeonhole(5), kNoBve, &plain);
     EXPECT_EQ(0.0, plain.preprocessSeconds);
 
     SolverStats pre;
     EXPECT_EQ(SolveResult::Unsat,
               solveCnf(adderPlusConditionCnf(12, 12),
-                       SolverConfig::simplify(), &pre));
+                       SolverConfig{}, &pre));
     EXPECT_GT(pre.eliminatedVars, 0);
     EXPECT_GT(pre.preprocessSeconds, 0.0);
     SolverStats total;
@@ -1069,7 +1065,7 @@ TEST_P(SatProperty, EliminationEdgeCasesAgreeWithBruteForce)
     Rng rng(GetParam() + 71000);
     const Cnf cnf = skewedEliminationCnf(rng);
     const bool expected = bruteForceSat(cnf);
-    Solver solver(SolverConfig::simplify());
+    Solver solver;
     solver.addCnf(cnf);
     const SolveResult got = solver.solve();
     solver.checkInvariants();
@@ -1093,7 +1089,7 @@ TEST(SolverBve, EdgeCaseFamilyReachesElimination)
     for (int seed = 0; seed < 40; ++seed) {
         Rng rng(seed + 71000);
         const Cnf cnf = skewedEliminationCnf(rng);
-        Solver solver(SolverConfig::simplify());
+        Solver solver;
         solver.addCnf(cnf);
         const SolveResult got = solver.solve();
         (got == SolveResult::Sat ? sat : unsat) += 1;

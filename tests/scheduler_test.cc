@@ -32,6 +32,16 @@ namespace {
 using ir::Circuit;
 using ir::Gate;
 
+/** Session options with bounded variable elimination @p on or off in
+ *  the direct solves (the one solver knob besides the budget). */
+EngineOptions
+withElimination(bool on)
+{
+    EngineOptions o;
+    o.lane.solver.preprocess = on;
+    return o;
+}
+
 TEST(Scheduler, RunsEverySubmittedTask)
 {
     std::atomic<int> done{0};
@@ -158,15 +168,13 @@ verifyEveryQubit(VerificationEngine &engine)
 class JobsDeterminism : public ::testing::TestWithParam<int>
 {};
 
-/** --jobs 1 and --jobs N must agree exactly on @p c, on lane A and
- *  on lane B. */
+/** --jobs 1 and --jobs N must agree exactly on @p c, with bounded
+ *  variable elimination on and off. */
 void
 expectJobsDeterminism(const Circuit &c)
 {
-    for (const std::string lane : {"A", "B"}) {
-        EngineOptions serial = EngineOptions::singleLane(
-            lane == "A" ? VerifierOptions::laneA()
-                        : VerifierOptions::laneB());
+    for (const bool bve : {true, false}) {
+        EngineOptions serial = withElimination(bve);
         EngineOptions parallel = serial;
         serial.jobs = 1;
         parallel.jobs = 4;
@@ -177,32 +185,32 @@ expectJobsDeterminism(const Circuit &c)
         ASSERT_EQ(r1.size(), rn.size());
         for (std::size_t i = 0; i < r1.size(); ++i) {
             EXPECT_EQ(r1[i].verdict, rn[i].verdict)
-                << "qubit " << i << " lane " << lane;
+                << "qubit " << i << " bve " << bve;
             EXPECT_EQ(r1[i].failed, rn[i].failed)
-                << "qubit " << i << " lane " << lane;
+                << "qubit " << i << " bve " << bve;
             EXPECT_EQ(r1[i].counterexample, rn[i].counterexample)
-                << "qubit " << i << " lane " << lane;
+                << "qubit " << i << " bve " << bve;
         }
         // Only collected outcomes are counted, so the solver totals
         // do not depend on whether a speculative (6.2) query ran
         // before an Unsafe (6.1) answer abandoned it.
         const sat::SolverStats s1 = one.aggregateSolverStats();
         const sat::SolverStats sn = many.aggregateSolverStats();
-        EXPECT_EQ(s1.conflicts, sn.conflicts) << "lane " << lane;
-        EXPECT_EQ(s1.decisions, sn.decisions) << "lane " << lane;
-        EXPECT_EQ(s1.propagations, sn.propagations) << "lane " << lane;
+        EXPECT_EQ(s1.conflicts, sn.conflicts) << "bve " << bve;
+        EXPECT_EQ(s1.decisions, sn.decisions) << "bve " << bve;
+        EXPECT_EQ(s1.propagations, sn.propagations) << "bve " << bve;
         EXPECT_EQ(s1.binPropagations, sn.binPropagations)
-            << "lane " << lane;
+            << "bve " << bve;
     }
 }
 
 TEST_P(JobsDeterminism, OneAndManyJobsIdenticalVerdictsAndCex)
 {
     // The acceptance contract of the scheduler: --jobs 1 and --jobs N
-    // produce identical verdicts AND identical counterexamples, on
-    // both lanes.  (Counterexamples come from the deterministic
-    // solver that decided the condition, so worker timing cannot leak
-    // in.)
+    // produce identical verdicts AND identical counterexamples, with
+    // elimination on and off.  (Counterexamples come from the
+    // deterministic solver that decided the condition, so worker
+    // timing cannot leak in.)
     Rng rng(GetParam() + 77000);
     expectJobsDeterminism(randomCircuit(rng, 6, 14));
 }
@@ -212,7 +220,7 @@ TEST_P(JobsDeterminism, BinaryHeavyCircuitsStayDeterministic)
     // X/CNOT-only circuits elaborate to XOR-shaped conditions whose
     // Tseitin encodings are dominated by short clauses: the formulas
     // that stress the specialized binary watchers.  The determinism
-    // contract must hold there too, on both lanes.
+    // contract must hold there too, with elimination on and off.
     Rng rng(GetParam() + 88000);
     const std::uint32_t n = 6;
     Circuit c(n);
@@ -236,22 +244,20 @@ TEST(SchedulerEngine, StressManyQubitsOnEachLane)
 {
     // The deterministic verifyAll stress: many qubits, a shared
     // 4-worker pool, speculative (6.2) queries and cross-qubit
-    // pipelining all at once - on lane A's and on lane B's preset.
+    // pipelining all at once - with elimination on and off.
     // CI runs this under ASan and TSan.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
     // Same verdicts as the sequential one-shot reference.
     const ProgramResult reference = verifyProgram(program);
-    for (const std::string lane : {"A", "B"}) {
-        EngineOptions options = EngineOptions::singleLane(
-            lane == "A" ? VerifierOptions::laneA()
-                        : VerifierOptions::laneB());
+    for (const bool bve : {true, false}) {
+        EngineOptions options = withElimination(bve);
         options.jobs = 4;
         const ProgramResult result = verifyAll(program, options);
         ASSERT_EQ(11u, result.qubits.size());
         for (const QubitResult &r : result.qubits)
             EXPECT_EQ(Verdict::Safe, r.verdict)
-                << "lane " << lane << " " << r.name;
+                << "bve " << bve << " " << r.name;
         ASSERT_EQ(reference.qubits.size(), result.qubits.size());
         for (std::size_t i = 0; i < result.qubits.size(); ++i)
             EXPECT_EQ(reference.qubits[i].verdict,
@@ -264,17 +270,15 @@ TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
     Rng rng(4242);
     for (int round = 0; round < 4; ++round) {
         const Circuit c = randomCircuit(rng, 7, 16);
-        for (const std::string lane : {"A", "B"}) {
-            EngineOptions options = EngineOptions::singleLane(
-                lane == "A" ? VerifierOptions::laneA()
-                            : VerifierOptions::laneB());
+        for (const bool bve : {true, false}) {
+            EngineOptions options = withElimination(bve);
             options.jobs = 3;
             VerificationEngine engine(c, options);
             const std::vector<QubitResult> results =
                 verifyEveryQubit(engine);
             for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
                 EXPECT_EQ(bruteForceVerdict(c, q), results[q].verdict)
-                    << "round " << round << " lane " << lane
+                    << "round " << round << " bve " << bve
                     << " qubit " << q;
             }
         }

@@ -43,7 +43,7 @@ namespace {
 
 TEST(ServerDefaults, LibraryCliAndDaemonShareOneDefaultFingerprint)
 {
-    // The default lane is declared once, in core::EngineOptions:
+    // The defaults are declared once, in core::EngineOptions:
     // qborrow starts from EngineOptions{}, and the daemon's
     // per-request defaults start from ServerOptions{}.
     const auto fp = [](const core::EngineOptions &o) {
@@ -51,11 +51,10 @@ TEST(ServerDefaults, LibraryCliAndDaemonShareOneDefaultFingerprint)
     };
     const std::string library = fp(core::EngineOptions{});
     EXPECT_EQ(library, fp(ServerOptions{}.engine));
-    // That default is lane B's preset.
-    EXPECT_EQ(library, fp(core::EngineOptions::singleLane(
-                           core::VerifierOptions::laneB())));
-    EXPECT_NE(library, fp(core::EngineOptions::singleLane(
-                           core::VerifierOptions::laneA())));
+    // That default eliminates variables in the direct solve.
+    core::EngineOptions no_bve;
+    no_bve.lane.solver.preprocess = false;
+    EXPECT_NE(library, fp(no_bve));
 }
 
 TEST(JsonValue, ParsesScalarsObjectsAndArrays)
@@ -1116,18 +1115,13 @@ TEST(ServingCache, ResultCacheKeysOnSourceHashAndOptions)
 
 TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
 {
-    const core::EngineOptions base =
-        core::EngineOptions::singleLane(core::VerifierOptions::laneA());
+    const core::EngineOptions base{};
     const std::string key =
         serving::ServingTier::optionsFingerprint(base, false);
     EXPECT_EQ(key,
               serving::ServingTier::optionsFingerprint(base, false));
     EXPECT_NE(key,
               serving::ServingTier::optionsFingerprint(base, true));
-    EXPECT_NE(key, serving::ServingTier::optionsFingerprint(
-                       core::EngineOptions::singleLane(
-                           core::VerifierOptions::laneB()),
-                       false));
 
     // Compile-time completeness gate: these witnesses mirror
     // VerifierOptions and SolverConfig field for field.  A sizeof
@@ -1137,20 +1131,12 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
     // ServingTier::optionsFingerprint() in lockstep.
     struct SolverConfigWitness
     {
-        bool useVsids;
-        bool phaseSaving;
-        bool initialPhaseTrue;
-        double varDecay;
-        std::int64_t restartBase;
         bool preprocess;
         std::int64_t conflictBudget;
-        bool otfSubsume;
     };
     struct VerifierOptionsWitness
     {
         sat::SolverConfig solver;
-        sat::TseitinMode encoding;
-        unsigned xorChunk;
         bool wantCounterexample;
     };
     static_assert(sizeof(SolverConfigWitness) == sizeof(sat::SolverConfig),
@@ -1161,9 +1147,8 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
                   "VerifierOptions changed shape: update the witness, "
                   "the flips below and "
                   "ServingTier::optionsFingerprint()");
-    [[maybe_unused]] const auto &[vs, ph, p0, vd, rb, pre, cb, otf] =
-        base.lane.solver;
-    [[maybe_unused]] const auto &[solver, enc, x, cex] = base.lane;
+    [[maybe_unused]] const auto &[pre, cb] = base.lane.solver;
+    [[maybe_unused]] const auto &[solver, cex] = base.lane;
 
     // Each result-affecting field, flipped alone, gets its own key.
     const auto flipped = [&base](auto mutate) {
@@ -1175,32 +1160,12 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
     const std::vector<std::string> keys = {
         key,
         flipped([](VerifierOptions &l) {
-            l.encoding = l.encoding == sat::TseitinMode::Full
-                ? sat::TseitinMode::PlaistedGreenbaum
-                : sat::TseitinMode::Full;
-        }),
-        flipped([](VerifierOptions &l) { ++l.xorChunk; }),
-        flipped([](VerifierOptions &l) {
             l.wantCounterexample = !l.wantCounterexample;
         }),
-        flipped([](VerifierOptions &l) {
-            l.solver.useVsids = !l.solver.useVsids;
-        }),
-        flipped([](VerifierOptions &l) {
-            l.solver.phaseSaving = !l.solver.phaseSaving;
-        }),
-        flipped([](VerifierOptions &l) {
-            l.solver.initialPhaseTrue = !l.solver.initialPhaseTrue;
-        }),
-        flipped([](VerifierOptions &l) { l.solver.varDecay += 1e-9; }),
-        flipped([](VerifierOptions &l) { ++l.solver.restartBase; }),
         flipped([](VerifierOptions &l) {
             l.solver.preprocess = !l.solver.preprocess;
         }),
         flipped([](VerifierOptions &l) { l.solver.conflictBudget = 100; }),
-        flipped([](VerifierOptions &l) {
-            l.solver.otfSubsume = !l.solver.otfSubsume;
-        }),
     };
     for (std::size_t i = 0; i < keys.size(); ++i)
         for (std::size_t j = i + 1; j < keys.size(); ++j)

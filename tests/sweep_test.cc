@@ -185,7 +185,7 @@ TEST(Sweep, UnsatAnswersAgreeWithBruteForce)
             continue;
         ++tested;
         const SweepResult r =
-            sweep(arena, root, SolverConfig::simplify(), -1, nullptr);
+            sweep(arena, root, -1, nullptr);
         const bool unsat = neverTrue(arena, root, n);
         if (r.result == SolveResult::Unsat) {
             EXPECT_TRUE(unsat) << "round " << round << ": "
@@ -238,6 +238,50 @@ adderPlusConditions(Arena &arena, std::uint32_t n)
     return out;
 }
 
+/**
+ * x >= @p c over input variables 0..width-1 (variable 0 the least
+ * significant bit), as a ripple chain from the low bit.  Every prefix
+ * holds on a large share of assignments when @p c mixes zeros and
+ * ones, so no node of the chain is a constant candidate.
+ */
+NodeRef
+atLeast(Arena &arena, std::uint32_t width, std::uint64_t c)
+{
+    NodeRef ge = bexp::kTrue; // the empty suffix: equal
+    for (std::uint32_t k = 0; k < width; ++k) {
+        const NodeRef x = arena.mkVar(k);
+        ge = ((c >> k) & 1) != 0 ? arena.mkAnd({x, ge})
+                                 : arena.mkOr({x, ge});
+    }
+    return ge;
+}
+
+TEST(Sweep, ProvesBothDirectionsBeforeMerging)
+{
+    // x >= c and x >= c + 1 differ only at x = c.  Built in that
+    // order, each prefix of the second chain implies the matching
+    // prefix of the first, its simulation-class representative, and
+    // from some width on no simulation pattern tells the two apart.
+    // No prefix is a constant candidate, so no other call finds
+    // x = c either: only the second half of the equivalence check
+    // (~node & representative) does.  A sweeper that proved one
+    // direction would merge the chains and fold this satisfiable
+    // miter to constant false.
+    constexpr std::uint32_t width = 24;
+    constexpr std::uint64_t c = 0xA5A5A5;
+    Arena arena;
+    const NodeRef ge_c = atLeast(arena, width, c);
+    const NodeRef gt_c = atLeast(arena, width, c + 1);
+    const NodeRef root = arena.mkAnd({ge_c, arena.mkNot(gt_c)});
+    std::vector<bool> x_is_c(width);
+    for (std::uint32_t k = 0; k < width; ++k)
+        x_is_c[k] = ((c >> k) & 1) != 0;
+    ASSERT_TRUE(arena.evaluate(root, x_is_c));
+    const SweepResult r = sweep(arena, root, -1, nullptr);
+    EXPECT_EQ(SolveResult::Unknown, r.result);
+    EXPECT_EQ(0, r.stats.sweptConditions);
+}
+
 TEST(Sweep, FoldsEveryAdderPlusMiter)
 {
     for (const std::uint32_t n : {24u, 60u}) {
@@ -245,8 +289,7 @@ TEST(Sweep, FoldsEveryAdderPlusMiter)
         const std::vector<NodeRef> plus = adderPlusConditions(arena, n);
         EXPECT_GE(plus.size(), n - 2) << "n = " << n;
         for (NodeRef root : plus) {
-            const SweepResult r = sweep(arena, root,
-                                        SolverConfig::simplify(), -1,
+            const SweepResult r = sweep(arena, root, -1,
                                         nullptr);
             EXPECT_EQ(SolveResult::Unsat, r.result) << "n = " << n;
             EXPECT_GE(r.stats.sweepMerges, 1) << "n = " << n;
@@ -284,9 +327,9 @@ TEST(Sweep, RepeatedSweepsAreIdentical)
     Arena arena;
     for (NodeRef root : adderPlusConditions(arena, 24)) {
         const SweepResult a =
-            sweep(arena, root, SolverConfig::simplify(), -1, nullptr);
+            sweep(arena, root, -1, nullptr);
         const SweepResult b =
-            sweep(arena, root, SolverConfig::simplify(), -1, nullptr);
+            sweep(arena, root, -1, nullptr);
         EXPECT_EQ(a.result, b.result);
         EXPECT_EQ(counters(a.stats), counters(b.stats));
         EXPECT_EQ(a.vars, b.vars);
@@ -329,7 +372,7 @@ TEST(Sweep, SetStopFlagNeverYieldsUnsat)
     Arena arena;
     for (NodeRef root : adderPlusConditions(arena, 24)) {
         const SweepResult r =
-            sweep(arena, root, SolverConfig::simplify(), -1, &stop);
+            sweep(arena, root, -1, &stop);
         EXPECT_NE(SolveResult::Unsat, r.result);
         EXPECT_EQ(0, r.stats.sweptConditions);
     }
@@ -341,7 +384,7 @@ TEST(Sweep, SetStopFlagNeverYieldsUnsat)
         if (local.isConst(root))
             continue;
         EXPECT_NE(SolveResult::Unsat,
-                  sweep(local, root, SolverConfig::simplify(), -1, &stop)
+                  sweep(local, root, -1, &stop)
                       .result);
     }
 }
@@ -353,7 +396,7 @@ TEST(Sweep, ChargesAtMostTheAllowance)
     for (const std::int64_t k : {1, 2, 5, 17, 50, 120}) {
         for (NodeRef root : plus) {
             const SweepResult r =
-                sweep(arena, root, SolverConfig::simplify(), k, nullptr);
+                sweep(arena, root, k, nullptr);
             EXPECT_LE(r.stats.conflicts, k) << "allowance " << k;
         }
     }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the Tseitin encoder: satisfiability equivalence against
- * direct evaluation of the source formula, for both encoding modes.
+ * direct evaluation of the source formula, and the shape of the XOR
+ * chains.
  */
 
 #include <gtest/gtest.h>
@@ -86,17 +87,19 @@ TEST(Tseitin, WideXorChainsSplit)
     for (std::uint32_t v = 0; v < 9; ++v)
         vars.push_back(a.mkVar(v));
     const NodeRef f = a.mkXor(vars);
-    for (unsigned chunk : {2u, 3u, 4u}) {
-        auto enc = encodeAssertTrue(a, f, TseitinMode::Full, chunk);
-        Solver s;
-        s.addCnf(enc.cnf);
-        ASSERT_EQ(SolveResult::Sat, s.solve()) << chunk;
-        // Model must have odd parity over the nine inputs.
-        int ones = 0;
-        for (std::uint32_t v = 0; v < 9; ++v)
-            ones += s.modelValue(enc.inputVar.at(v)) == LBool::True;
-        EXPECT_EQ(1, ones % 2) << chunk;
-    }
+    auto enc = encodeAssertTrue(a, f);
+    // A chain of eight two-input definitions, four clauses each, plus
+    // the root unit.
+    EXPECT_EQ(9 + 8, enc.cnf.numVars());
+    EXPECT_EQ(8u * 4 + 1, enc.cnf.numClauses());
+    Solver s;
+    s.addCnf(enc.cnf);
+    ASSERT_EQ(SolveResult::Sat, s.solve());
+    // Model must have odd parity over the nine inputs.
+    int ones = 0;
+    for (std::uint32_t v = 0; v < 9; ++v)
+        ones += s.modelValue(enc.inputVar.at(v)) == LBool::True;
+    EXPECT_EQ(1, ones % 2);
 }
 
 class TseitinProperty : public ::testing::TestWithParam<int>
@@ -128,22 +131,7 @@ TEST_P(TseitinProperty, FullEncodingMatchesBruteForce)
     constexpr std::uint32_t num_vars = 6;
     const NodeRef f = randomFormula(arena, rng, num_vars, 6);
     const bool expected = bruteForceFormulaSat(arena, f, num_vars);
-    auto enc = encodeAssertTrue(arena, f, TseitinMode::Full);
-    const bool got = enc.rootIsConst
-        ? enc.rootConstValue
-        : solveCnf(enc.cnf) == SolveResult::Sat;
-    EXPECT_EQ(expected, got);
-}
-
-TEST_P(TseitinProperty, PlaistedGreenbaumMatchesBruteForce)
-{
-    Rng rng(GetParam());
-    Arena arena;
-    constexpr std::uint32_t num_vars = 6;
-    const NodeRef f = randomFormula(arena, rng, num_vars, 6);
-    const bool expected = bruteForceFormulaSat(arena, f, num_vars);
-    auto enc =
-        encodeAssertTrue(arena, f, TseitinMode::PlaistedGreenbaum);
+    auto enc = encodeAssertTrue(arena, f);
     const bool got = enc.rootIsConst
         ? enc.rootConstValue
         : solveCnf(enc.cnf) == SolveResult::Sat;
@@ -156,7 +144,7 @@ TEST_P(TseitinProperty, SatModelEvaluatesFormulaTrue)
     Arena arena;
     constexpr std::uint32_t num_vars = 6;
     const NodeRef f = randomFormula(arena, rng, num_vars, 5);
-    auto enc = encodeAssertTrue(arena, f, TseitinMode::Full);
+    auto enc = encodeAssertTrue(arena, f);
     if (enc.rootIsConst)
         return;
     Solver s;
@@ -171,17 +159,6 @@ TEST_P(TseitinProperty, SatModelEvaluatesFormulaTrue)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TseitinProperty,
                          ::testing::Range(0, 30));
-
-TEST(Tseitin, XorChunkOneTerminates)
-{
-    // Regression: xorChunk = 1 used to loop forever in the XOR chain
-    // splitter (a group can never be smaller than {acc, input}).
-    Arena a;
-    const auto enc = encodeAssertTrue(
-        a, a.mkXor({a.mkVar(0), a.mkVar(1), a.mkVar(2)}),
-        TseitinMode::Full, 1);
-    EXPECT_EQ(SolveResult::Sat, solveCnf(enc.cnf));
-}
 
 } // namespace
 } // namespace qb::sat

@@ -11,8 +11,11 @@
 #include "circuits/adders.h"
 #include "circuits/mcx.h"
 #include "circuits/paper_figures.h"
+#include "core/formula_builder.h"
 #include "core/reference.h"
 #include "core/verifier.h"
+#include "sat/sweep.h"
+#include "sat/tseitin.h"
 #include "sim/classical.h"
 #include "support/rng.h"
 
@@ -22,11 +25,13 @@ namespace {
 using ir::Circuit;
 using ir::Gate;
 
+/** The verifier's options with bounded variable elimination @p on or
+ *  off in the direct solve. */
 VerifierOptions
-withPreset(sat::SolverConfig config)
+withElimination(bool on)
 {
     VerifierOptions o;
-    o.solver = config;
+    o.solver.preprocess = on;
     return o;
 }
 
@@ -144,19 +149,14 @@ TEST(Verifier, HanerAdderInputQubitsAlsoRestored)
 
 TEST(Verifier, GidneyMcxAncillaSafeBothPresets)
 {
+    // With bounded variable elimination on (the default) and off.
     for (std::uint32_t m : {4u, 5u, 6u}) {
         const Circuit c = circuits::gidneyMcx(m);
         const ir::QubitId anc = circuits::gidneyMcxAncilla(m);
-        EXPECT_EQ(Verdict::Safe,
-                  verifyQubit(c, anc,
-                              withPreset(sat::SolverConfig::baseline()))
-                      .verdict)
-            << m;
-        EXPECT_EQ(Verdict::Safe,
-                  verifyQubit(c, anc,
-                              withPreset(sat::SolverConfig::simplify()))
-                      .verdict)
-            << m;
+        for (const bool bve : {true, false})
+            EXPECT_EQ(Verdict::Safe,
+                      verifyQubit(c, anc, withElimination(bve)).verdict)
+                << m << " bve=" << bve;
     }
 }
 
@@ -297,28 +297,64 @@ TEST_P(VerifierProperty, MutationFlipsMatchBruteForce)
 
 TEST_P(VerifierProperty, PresetsAgree)
 {
+    // Bounded variable elimination in the direct solve never changes
+    // a verdict.
     Rng rng(GetParam() + 300);
     const Circuit c = randomCircuit(rng, 6, 12);
     for (std::uint32_t q = 0; q < 6; ++q) {
-        const Verdict baseline =
-            verifyQubit(c, q, withPreset(sat::SolverConfig::baseline()))
-                .verdict;
-        const Verdict simplify =
-            verifyQubit(c, q, withPreset(sat::SolverConfig::simplify()))
-                .verdict;
-        EXPECT_EQ(baseline, simplify);
+        EXPECT_EQ(verifyQubit(c, q, withElimination(true)).verdict,
+                  verifyQubit(c, q, withElimination(false)).verdict)
+            << "qubit " << q;
     }
 }
 
 TEST_P(VerifierProperty, EncodingsAgree)
 {
+    // A condition reaches SAT through two encodings: the sweeper's
+    // node-by-node one over merged literals (sat/sweep.h) and the
+    // direct Tseitin CNF.  Every (6.1) and (6.2) condition the sweep
+    // settles must be Unsat under the direct encoding too, and the
+    // direct answer must match the condition's truth table.
     Rng rng(GetParam() + 400);
-    const Circuit c = randomCircuit(rng, 6, 12);
-    VerifierOptions pg;
-    pg.encoding = sat::TseitinMode::PlaistedGreenbaum;
-    for (std::uint32_t q = 0; q < 6; ++q) {
-        EXPECT_EQ(verifyQubit(c, q).verdict,
-                  verifyQubit(c, q, pg).verdict);
+    constexpr std::uint32_t n = 6;
+    const Circuit c = randomCircuit(rng, n, 12);
+    bexp::Arena arena;
+    FormulaBuilder builder(arena, n);
+    builder.applyCircuit(c);
+    for (std::uint32_t q = 0; q < n; ++q) {
+        std::vector<bexp::NodeRef> conditions{arena.mkAnd(
+            {builder.formula(q), arena.mkNot(arena.mkVar(q))})};
+        std::vector<bexp::NodeRef> diffs;
+        for (std::uint32_t w = 0; w < n; ++w) {
+            if (w == q)
+                continue;
+            diffs.push_back(arena.mkXor(
+                {arena.substitute(builder.formula(w), q, bexp::kFalse),
+                 arena.substitute(builder.formula(w), q, bexp::kTrue)}));
+        }
+        conditions.push_back(arena.mkOr(std::move(diffs)));
+        for (const bexp::NodeRef root : conditions) {
+            if (arena.isConst(root))
+                continue;
+            bool satisfiable = false;
+            for (std::uint32_t a = 0; a < (1u << n); ++a) {
+                std::vector<bool> input(n);
+                for (std::uint32_t v = 0; v < n; ++v)
+                    input[v] = (a >> v) & 1u;
+                satisfiable = satisfiable || arena.evaluate(root, input);
+            }
+            const sat::SolveResult direct =
+                sat::solveCnf(sat::encodeAssertTrue(arena, root).cnf);
+            EXPECT_EQ(satisfiable ? sat::SolveResult::Sat
+                                  : sat::SolveResult::Unsat,
+                      direct)
+                << "qubit " << q;
+            if (sat::sweep(arena, root, -1, nullptr).result ==
+                sat::SolveResult::Unsat) {
+                EXPECT_EQ(sat::SolveResult::Unsat, direct)
+                    << "qubit " << q;
+            }
+        }
     }
 }
 

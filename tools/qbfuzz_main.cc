@@ -4,8 +4,8 @@
  *
  * One invocation is one campaign: `qbfuzz --seed 7 --qbr 500 --cnf
  * 500 --jobs 4 --out fuzz-out` generates the seeded corpus, decides
- * every case along independent paths (both solver presets + model
- * validation + brute force for CNF; both verification lanes + the
+ * every case along independent paths (elimination on and off + model
+ * validation + brute force for CNF; the engine against the
  * brute-force oracle for qbr programs), shrinks any disagreement to a
  * minimal reproducer in --out, and prints a summary.  Exit codes:
  * 0 = every case agreed, 1 = at least one disagreement (reproducers
@@ -13,7 +13,7 @@
  * deterministic in --seed alone - --jobs changes wall-clock time,
  * never bytes - so a CI failure replays locally from the seed in the
  * log.  --inject-cnf-bug turns on the built-in solver sabotage
- * (dropping one clause from the differential lane) and is how the
+ * (dropping one clause from the eliminating solver) and is how the
  * harness proves it would notice a real bug.
  */
 
@@ -53,8 +53,8 @@ usage(const char *argv0)
         "(default 12)\n"
         "  --max-disagreements N  stop shrinking after N failures "
         "(default 4)\n"
-        "  --inject-cnf-bug       sabotage one lane (harness "
-        "self-test)\n",
+        "  --inject-cnf-bug       sabotage the eliminating solver "
+        "(harness self-test)\n",
         argv0);
     return 2;
 }

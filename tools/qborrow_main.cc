@@ -229,23 +229,8 @@ engineOptionsFor(const CliOptions &cli)
     return options;
 }
 
-/**
- * The "[lane X]" tag letter of the default lane preset, which every
- * local and daemon run decides with (reports record only whether the
- * lane ran; the tag names what ran).
- */
-char
-laneTag()
-{
-    using qb::core::VerifierOptions;
-    const VerifierOptions lane = qb::core::EngineOptions{}.lane;
-    return lane == VerifierOptions::laneA()   ? 'A'
-           : lane == VerifierOptions::laneB() ? 'B'
-                                              : '?';
-}
-
 void
-printQubitLine(const qb::core::QubitResult &r, char tag)
+printQubitLine(const qb::core::QubitResult &r)
 {
     std::printf("  %-10s %s", r.name.c_str(),
                 qb::core::verdictName(r.verdict));
@@ -256,8 +241,10 @@ printQubitLine(const qb::core::QubitResult &r, char tag)
                         ? "|0>"
                         : "|+>");
     }
+    // The tag predates the one solver configuration; its bytes are
+    // part of the text output.
     if (r.lane >= 0)
-        std::printf(" [lane %c]", tag);
+        std::printf(" [lane B]");
     std::printf("\n");
     if (r.counterexample) {
         std::printf("    counterexample input:");
@@ -319,9 +306,8 @@ runLocal(const CliOptions &cli)
     // Stream per-qubit lines as the engine produces them.
     qb::core::ResultObserver observer;
     if (!cli.quiet && !cli.json)
-        observer = [tag = laneTag()](
-                       const qb::core::QubitResult &r) {
-            printQubitLine(r, tag);
+        observer = [](const qb::core::QubitResult &r) {
+            printQubitLine(r);
         };
     const auto result =
         qb::core::verifyAll(program, options, observer, cli.clean);
@@ -504,7 +490,7 @@ readLine(int fd, std::string &buffer, std::string &line)
 
 /** Rebuild the local per-qubit text line from a `qubit` response. */
 void
-printQubitJson(const qb::server::JsonValue &q, char tag)
+printQubitJson(const qb::server::JsonValue &q)
 {
     using qb::server::JsonValue;
     const JsonValue *name = q.find("name");
@@ -522,7 +508,7 @@ printQubitJson(const qb::server::JsonValue &q, char tag)
     }
     if (const JsonValue *lane = q.find("lane");
         lane && lane->kind() == JsonValue::Kind::Number)
-        std::printf(" [lane %c]", tag);
+        std::printf(" [lane B]");
     std::printf("\n");
     if (const JsonValue *cex = q.find("counterexample");
         cex && cex->kind() == JsonValue::Kind::Array) {
@@ -619,7 +605,6 @@ runClient(const CliOptions &cli)
     std::string request = "{\"op\": \"verify\", \"id\": 1";
     request += ", \"name\": \"" + qb::jsonEscape(cli.path) + "\"";
     request += ", \"source\": \"" + qb::jsonEscape(source) + "\"";
-    const char tag = laneTag();
     request += qb::format(", \"options\": {\"clean\": %s",
                           cli.clean ? "true" : "false");
     request += qb::format(", \"counterexample\": %s",
@@ -654,7 +639,7 @@ runClient(const CliOptions &cli)
         if (kind == "qubit") {
             if (!cli.quiet && !cli.json)
                 if (const JsonValue *q = doc.find("qubit"))
-                    printQubitJson(*q, tag);
+                    printQubitJson(*q);
             continue;
         }
         if (kind != "result")

@@ -4,9 +4,10 @@
  *
  * `qbsat --dimacs file.cnf` (or a bare positional path; "-" reads
  * stdin) streams the file through the strict located DIMACS reader
- * (sat/dimacs.h), decides it with sat::Solver - learn-time OTF
- * subsumption, plus bounded variable elimination under --simplify -
- * and prints the result SAT-competition style: "s SATISFIABLE" plus "v" model lines, or
+ * (sat/dimacs.h), decides it with sat::Solver in the configuration
+ * the verifier uses (bounded variable elimination at entry, learn-time
+ * OTF subsumption) and prints the result SAT-competition style:
+ * "s SATISFIABLE" plus "v" model lines, or
  * "s UNSATISFIABLE".  Exit codes follow the competition convention:
  * 10 = SAT, 20 = UNSAT, 0 = unknown (conflict budget exhausted), and
  * 2 for usage or input errors - a malformed file is one located line
@@ -32,7 +33,7 @@ namespace {
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--dimacs] [--simplify] [--stats] "
+                 "usage: %s [--dimacs] [--stats] "
                  "[--budget N] file.cnf (or - for stdin)\n",
                  argv0);
     return 2;
@@ -65,14 +66,11 @@ int
 run(int argc, char **argv)
 {
     std::string path;
-    bool simplify = false;
     bool stats = false;
     std::int64_t budget = -1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--simplify") {
-            simplify = true;
-        } else if (arg == "--stats") {
+        if (arg == "--stats") {
             stats = true;
         } else if (arg == "--budget" && i + 1 < argc) {
             const auto value = qb::parseInt(
@@ -93,12 +91,7 @@ run(int argc, char **argv)
     }
     if (path.empty())
         return usage(argv[0]);
-    // Build the config only after the flag scan: presets and tweaks
-    // compose in any order (previously `--budget N --simplify` lost
-    // the budget because the preset replaced the whole config).
-    qb::sat::SolverConfig config = simplify
-        ? qb::sat::SolverConfig::simplify()
-        : qb::sat::SolverConfig::baseline();
+    qb::sat::SolverConfig config;
     config.conflictBudget = budget;
 
     // Stream straight from the file (or stdin): the strict reader
