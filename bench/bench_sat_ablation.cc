@@ -152,8 +152,13 @@ SatRandom3Sat(benchmark::State &state)
             conflicts += stats.conflicts;
         }
     }
-    state.counters["conflicts"] = static_cast<double>(conflicts);
-    state.counters["sat_instances"] = sat_count;
+    // Sums over every iteration, reported per iteration (one pass
+    // over the ten seeded instances).
+    state.counters["conflicts"] = benchmark::Counter(
+        static_cast<double>(conflicts),
+        benchmark::Counter::kAvgIterations);
+    state.counters["sat_instances"] = benchmark::Counter(
+        sat_count, benchmark::Counter::kAvgIterations);
     state.SetLabel(kVariantNames[state.range(1)]);
 }
 

@@ -75,11 +75,13 @@ Analyzer::qubitFacts(ir::QubitId q)
                 facts.plusDischargedBy = Pass::Affine;
         }
         if (options_.permutation &&
-            facts.zeroDischargedBy == Pass::None &&
-            permutationCheck(circuit_, q,
-                             options_.permutationWindow) ==
-                PermutationVerdict::Restored) {
-            facts.zeroDischargedBy = Pass::Permutation;
+            facts.zeroDischargedBy == Pass::None) {
+            if (!writers_)
+                writers_.emplace(circuit_.gates(), circuit_.numQubits());
+            if (permutationCheck(circuit_.gates(), *writers_, q,
+                                 options_.permutationWindow) ==
+                PermutationVerdict::Restored)
+                facts.zeroDischargedBy = Pass::Permutation;
         }
     }
     factsCache_[q] = facts;

@@ -95,9 +95,10 @@ struct AffineFacts
 
 /**
  * Per-circuit analyzer: caches the work shared between qubits (the
- * forward support sets and the mirror split) and answers qubitFacts()
- * queries.  Analysis is lazy - nothing is computed until the first
- * query - so sessions that never consult the analyzer pay nothing.
+ * forward support sets, the affine final and the permutation pass's
+ * writer index) and answers qubitFacts() queries.  Analysis is lazy -
+ * nothing is computed until the first query - so sessions that never
+ * consult the analyzer pay nothing.
  */
 class Analyzer
 {
@@ -125,6 +126,8 @@ class Analyzer
     const ir::Circuit &circuit_;
     AnalysisOptions options_;
     std::optional<SupportSets> supports_;
+    /** Shared by every permutation check (built on first use). */
+    std::optional<WriterIndex> writers_;
     bool affineTried_ = false;
     std::optional<AffineState> affineFinal_;
     std::vector<std::optional<QubitFacts>> factsCache_;

@@ -43,6 +43,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ir/circuit.h"
@@ -51,15 +53,24 @@ namespace qb::analysis {
 
 // --------------------------------------------------------------- engine
 
-/** Fold every gate of @p circuit into @p state, in gate order, and
+/** Fold every gate of @p gates into @p state, in gate order, and
  *  return the final state (the forward fixpoint). */
+template <typename Domain>
+typename Domain::State
+runForward(std::span<const ir::Gate> gates, typename Domain::State state)
+{
+    for (const ir::Gate &gate : gates)
+        Domain::transfer(gate, state);
+    return state;
+}
+
+/** runForward() over every gate of @p circuit. */
 template <typename Domain>
 typename Domain::State
 runForward(const ir::Circuit &circuit, typename Domain::State state)
 {
-    for (const ir::Gate &gate : circuit.gates())
-        Domain::transfer(gate, state);
-    return state;
+    return runForward<Domain>(std::span<const ir::Gate>(circuit.gates()),
+                              std::move(state));
 }
 
 /**

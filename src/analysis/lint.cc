@@ -1,8 +1,11 @@
 #include "analysis/lint.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "analysis/dataflow.h"
 #include "analysis/mirror.h"
@@ -101,26 +104,28 @@ void
 lintUnusedBorrows(const lang::ElaboratedProgram &program,
                   std::vector<Diagnostic> &out)
 {
+    // One pass over the gates: a qubit is used when some gate of its
+    // lifetime touches it.
     const auto &gates = program.circuit.gates();
+    std::vector<bool> used(program.qubits.size(), false);
+    for (std::size_t i = 0; i < gates.size(); ++i)
+        for (const ir::QubitId w : gates[i].qubits())
+            if (w < used.size() && program.qubits[w].scopeBegin <= i &&
+                i < program.qubits[w].scopeEnd)
+                used[w] = true;
     for (std::size_t q = 0; q < program.qubits.size(); ++q) {
         const lang::QubitInfo &info = program.qubits[q];
-        if (!isBorrowRole(info.role))
+        if (!isBorrowRole(info.role) || used[q])
             continue;
-        bool used = false;
-        for (std::size_t i = info.scopeBegin;
-             i < info.scopeEnd && !used; ++i)
-            used = gates[i].touches(static_cast<ir::QubitId>(q));
-        if (!used) {
-            Diagnostic d;
-            d.severity = Severity::Warning;
-            d.rule = "unused-borrow";
-            d.loc = info.loc;
-            d.message = format(
-                "borrowed qubit '%s' is never used; drop the borrow "
-                "or narrow the register",
-                info.name.c_str());
-            out.push_back(std::move(d));
-        }
+        Diagnostic d;
+        d.severity = Severity::Warning;
+        d.rule = "unused-borrow";
+        d.loc = info.loc;
+        d.message = format(
+            "borrowed qubit '%s' is never used; drop the borrow "
+            "or narrow the register",
+            info.name.c_str());
+        out.push_back(std::move(d));
     }
 }
 
@@ -282,22 +287,43 @@ lintQubitNeverRead(const lang::ElaboratedProgram &program,
     // boundary of its scope is never observed - not by a control, not
     // by a non-classical gate, and never (even via Swaps) flowing
     // into an escaping wire - so all writes into it are wasted work.
-    LivenessState boundary(program.circuit.numQubits());
-    for (std::size_t q = 0; q < program.qubits.size(); ++q)
-        if (isBorrowRole(program.qubits[q].role))
-            boundary.setLive(static_cast<ir::QubitId>(q));
-    const std::vector<LivenessState> trace =
-        backwardTrace<LivenessDomain>(program.circuit, boundary);
-    for (std::size_t q = 0; q < program.qubits.size(); ++q) {
+    // A wire's liveness changes only at gates touching it, so it is
+    // live at some boundary of [scopeBegin, last] iff it is live at
+    // `last` or just before a gate of that range touching it: one
+    // backward sweep checks both without keeping a per-boundary trace.
+    const std::size_t num = program.qubits.size();
+    LivenessState state(program.circuit.numQubits());
+    std::vector<std::size_t> last(num, 0);
+    std::vector<std::vector<ir::QubitId>> ends_at(gates.size() + 1);
+    for (std::size_t q = 0; q < num; ++q) {
         const lang::QubitInfo &info = program.qubits[q];
-        if (info.role != lang::QubitRole::Alloc)
-            continue;
-        const std::size_t last =
-            std::min(info.scopeEnd, gates.size());
-        bool live = false;
-        for (std::size_t i = info.scopeBegin; i <= last && !live; ++i)
-            live = trace[i].isLive(static_cast<ir::QubitId>(q));
-        if (live)
+        if (isBorrowRole(info.role)) {
+            state.setLive(static_cast<ir::QubitId>(q));
+        } else if (info.role == lang::QubitRole::Alloc) {
+            last[q] = std::min(info.scopeEnd, gates.size());
+            if (info.scopeBegin <= last[q])
+                ends_at[last[q]].push_back(static_cast<ir::QubitId>(q));
+        }
+    }
+    std::vector<bool> live(num, false);
+    for (std::size_t i = gates.size();; --i) {
+        for (const ir::QubitId q : ends_at[i])
+            if (state.isLive(q))
+                live[q] = true;
+        if (i == 0)
+            break;
+        const ir::Gate &gate = gates[i - 1];
+        LivenessDomain::transferBackward(gate, state);
+        for (const ir::QubitId w : gate.qubits())
+            if (w < num &&
+                program.qubits[w].role == lang::QubitRole::Alloc &&
+                program.qubits[w].scopeBegin < i && i - 1 < last[w] &&
+                state.isLive(w))
+                live[w] = true;
+    }
+    for (std::size_t q = 0; q < num; ++q) {
+        const lang::QubitInfo &info = program.qubits[q];
+        if (info.role != lang::QubitRole::Alloc || live[q])
             continue;
         Diagnostic d;
         d.severity = Severity::Warning;
@@ -316,57 +342,100 @@ lintBorrowNotRestored(const lang::ElaboratedProgram &program,
                       const LintOptions &options,
                       std::vector<Diagnostic> &out)
 {
+    // The borrows of one scope share its gate range, classical flag,
+    // writer index and affine final, so those are computed once per
+    // distinct (scopeBegin, scopeEnd), one scope at a time, and each
+    // qubit pays only for its own cone.
+    const auto &gates = program.circuit.gates();
+    const std::uint32_t n = program.circuit.numQubits();
+    std::vector<std::size_t> borrows;
     for (std::size_t q = 0; q < program.qubits.size(); ++q) {
         const lang::QubitInfo &info = program.qubits[q];
-        if (!isBorrowRole(info.role) ||
-            info.scopeBegin >= info.scopeEnd)
-            continue;
-        const ir::Circuit lifetime =
-            program.circuit.slice(info.scopeBegin, info.scopeEnd);
-        if (!lifetime.isClassical())
-            continue;
-        const PermutationVerdict verdict =
-            permutationCheck(lifetime, static_cast<ir::QubitId>(q),
-                             options.permutationWindow);
-        bool not_restored =
-            verdict == PermutationVerdict::NotRestored;
-        if (verdict == PermutationVerdict::TooWide) {
-            // Cone wider than the window: fall back to the
-            // window-free affine proof.  An UNSEEDED ⊤-free final row
-            // for q that is neither q itself nor poisoned is an exact
-            // function description differing from q, so some initial
-            // assignment is provably changed - the same certificate
-            // the 2^k sweep gives, without the width bound.
-            const AffineState final = runForward<AffineDomain>(
-                lifetime, AffineState(lifetime.numQubits()));
-            const ir::QubitId wire = static_cast<ir::QubitId>(q);
-            not_restored =
-                !final.isTop(wire) && !final.isIdentity(wire);
-        }
-        if (!not_restored)
-            continue;
-        // Exact, not heuristic: the lifetime circuit is a reversible
-        // classical map F with b_q != q as functions, so either some
-        // input with q=0 ends with q=1 ((6.1) satisfiable) or - when
-        // b_q ignores q yet differs from it - flipping q flips which
-        // inputs collide, forcing another output to depend on q
-        // ((6.2) satisfiable).  Unsafe by Theorem 6.4 either way.
-        Diagnostic d;
-        d.severity = info.role == lang::QubitRole::BorrowVerify
-            ? Severity::Error
-            : Severity::Warning;
-        d.rule = "borrow-not-restored";
-        d.loc = info.loc;
-        d.message = format(
-            "borrowed qubit '%s' is written without restoration: "
-            "some initial value is provably changed by its lifetime "
-            "circuit%s",
-            info.name.c_str(),
-            info.role == lang::QubitRole::BorrowSkip
-                ? " (verification waived by borrow@)"
-                : "");
-        out.push_back(std::move(d));
+        if (isBorrowRole(info.role) && info.scopeBegin < info.scopeEnd)
+            borrows.push_back(q);
     }
+    const auto scopeOf = [&](std::size_t q) {
+        return std::pair(program.qubits[q].scopeBegin,
+                         program.qubits[q].scopeEnd);
+    };
+    std::stable_sort(borrows.begin(), borrows.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return scopeOf(a) < scopeOf(b);
+                     });
+    std::vector<std::pair<std::size_t, Diagnostic>> found;
+    for (std::size_t first = 0, last; first < borrows.size();
+         first = last) {
+        const auto [begin, end] = scopeOf(borrows[first]);
+        last = first + 1;
+        while (last < borrows.size() &&
+               scopeOf(borrows[last]) == scopeOf(borrows[first]))
+            ++last;
+        qbAssert(end <= gates.size(), "borrow scope out of bounds");
+        const std::span<const ir::Gate> lifetime =
+            std::span<const ir::Gate>(gates).subspan(begin, end - begin);
+        if (!std::all_of(lifetime.begin(), lifetime.end(),
+                         [](const ir::Gate &g) {
+                             return g.isClassical();
+                         }))
+            continue;
+        const WriterIndex writers(lifetime, n);
+        std::optional<AffineState> final;
+        for (std::size_t i = first; i < last; ++i) {
+            const std::size_t q = borrows[i];
+            const lang::QubitInfo &info = program.qubits[q];
+            const ir::QubitId wire = static_cast<ir::QubitId>(q);
+            const PermutationVerdict verdict = permutationCheck(
+                lifetime, writers, wire, options.permutationWindow);
+            bool not_restored =
+                verdict == PermutationVerdict::NotRestored;
+            if (verdict == PermutationVerdict::TooWide) {
+                // Cone wider than the window: fall back to the
+                // window-free affine proof.  An UNSEEDED ⊤-free final
+                // row for q that is neither q itself nor poisoned is
+                // an exact function description differing from q, so
+                // some initial assignment is provably changed - the
+                // same certificate the 2^k sweep gives, without the
+                // width bound.
+                if (!final)
+                    final = runForward<AffineDomain>(lifetime,
+                                                     AffineState(n));
+                not_restored =
+                    !final->isTop(wire) && !final->isIdentity(wire);
+            }
+            if (!not_restored)
+                continue;
+            // Exact, not heuristic: the lifetime circuit is a
+            // reversible classical map F with b_q != q as functions,
+            // so either some input with q=0 ends with q=1 ((6.1)
+            // satisfiable) or - when b_q ignores q yet differs from
+            // it - flipping q flips which inputs collide, forcing
+            // another output to depend on q ((6.2) satisfiable).
+            // Unsafe by Theorem 6.4 either way.
+            Diagnostic d;
+            d.severity = info.role == lang::QubitRole::BorrowVerify
+                ? Severity::Error
+                : Severity::Warning;
+            d.rule = "borrow-not-restored";
+            d.loc = info.loc;
+            d.message = format(
+                "borrowed qubit '%s' is written without restoration: "
+                "some initial value is provably changed by its "
+                "lifetime circuit%s",
+                info.name.c_str(),
+                info.role == lang::QubitRole::BorrowSkip
+                    ? " (verification waived by borrow@)"
+                    : "");
+            found.emplace_back(q, std::move(d));
+        }
+    }
+    // Qubit-index order: the qubits of one `borrow q[n];` share a
+    // source location, and the position sort keeps this order.
+    std::sort(found.begin(), found.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
+    for (auto &entry : found)
+        out.push_back(std::move(entry.second));
 }
 
 ProgramMetrics
@@ -443,6 +512,17 @@ lintElaborated(const lang::ElaboratedProgram &program,
     out.elaborated = true;
 }
 
+void
+sortDiagnostics(std::vector<Diagnostic> &diagnostics)
+{
+    std::stable_sort(diagnostics.begin(), diagnostics.end(),
+                     [](const Diagnostic &a, const Diagnostic &b) {
+                         if (a.loc.line != b.loc.line)
+                             return a.loc.line < b.loc.line;
+                         return a.loc.column < b.loc.column;
+                     });
+}
+
 LintResult
 lintSource(const std::string &source, const LintOptions &options)
 {
@@ -459,13 +539,7 @@ lintSource(const std::string &source, const LintOptions &options)
         result.elaborated = false;
         result.elaborationError = e.what();
     }
-    std::stable_sort(result.diagnostics.begin(),
-                     result.diagnostics.end(),
-                     [](const Diagnostic &a, const Diagnostic &b) {
-                         if (a.loc.line != b.loc.line)
-                             return a.loc.line < b.loc.line;
-                         return a.loc.column < b.loc.column;
-                     });
+    sortDiagnostics(result.diagnostics);
     return result;
 }
 

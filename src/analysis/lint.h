@@ -54,7 +54,9 @@
  *     not heuristic: b_q != q as functions forces formula (6.1) or
  *     (6.2) of Theorem 6.4 satisfiable, so the qubit is provably
  *     unsafe.  Emitted as a warning (not error) for borrow@ qubits,
- *     whose verification the author explicitly waived.
+ *     whose verification the author explicitly waived.  Cost: one
+ *     classical check, one writer index and (on a TooWide cone) one
+ *     affine pass per distinct borrow scope, plus one cone per qubit.
  */
 
 #ifndef QB_ANALYSIS_LINT_H
@@ -110,6 +112,10 @@ void lintAst(const lang::Program &program,
 /** IR-layer rules + metrics over an elaborated program. */
 void lintElaborated(const lang::ElaboratedProgram &program,
                     const LintOptions &options, LintResult &out);
+
+/** Order @p diagnostics by source position, keeping rule order at
+ *  equal positions (the order lintSource() returns). */
+void sortDiagnostics(std::vector<Diagnostic> &diagnostics);
 
 /**
  * Parse + lint @p source: AST rules always, IR rules and metrics when

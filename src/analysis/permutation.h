@@ -21,12 +21,19 @@
  *
  * Circuits wider than the window, or containing non-classical gates
  * in the cone, answer TooWide: no claim either way.
+ *
+ * The backward walk visits only the gates that write a cone wire,
+ * taken from a WriterIndex built once per gate list and shared by
+ * every qubit checked over it: one check costs the writes into its
+ * cone, not the length of the circuit.
  */
 
 #ifndef QB_ANALYSIS_PERMUTATION_H
 #define QB_ANALYSIS_PERMUTATION_H
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "ir/circuit.h"
 
@@ -43,9 +50,45 @@ enum class PermutationVerdict {
 constexpr unsigned kDefaultPermutationWindow = 10;
 
 /**
- * Exact restoration check of qubit @p q over @p circuit, bounded by
- * @p window cone qubits.
+ * For each wire of a gate list, the indices of the gates that may
+ * change its value, in increasing order: the classical gates writing
+ * it (an X-family target, either operand of a Swap) and the
+ * non-classical gates touching it.  One compressed row per wire.
  */
+class WriterIndex
+{
+  public:
+    WriterIndex(std::span<const ir::Gate> gates,
+                std::uint32_t num_qubits);
+
+    std::uint32_t numQubits() const
+    {
+        return static_cast<std::uint32_t>(offsets_.size() - 1);
+    }
+
+    /** Gate indices (into the indexed list) that may change @p w. */
+    std::span<const std::uint32_t> of(ir::QubitId w) const
+    {
+        return {writers_.data() + offsets_[w],
+                writers_.data() + offsets_[w + 1]};
+    }
+
+  private:
+    std::vector<std::uint32_t> offsets_; ///< numQubits() + 1 row bounds
+    std::vector<std::uint32_t> writers_;
+};
+
+/**
+ * Exact restoration check of qubit @p q over @p gates, bounded by
+ * @p window cone qubits; @p writers must index @p gates.
+ */
+PermutationVerdict
+permutationCheck(std::span<const ir::Gate> gates,
+                 const WriterIndex &writers, ir::QubitId q,
+                 unsigned window = kDefaultPermutationWindow);
+
+/** The same check over a whole circuit, indexing it on the spot
+ *  (callers checking many qubits should share one WriterIndex). */
 PermutationVerdict
 permutationCheck(const ir::Circuit &circuit, ir::QubitId q,
                  unsigned window = kDefaultPermutationWindow);

@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "analysis/analyzer.h"
@@ -478,6 +481,164 @@ TEST(Permutation, NonClassicalGateOutsideConeIsIgnored)
     c.append(Gate::x(1));
     c.append(Gate::x(1));
     EXPECT_EQ(PermutationVerdict::Restored, permutationCheck(c, 1));
+}
+
+/**
+ * The permutation check as it was before the writer index: one
+ * backward walk over EVERY gate of the circuit.  Kept as the oracle
+ * the indexed walk must match verdict for verdict.
+ */
+PermutationVerdict
+referencePermutationCheck(const Circuit &circuit, ir::QubitId q,
+                          unsigned window)
+{
+    if (window > 20)
+        window = 20;
+    const std::vector<Gate> &gates = circuit.gates();
+    std::vector<int> cone_index(circuit.numQubits(), -1);
+    std::vector<ir::QubitId> cone;
+    const auto join = [&](ir::QubitId w) {
+        if (cone_index[w] < 0) {
+            cone_index[w] = static_cast<int>(cone.size());
+            cone.push_back(w);
+        }
+    };
+    join(q);
+    std::vector<std::size_t> relevant;
+    for (std::size_t i = gates.size(); i-- > 0;) {
+        const Gate &gate = gates[i];
+        if (!gate.isClassical()) {
+            for (const ir::QubitId w : gate.qubits())
+                if (cone_index[w] >= 0)
+                    return PermutationVerdict::TooWide;
+            continue;
+        }
+        const bool writes = gate.kind() == ir::GateKind::Swap
+            ? cone_index[gate.qubits()[0]] >= 0 ||
+                  cone_index[gate.qubits()[1]] >= 0
+            : cone_index[gate.target()] >= 0;
+        if (!writes)
+            continue;
+        for (const ir::QubitId w : gate.qubits())
+            join(w);
+        if (cone.size() > window)
+            return PermutationVerdict::TooWide;
+        relevant.push_back(i);
+    }
+    const std::uint64_t count = std::uint64_t{1} << cone.size();
+    const int qi = cone_index[q];
+    for (std::uint64_t input = 0; input < count; ++input) {
+        std::uint64_t state = input;
+        for (std::size_t r = relevant.size(); r-- > 0;) {
+            const Gate &gate = gates[relevant[r]];
+            if (gate.kind() == ir::GateKind::Swap) {
+                const int a = cone_index[gate.qubits()[0]];
+                const int b = cone_index[gate.qubits()[1]];
+                if (((state >> a) & 1) != ((state >> b) & 1))
+                    state ^= (std::uint64_t{1} << a) |
+                             (std::uint64_t{1} << b);
+                continue;
+            }
+            bool fire = true;
+            for (const ir::QubitId c : gate.controls())
+                if (!((state >> cone_index[c]) & 1))
+                    fire = false;
+            if (fire)
+                state ^= std::uint64_t{1} << cone_index[gate.target()];
+        }
+        if (((state >> qi) & 1) != ((input >> qi) & 1))
+            return PermutationVerdict::NotRestored;
+    }
+    return PermutationVerdict::Restored;
+}
+
+TEST(Permutation, WriterIndexListsWritesAndNonClassicalTouches)
+{
+    Circuit c(4);
+    c.append(Gate::cnot(0, 1)); // 0: writes 1 only
+    c.append(Gate::swap(1, 2)); // 1: writes both
+    c.append(Gate::h(3));       // 2: non-classical, touches 3
+    c.append(Gate::cz(0, 3));   // 3: non-classical, touches 0 and 3
+    c.append(Gate::x(1));       // 4
+    const WriterIndex w(c.gates(), c.numQubits());
+    using V = std::vector<std::uint32_t>;
+    const auto of = [&](ir::QubitId q) {
+        return V(w.of(q).begin(), w.of(q).end());
+    };
+    EXPECT_EQ(V({3}), of(0));
+    EXPECT_EQ(V({0, 1, 4}), of(1));
+    EXPECT_EQ(V({1}), of(2));
+    EXPECT_EQ(V({2, 3}), of(3));
+}
+
+TEST(Permutation, IndexedWalkMatchesFullBackwardWalk)
+{
+    // Random circuits mixing every classical kind with non-classical
+    // gates, every qubit, windows from 1 to 12: the writer-list walk
+    // must give the full walk's verdict each time.
+    std::size_t decided = 0, too_wide = 0;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        Rng rng(seed * 7919 + 3);
+        const auto n = static_cast<std::uint32_t>(2 + rng.nextBelow(13));
+        Circuit c(n);
+        const auto pick = [&](std::vector<ir::QubitId> &used) {
+            ir::QubitId w;
+            do
+                w = static_cast<ir::QubitId>(rng.nextBelow(n));
+            while (std::find(used.begin(), used.end(), w) != used.end());
+            used.push_back(w);
+            return w;
+        };
+        const std::size_t length = rng.nextBelow(40);
+        for (std::size_t g = 0; g < length; ++g) {
+            std::vector<ir::QubitId> used;
+            const std::uint64_t kind = rng.nextBelow(n >= 4 ? 7 : 5);
+            if (kind == 0) {
+                c.append(Gate::x(pick(used)));
+            } else if (kind == 1) {
+                const ir::QubitId a = pick(used);
+                c.append(Gate::cnot(a, pick(used)));
+            } else if (kind == 2) {
+                const ir::QubitId a = pick(used);
+                c.append(Gate::swap(a, pick(used)));
+            } else if (kind == 3) {
+                c.append(rng.nextBool(0.8) ? Gate::x(pick(used))
+                                           : Gate::h(pick(used)));
+            } else if (kind == 4) {
+                const ir::QubitId a = pick(used);
+                c.append(rng.nextBool(0.8) ? Gate::cnot(a, pick(used))
+                                           : Gate::cz(a, pick(used)));
+            } else if (kind == 5) {
+                const ir::QubitId a = pick(used);
+                const ir::QubitId b = pick(used);
+                c.append(Gate::ccnot(a, b, pick(used)));
+            } else {
+                std::vector<ir::QubitId> controls;
+                controls.push_back(pick(used));
+                controls.push_back(pick(used));
+                controls.push_back(pick(used));
+                c.append(Gate::mcx(controls, pick(used)));
+            }
+        }
+        const WriterIndex writers(c.gates(), n);
+        for (ir::QubitId q = 0; q < n; ++q)
+            for (unsigned window = 1; window <= 12; ++window) {
+                const PermutationVerdict expected =
+                    referencePermutationCheck(c, q, window);
+                ASSERT_EQ(expected,
+                          permutationCheck(c.gates(), writers, q, window))
+                    << "seed " << seed << " qubit " << q << " window "
+                    << window << "\n"
+                    << c.toString();
+                ASSERT_EQ(expected, permutationCheck(c, q, window));
+                ++(expected == PermutationVerdict::TooWide ? too_wide
+                                                           : decided);
+            }
+    }
+    // Both outcomes must be well represented for the match to mean
+    // anything.
+    EXPECT_GT(decided, 1000u);
+    EXPECT_GT(too_wide, 1000u);
 }
 
 // ----------------------------------------------------------- analyzer
@@ -1075,6 +1236,174 @@ TEST(Lint, RenderersCarryRuleAndPosition)
               json.find("\"rule\": \"borrow-not-restored\""));
     EXPECT_NE(std::string::npos, json.find("\"line\": 1"));
     EXPECT_NE(std::string::npos, json.find("\"errors\": 1"));
+}
+
+// ------------------------------- borrow-not-restored: scope sharing
+
+/**
+ * The borrow-not-restored rule as it ran before scopes were shared:
+ * per qubit, a copy of its lifetime circuit, the full-walk
+ * permutation check and, on TooWide, an affine pass over the copy.
+ */
+std::vector<Diagnostic>
+referenceBorrowNotRestored(const lang::ElaboratedProgram &program,
+                           unsigned window = kDefaultPermutationWindow)
+{
+    std::vector<Diagnostic> out;
+    for (std::size_t q = 0; q < program.qubits.size(); ++q) {
+        const lang::QubitInfo &info = program.qubits[q];
+        const bool borrow =
+            info.role == lang::QubitRole::BorrowVerify ||
+            info.role == lang::QubitRole::BorrowSkip;
+        if (!borrow || info.scopeBegin >= info.scopeEnd)
+            continue;
+        const Circuit lifetime =
+            program.circuit.slice(info.scopeBegin, info.scopeEnd);
+        if (!lifetime.isClassical())
+            continue;
+        const auto wire = static_cast<ir::QubitId>(q);
+        const PermutationVerdict verdict =
+            referencePermutationCheck(lifetime, wire, window);
+        bool not_restored = verdict == PermutationVerdict::NotRestored;
+        if (verdict == PermutationVerdict::TooWide) {
+            const AffineState final = runForward<AffineDomain>(
+                lifetime, AffineState(lifetime.numQubits()));
+            not_restored = !final.isTop(wire) && !final.isIdentity(wire);
+        }
+        if (!not_restored)
+            continue;
+        Diagnostic d;
+        d.severity = info.role == lang::QubitRole::BorrowVerify
+            ? Severity::Error
+            : Severity::Warning;
+        d.rule = "borrow-not-restored";
+        d.loc = info.loc;
+        d.message = format(
+            "borrowed qubit '%s' is written without restoration: "
+            "some initial value is provably changed by its lifetime "
+            "circuit%s",
+            info.name.c_str(),
+            info.role == lang::QubitRole::BorrowSkip
+                ? " (verification waived by borrow@)"
+                : "");
+        out.push_back(std::move(d));
+    }
+    return out;
+}
+
+/** Assert that the rule's diagnostics in @p source equal the
+ *  oracle's in rule, severity, location, message and order; returns
+ *  how many fired. */
+std::size_t
+expectBorrowParity(const std::string &source, const std::string &label)
+{
+    const lang::ElaboratedProgram program = lang::elaborateSource(source);
+    LintResult linted;
+    lintElaborated(program, LintOptions{}, linted);
+    std::vector<Diagnostic> got;
+    for (const Diagnostic &d : linted.diagnostics)
+        if (d.rule == "borrow-not-restored")
+            got.push_back(d);
+    const std::vector<Diagnostic> expected =
+        referenceBorrowNotRestored(program);
+    EXPECT_EQ(expected.size(), got.size()) << label;
+    for (std::size_t i = 0; i < std::min(expected.size(), got.size());
+         ++i) {
+        EXPECT_EQ(expected[i].toString(), got[i].toString())
+            << label << " diagnostic " << i;
+    }
+    return got.size();
+}
+
+std::string
+readExample(const std::string &name)
+{
+    std::ifstream in(std::string(QB_EXAMPLES_DIR) + "/" + name);
+    EXPECT_TRUE(in) << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(LintBorrowScopes, ExamplesAreTheGeneratorsText)
+{
+    // CI rewrites mcx.qbr's `let m` line to scale the program, so the
+    // example must stay the generator's text.
+    EXPECT_EQ(circuits::adderQbrSource(8), readExample("adder.qbr"));
+    EXPECT_EQ(circuits::mcxQbrSource(500), readExample("mcx.qbr"));
+}
+
+TEST(LintBorrowScopes, MatchesPerQubitOracleOnTheFamilies)
+{
+    EXPECT_EQ(0u, expectBorrowParity(readExample("adder.qbr"),
+                                     "examples/adder.qbr"));
+    for (const std::uint32_t m : {50u, 250u})
+        expectBorrowParity(circuits::mcxQbrSource(m),
+                           "mcx m=" + std::to_string(m));
+    expectBorrowParity(circuits::binaryHeavyMcxQbrSource(50),
+                       "binary-heavy mcx m=50");
+    for (const std::uint32_t n : {12u, 60u})
+        expectBorrowParity(circuits::adderQbrSource(n),
+                           "adder n=" + std::to_string(n));
+}
+
+TEST(LintBorrowScopes, MatchesPerQubitOracleOnRandomPrograms)
+{
+    // Random programs mix borrow@ inputs (one scope: the whole
+    // program) with one verified borrow's narrower scope.
+    std::size_t firing = 0;
+    for (std::uint64_t seed = 0; seed < 240; ++seed) {
+        Rng rng(seed);
+        const std::string source = circuits::randomQbrSource(rng);
+        if (expectBorrowParity(source,
+                               "seed " + std::to_string(seed) + "\n" +
+                                   source) > 0)
+            ++firing;
+    }
+    EXPECT_GT(firing, 100u);
+}
+
+TEST(LintBorrowScopes, AffineFallbackIsPerScope)
+{
+    // w and v both have 13-wire cones (TooWide at the default window),
+    // so both fall back to the affine final - each to its own scope's:
+    // w's scope restores w and leaves v untouched, v's flips v.
+    const std::string source = "borrow q[12];\n"
+                               "borrow w;\n"
+                               "for i = 1 to 12 { CNOT[q[i], w]; }\n"
+                               "for i = 1 to 12 { CNOT[q[i], w]; }\n"
+                               "release w;\n"
+                               "borrow v;\n"
+                               "for i = 1 to 12 { CNOT[q[i], v]; }\n"
+                               "X[v];\n"
+                               "release v;\n";
+    EXPECT_EQ(1u, expectBorrowParity(source, source));
+    const LintResult r = lintSource(source);
+    ASSERT_EQ(2u, r.diagnostics.size()); // w's 24 CNOTs: redundant-gate
+    const Diagnostic &d = r.diagnostics[1];
+    EXPECT_EQ("borrow-not-restored", d.rule);
+    EXPECT_EQ(6, d.loc.line);
+    EXPECT_NE(std::string::npos, d.message.find("'v'"));
+}
+
+TEST(LintBorrowScopes, QubitsOfOneScopeReportInQubitOrder)
+{
+    // Both qubits of one register share its source location, so only
+    // push order tells them apart after the position sort.
+    const LintResult r = lintSource("borrow q[2];\n"
+                                    "X[q[2]];\n"
+                                    "X[q[1]];\n"
+                                    "release q;\n");
+    ASSERT_TRUE(r.elaborated);
+    ASSERT_EQ(2u, r.diagnostics.size());
+    for (const Diagnostic &d : r.diagnostics) {
+        EXPECT_EQ("borrow-not-restored", d.rule);
+        EXPECT_EQ(Severity::Error, d.severity);
+        EXPECT_EQ(1, d.loc.line);
+        EXPECT_EQ(8, d.loc.column);
+    }
+    EXPECT_NE(std::string::npos, r.diagnostics[0].message.find("'q[1]'"));
+    EXPECT_NE(std::string::npos, r.diagnostics[1].message.find("'q[2]'"));
 }
 
 // --------------------------------------------- serving fingerprint

@@ -44,6 +44,7 @@
 #include "core/report.h"
 #include "core/verifier.h"
 #include "lang/elaborate.h"
+#include "lang/parser.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "support/logging.h"
@@ -285,17 +286,36 @@ int
 runLocal(const CliOptions &cli)
 {
     const qb::core::EngineOptions options = engineOptionsFor(cli);
-    const std::string source = readFile(cli.path);
+    const qb::lang::Program ast = qb::lang::parse(readFile(cli.path));
     // Lint-before-verify (opt out with --no-lint): diagnostics go to
-    // stderr so stdout stays the verification report.
-    if (!cli.noLint && !cli.quiet && !cli.json) {
-        const auto lint =
-            qb::analysis::lintSource(source, lintOptionsFor(cli));
-        for (const auto &d : lint.diagnostics)
+    // stderr so stdout stays the verification report.  One
+    // elaboration serves both lint and verification.
+    const bool lint = !cli.noLint && !cli.quiet && !cli.json;
+    qb::analysis::LintResult linted;
+    const auto printLint = [&] {
+        qb::analysis::sortDiagnostics(linted.diagnostics);
+        for (const auto &d : linted.diagnostics)
             std::fprintf(stderr, "%s:%s\n", cli.path.c_str(),
                          d.toString().c_str());
+    };
+    if (lint)
+        qb::analysis::lintAst(ast, linted.diagnostics);
+    const qb::lang::ElaboratedProgram program = [&] {
+        try {
+            return qb::lang::elaborate(ast);
+        } catch (const qb::FatalError &) {
+            // An unelaborable program still gets its AST diagnostics,
+            // ahead of the elaboration error.
+            if (lint)
+                printLint();
+            throw;
+        }
+    }();
+    if (lint) {
+        qb::analysis::lintElaborated(program, lintOptionsFor(cli),
+                                     linted);
+        printLint();
     }
-    const auto program = qb::lang::elaborateSource(source);
     if (cli.dump)
         std::printf("%s", program.circuit.toString().c_str());
     if (!cli.quiet && !cli.json) {
